@@ -10,7 +10,6 @@ from .admm import (
     fit,
     initialize,
     objective,
-    per_location_wls,
     primal_residual,
     update_beta_eta,
     update_v,
@@ -51,7 +50,7 @@ __all__ = [
     "extract_partition", "fit", "generate_mean_population", "generate_regression_population",
     "group_estimates", "group_soft_threshold", "informative_probabilities", "initialize",
     "location_estimates", "make_dataset", "modified_bic", "normalized_weights", "objective",
-    "per_location_wls", "poisson_sample", "primal_residual", "rand_index_counts",
+    "poisson_sample", "primal_residual", "rand_index_counts",
     "refit_oracle", "rmse_beta", "rmse_mu", "run_monte_carlo", "scad_derivative",
     "scad_value", "score_gradient", "select_lambda", "update_beta_eta", "update_v",
     "update_zeta", "validate", "weighted_loss", "zeta_proximal",

@@ -4,8 +4,10 @@ The loss is ``0.5 * sum_i N_i^{-1} sum_h pi_ih^{-1} (y - z'eta - x'beta_i)^2``
 (an extra ``1/sigma2`` factor per row when known variances are present) plus a
 concave penalty on every pairwise difference ``beta_i - beta_j``.  Slack
 vectors carry the differences, a proximal map handles the penalty, and the
-coefficient update is a single dense solve whose matrix is constant across
-iterations, so it is factored once per fit.
+coefficient update is a solve whose matrix is constant across iterations, so
+it is factored once per fit.  The pair structure is kept only as the index
+arrays (i, j) of each pair: differences gather over them and their adjoint
+scatter-adds over them, so the n_pairs x m incidence matrix is never formed.
 """
 
 from __future__ import annotations
@@ -45,14 +47,6 @@ class PairIndex:
         # pairs (0,1),(0,2),...,(0,m-1),(1,2),... in row-major order
         return i * self.m - i * (i + 1) // 2 + (j - i - 1)
 
-    def difference_matrix(self) -> np.ndarray:
-        """Dense (n_pairs, m) signed incidence matrix; row l is e_i - e_j."""
-        D = np.zeros((self.n_pairs, self.m))
-        rows = np.arange(self.n_pairs)
-        D[rows, self.i_idx] = 1.0
-        D[rows, self.j_idx] = -1.0
-        return D
-
 
 def build_pair_index(m: int) -> PairIndex:
     if m < 1:
@@ -78,7 +72,6 @@ class SolverState:
     eta: np.ndarray           # (q,)
     zeta: np.ndarray          # (n_pairs, p)
     v: np.ndarray             # (n_pairs, p)
-    r: int = 0
 
 
 def composite_weights(block: LocationBlock) -> np.ndarray:
@@ -90,14 +83,18 @@ def composite_weights(block: LocationBlock) -> np.ndarray:
 
 
 class _Bundle:
-    """Per-dataset precomputations shared by initialization and iterations."""
+    """Per-dataset precomputations shared by initialization and iterations.
+
+    The pairwise difference operator D (row l is ``e_i - e_j`` for pair l)
+    acts only through the pair index: :meth:`differences` gathers ``D beta``
+    and :meth:`difference_adjoint` scatter-adds ``D'S``.
+    """
 
     def __init__(self, data: Dataset):
         self.data = data
         m, p, q = data.m, data.p, data.q
         self.m, self.p, self.q = m, p, q
         self.pairs = build_pair_index(m)
-        self.D = self.pairs.difference_matrix()
 
         slices = []
         start = 0
@@ -160,13 +157,17 @@ class _Bundle:
         return cho_solve(self.gz_factor, self.ZtW @ resid)
 
     def beta_rhs(self, zeta: np.ndarray, v: np.ndarray, vartheta: float) -> np.ndarray:
-        if self.m == 1:
-            return self.XtQy
-        S = vartheta * zeta - v                    # (n_pairs, p)
-        return self.XtQy + (self.D.T @ S).reshape(-1)
+        return self.XtQy + self.difference_adjoint(vartheta * zeta - v).reshape(-1)
 
     def differences(self, beta: np.ndarray) -> np.ndarray:
+        """``D beta``: row l is ``beta_i - beta_j`` for pair l."""
         return beta[self.pairs.i_idx] - beta[self.pairs.j_idx]
+
+    def difference_adjoint(self, S: np.ndarray) -> np.ndarray:
+        """``D'S`` for an (n_pairs, p) block: +S_l added at row i, -S_l at row j."""
+        i, j, m = self.pairs.i_idx, self.pairs.j_idx, self.m
+        return np.stack([np.bincount(i, S[:, k], m) - np.bincount(j, S[:, k], m)
+                         for k in range(S.shape[1])], axis=1)
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
@@ -208,40 +209,29 @@ def initialize(data: Dataset, cfg: AdmmConfig, bundle: Optional[_Bundle] = None)
     eta = bundle.eta_update(beta)
     zeta = bundle.differences(beta)
     v = np.zeros_like(zeta)
-    return SolverState(beta=beta, eta=eta, zeta=zeta, v=v, r=0)
+    return SolverState(beta=beta, eta=eta, zeta=zeta, v=v)
 
 
-def update_beta_eta(state: SolverState, data: Dataset, cfg: AdmmConfig,
-                    bundle: Optional[_Bundle] = None) -> tuple[np.ndarray, np.ndarray]:
+def update_beta_eta(bundle: _Bundle, zeta: np.ndarray, v: np.ndarray,
+                    vartheta: float) -> tuple[np.ndarray, np.ndarray]:
     """One coefficient update given the current slacks and multipliers."""
-    bundle = bundle or _Bundle(data)
-    rhs = bundle.beta_rhs(state.zeta, state.v, cfg.vartheta)
-    beta = bundle.solve_beta(cfg.vartheta if bundle.m > 1 else 0.0, rhs)
-    eta = bundle.eta_update(beta)
-    return beta, eta
+    beta = bundle.solve_beta(vartheta, bundle.beta_rhs(zeta, v, vartheta))
+    return beta, bundle.eta_update(beta)
 
 
-def update_zeta(state: SolverState, spec: ScadSpec, vartheta: float) -> np.ndarray:
+def update_zeta(diffs: np.ndarray, v: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarray:
     """Proximal step on every pair: ``kappa = (beta_i - beta_j) + v/vartheta``."""
-    pairs = build_pair_index(state.beta.shape[0])
-    diffs = state.beta[pairs.i_idx] - state.beta[pairs.j_idx]
-    return prox_columns(diffs + state.v / vartheta, spec, vartheta)
+    return prox_columns(diffs + v / vartheta, spec, vartheta)
 
 
-def update_v(state: SolverState, vartheta: float) -> np.ndarray:
+def update_v(v: np.ndarray, diffs: np.ndarray, zeta: np.ndarray, vartheta: float) -> np.ndarray:
     """Multiplier ascent on the constraint residuals."""
-    pairs = build_pair_index(state.beta.shape[0])
-    diffs = state.beta[pairs.i_idx] - state.beta[pairs.j_idx]
-    return state.v + vartheta * (diffs - state.zeta)
+    return v + vartheta * (diffs - zeta)
 
 
-def primal_residual(state: SolverState) -> float:
+def primal_residual(diffs: np.ndarray, zeta: np.ndarray) -> float:
     """Norm of the stacked constraint violations ``beta_i - beta_j - zeta_ij``."""
-    pairs = build_pair_index(state.beta.shape[0])
-    if pairs.n_pairs == 0:
-        return 0.0
-    diffs = state.beta[pairs.i_idx] - state.beta[pairs.j_idx]
-    return float(np.linalg.norm(diffs - state.zeta))
+    return float(np.linalg.norm(diffs - zeta))
 
 
 def weighted_loss(data: Dataset, beta: np.ndarray, eta: np.ndarray,
@@ -289,13 +279,12 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
     dual = np.inf
     iterations = 0
     for r in range(cfg.max_iter):
-        beta = bundle.solve_beta(vt, bundle.beta_rhs(zeta, v, vt))
-        eta = bundle.eta_update(beta)
+        beta, eta = update_beta_eta(bundle, zeta, v, vt)
         diffs = bundle.differences(beta)
-        zeta_new = prox_columns(diffs + v / vt, spec, vt)
-        v = v + vt * (diffs - zeta_new)
-        primal = float(np.linalg.norm(diffs - zeta_new))
-        dual = vt * float(np.linalg.norm(bundle.D.T @ (zeta_new - zeta)))
+        zeta_new = update_zeta(diffs, v, spec, vt)
+        v = update_v(v, diffs, zeta_new, vt)
+        primal = primal_residual(diffs, zeta_new)
+        dual = vt * float(np.linalg.norm(bundle.difference_adjoint(zeta_new - zeta)))
         zeta = zeta_new
         iterations = r + 1
         if primal < cfg.tol:
@@ -309,19 +298,3 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
     return FitResult(beta=beta, eta=eta, zeta=zeta.T.copy(), v=v.T.copy(),
                      iterations=iterations, final_residual=primal,
                      converged=converged, final_dual_residual=dual)
-
-
-def per_location_wls(data: Dataset) -> np.ndarray:
-    """Independent weighted least squares per location (q must be 0).
-
-    Used to anchor the default fusion-strength grid; rank-deficient blocks
-    fall back to the jittered solve.
-    """
-    if data.q != 0:
-        raise ValueError("per-location solve is defined for q = 0")
-    bundle = _Bundle(data)
-    out = np.empty((bundle.m, bundle.p))
-    for i in range(bundle.m):
-        fac = _factor_spd(bundle.XtWX[i], f"location {data.locations[i].location_id!r} normal matrix")
-        out[i] = cho_solve(fac, bundle.XtWy[i])
-    return out

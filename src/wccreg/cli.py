@@ -44,9 +44,7 @@ def _unweighted_copy(data: Dataset) -> Dataset:
     """Replace every inclusion probability by the overall sampling fraction."""
     n_tot = sum(b.n for b in data.locations)
     N_tot = sum(b.N for b in data.locations)
-    const = min(1.0, n_tot / N_tot)
-    blocks = tuple(replace(b, pi=np.full(b.n, const)) for b in data.locations)
-    return Dataset(locations=blocks, p=data.p, q=data.q)
+    return simulation.unweighted_copy(data, min(1.0, n_tot / N_tot))
 
 
 def _standardize(data: Dataset):

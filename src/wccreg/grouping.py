@@ -6,9 +6,11 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 import wccreg.admm as admm
-from .types import Dataset, FitResult, Partition, SingularSystemError
+from .types import Dataset, FitResult, Partition
 
 
 def extract_partition(fit: FitResult, zero_tol: float = 1e-6) -> Partition:
@@ -22,30 +24,16 @@ def extract_partition(fit: FitResult, zero_tol: float = 1e-6) -> Partition:
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
     m = fit.beta.shape[0]
-    parent = list(range(m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    if m > 1:
-        pairs = admm.build_pair_index(m)
-        norms = np.linalg.norm(fit.zeta, axis=0)
-        for l in np.nonzero(norms <= zero_tol)[0]:
-            ra, rb = find(int(pairs.i_idx[l])), find(int(pairs.j_idx[l]))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    labels = np.empty(m, dtype=int)
-    seen: dict[int, int] = {}
-    for i in range(m):
-        root = find(i)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[i] = seen[root]
-    K = len(seen)
+    pairs = admm.build_pair_index(m)
+    fused = np.linalg.norm(fit.zeta, axis=0) <= zero_tol
+    graph = coo_matrix((np.ones(int(fused.sum())), (pairs.i_idx[fused], pairs.j_idx[fused])),
+                       shape=(m, m))
+    K, components = connected_components(graph, directed=False)
+    # relabel so that labels follow the first appearance of each component
+    _, first = np.unique(components, return_index=True)
+    rank = np.empty(K, dtype=int)
+    rank[np.argsort(first)] = np.arange(K)
+    labels = rank[components]
     sizes = np.bincount(labels, minlength=K)
     alpha = group_estimates(fit.beta, labels, K)
     return Partition(assignment=labels, K_hat=K, alpha=alpha, group_sizes=sizes)
@@ -99,11 +87,7 @@ def refit_oracle(data: Dataset, partition: Partition) -> tuple[np.ndarray, np.nd
     y = np.concatenate([b.y for b in data.locations])
     G = C.T @ (w[:, None] * C)
     rhs = C.T @ (w * y)
-    try:
-        fac = admm._factor_spd(G, "collapsed normal matrix")
-    except SingularSystemError:
-        raise
-    sol = cho_solve(fac, rhs)
+    sol = cho_solve(admm._factor_spd(G, "collapsed normal matrix"), rhs)
     eta = sol[:data.q]
     alpha = sol[data.q:].reshape(K, data.p)
     return eta, alpha

@@ -32,7 +32,7 @@ class ScadSpec:
     gamma: float = 3.0
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValidationError("lam must be nonnegative")
         if not self.gamma > 2:
             raise ValidationError("gamma must exceed 2")

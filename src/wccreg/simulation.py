@@ -21,12 +21,10 @@ import wccreg.selection as selection
 from .grouping import location_estimates
 from .metrics import adjusted_rand_index, rmse_beta, rmse_mu
 from .penalty import ScadSpec
+from .selection import MEAN_MODEL, REGRESSION
 from .types import AdmmConfig, Dataset, LocationBlock, SingularSystemError, ValidationError
 
 logger = logging.getLogger(__name__)
-
-MEAN_MODEL = "mean_model"
-REGRESSION = "regression"
 
 PI_FLOOR = 1e-6
 SCORE_FALLBACK = 1e-12
@@ -292,15 +290,10 @@ class McSummary:
         }
 
 
-def _bic_variant_for(spec: ScenarioSpec) -> selection.BicVariant:
-    kind = selection.MEAN_MODEL if spec.kind == MEAN_MODEL else selection.REGRESSION
-    return selection.BicVariant(kind=kind)
-
-
 def _run_rep(args) -> list:
     """Run one replicate for every requested method (worker-safe)."""
     spec, solver_cfg, grid, methods, gamma, grid_kw, rep = args
-    variant = _bic_variant_for(spec)
+    variant = selection.BicVariant(kind=spec.kind)
     base = ScadSpec(lam=1.0, gamma=gamma)
     try:
         pop = generate_population(spec, rep)

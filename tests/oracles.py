@@ -8,6 +8,7 @@ set-partition enumeration for the global objective.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -60,7 +61,7 @@ def prox_numeric(kappa: np.ndarray, spec: w.ScadSpec, vartheta: float) -> np.nda
         return 0.5 * vartheta * (nrm - s) ** 2 + w.scad_value(s, spec)
 
     grid = np.linspace(0.0, 2.0 * nrm, 10001)
-    vals = np.array([objective(s) for s in grid])
+    vals = 0.5 * vartheta * (nrm - grid) ** 2 + w.scad_value(grid, spec)
     k = int(np.argmin(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
@@ -147,14 +148,46 @@ def brute_force_partition(data: w.Dataset, spec: w.ScadSpec):
     return best
 
 
-def dense_fused_gram(m: int, p: int) -> np.ndarray:
-    """Explicit D'D (x) I_p built from the materialized difference matrix."""
+def difference_matrix(m: int) -> np.ndarray:
+    """Dense (n_pairs, m) signed incidence matrix; row l is e_i - e_j.
+
+    Pairs are enumerated as (0,1), (0,2), ..., (1,2), ..., the order the
+    solver's pair index uses.
+    """
     pairs = list(itertools.combinations(range(m), 2))
     D = np.zeros((len(pairs), m))
     for l, (i, j) in enumerate(pairs):
         D[l, i] = 1.0
         D[l, j] = -1.0
+    return D
+
+
+def dense_fused_gram(m: int, p: int) -> np.ndarray:
+    """Explicit D'D (x) I_p built from the materialized difference matrix."""
+    D = difference_matrix(m)
     return np.kron(D.T @ D, np.eye(p))
+
+
+def connected_labels(m: int, edges) -> np.ndarray:
+    """Component label of each node by breadth-first search over undirected edges."""
+    neighbours = [[] for _ in range(m)]
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    labels = [-1] * m
+    for start in range(m):
+        if labels[start] >= 0:
+            continue
+        comp = max(labels) + 1
+        labels[start] = comp
+        queue = collections.deque([start])
+        while queue:
+            node = queue.popleft()
+            for nxt in neighbours[node]:
+                if labels[nxt] < 0:
+                    labels[nxt] = comp
+                    queue.append(nxt)
+    return np.array(labels)
 
 
 def ari_pair_counts(labels_a, labels_b) -> float:

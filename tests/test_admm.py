@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ class TestPairIndex:
         idx = w.build_pair_index(2)
         assert idx.n_pairs == 1
         assert (idx.i_idx[0], idx.j_idx[0]) == (0, 1)
-        assert np.array_equal(idx.difference_matrix(), [[1.0, -1.0]])
+        assert np.array_equal(oracles.difference_matrix(2), [[1.0, -1.0]])
 
     def test_m3_lexicographic(self):
         idx = w.build_pair_index(3)
@@ -33,6 +34,28 @@ class TestPairIndex:
         assert np.allclose(K, dense, atol=1e-12)
         vec = rng.standard_normal(m * p)
         assert np.allclose(K @ vec, dense @ vec, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_difference_adjoint_matches_dense_oracle(self, rng, m, p):
+        ds, _ = random_dataset(rng, m=m, p=p)
+        bundle = admm._Bundle(ds)
+        D = oracles.difference_matrix(m)
+        S = rng.standard_normal((D.shape[0], p))
+        assert np.abs(bundle.difference_adjoint(S) - D.T @ S).max() < 1e-12
+        beta = rng.standard_normal((m, p))
+        assert np.array_equal(bundle.differences(beta), D @ beta)
+
+    def test_bundle_memory_is_not_quadratic_in_pairs(self, rng):
+        # a dense n_pairs x m incidence matrix alone is ~107 MB at m = 300
+        ds, _ = random_dataset(rng, m=300, p=1)
+        tracemalloc.start()
+        try:
+            admm._Bundle(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestCompositeWeights:
@@ -88,38 +111,52 @@ class TestUpdates:
         expected = np.sum(wt * (y - X @ truth)) / np.sum(wt)
         assert eta[0] == pytest.approx(expected, abs=1e-12)
 
+    def test_update_beta_eta_zeroes_augmented_gradient(self, rng):
+        # (beta, eta) minimize the weighted loss plus
+        # vartheta/2 ||D beta - zeta + v/vartheta||^2, so both gradients vanish
+        ds, _ = random_dataset(rng, m=4, p=2, q=1)
+        bundle = admm._Bundle(ds)
+        D = oracles.difference_matrix(ds.m)
+        zeta = rng.standard_normal((D.shape[0], ds.p))
+        v = rng.standard_normal((D.shape[0], ds.p))
+        vt = 1.3
+        beta, eta = w.update_beta_eta(bundle, zeta, v, vt)
+        grad_beta = vt * D.T @ (D @ beta - zeta + v / vt)
+        grad_eta = np.zeros(ds.q)
+        for i, b in enumerate(ds.locations):
+            wr = w.composite_weights(b) * (b.X @ beta[i] + b.Z @ eta - b.y)
+            grad_beta[i] += b.X.T @ wr
+            grad_eta += b.Z.T @ wr
+        assert np.abs(grad_beta).max() < 1e-10
+        assert np.abs(grad_eta).max() < 1e-10
+
     def test_update_zeta_matches_elementwise_prox(self, rng):
         m, p = 5, 2
         pairs = w.build_pair_index(m)
-        state = w.SolverState(beta=rng.standard_normal((m, p)), eta=np.zeros(0),
-                              zeta=rng.standard_normal((pairs.n_pairs, p)),
-                              v=rng.standard_normal((pairs.n_pairs, p)))
+        beta = rng.standard_normal((m, p))
+        diffs = beta[pairs.i_idx] - beta[pairs.j_idx]
+        v = rng.standard_normal((pairs.n_pairs, p))
         spec = w.ScadSpec(lam=0.3)
-        out = w.update_zeta(state, spec, vartheta=1.2)
+        out = w.update_zeta(diffs, v, spec, vartheta=1.2)
         for l in range(pairs.n_pairs):
-            kappa = state.beta[pairs.i_idx[l]] - state.beta[pairs.j_idx[l]] + state.v[l] / 1.2
+            kappa = beta[pairs.i_idx[l]] - beta[pairs.j_idx[l]] + v[l] / 1.2
             assert out[l] == pytest.approx(w.zeta_proximal(kappa, spec, 1.2), abs=1e-12)
 
     def test_update_zeta_zero_difference(self):
-        state = w.SolverState(beta=np.ones((2, 2)), eta=np.zeros(0),
-                              zeta=np.zeros((1, 2)), v=np.zeros((1, 2)))
-        assert np.array_equal(w.update_zeta(state, w.ScadSpec(lam=0.5), 1.0), np.zeros((1, 2)))
+        out = w.update_zeta(np.zeros((1, 2)), np.zeros((1, 2)), w.ScadSpec(lam=0.5), 1.0)
+        assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_update_zeta_identity_beyond_flat(self):
-        state = w.SolverState(beta=np.array([[5.0, 0.0], [0.0, 0.0]]), eta=np.zeros(0),
-                              zeta=np.zeros((1, 2)), v=np.zeros((1, 2)))
-        out = w.update_zeta(state, w.ScadSpec(lam=0.5), 1.0)
+        out = w.update_zeta(np.array([[5.0, 0.0]]), np.zeros((1, 2)), w.ScadSpec(lam=0.5), 1.0)
         assert out[0] == pytest.approx([5.0, 0.0])
 
     def test_update_v_affine(self):
-        beta = np.array([[1.0, 0.0], [0.0, 1.0]])
-        state = w.SolverState(beta=beta, eta=np.zeros(0),
-                              zeta=np.zeros((1, 2)), v=np.zeros((1, 2)))
-        v1 = w.update_v(state, vartheta=1.0)
+        diffs = np.array([[1.0, -1.0]])
+        zeta = np.zeros((1, 2))
+        v1 = w.update_v(np.zeros((1, 2)), diffs, zeta, vartheta=1.0)
         assert v1[0] == pytest.approx([1.0, -1.0])
-        # frozen beta/zeta: two applications double the increment
-        state2 = w.SolverState(beta=beta, eta=np.zeros(0), zeta=state.zeta, v=v1)
-        v2 = w.update_v(state2, vartheta=1.0)
+        # frozen differences/zeta: two applications double the increment
+        v2 = w.update_v(v1, diffs, zeta, vartheta=1.0)
         assert v2[0] == pytest.approx([2.0, -2.0])
 
     def test_update_v_no_change_at_consensus(self, rng):
@@ -127,34 +164,28 @@ class TestUpdates:
         pairs = w.build_pair_index(3)
         zeta = beta[pairs.i_idx] - beta[pairs.j_idx]
         v = rng.standard_normal((3, 2))
-        state = w.SolverState(beta=beta, eta=np.zeros(0), zeta=zeta, v=v)
-        assert w.update_v(state, 2.0) == pytest.approx(v)
+        assert w.update_v(v, zeta.copy(), zeta, 2.0) == pytest.approx(v)
 
 
 class TestPrimalResidual:
     def test_zero_when_slacks_track(self, rng):
         beta = rng.standard_normal((4, 2))
         pairs = w.build_pair_index(4)
-        state = w.SolverState(beta=beta, eta=np.zeros(0),
-                              zeta=beta[pairs.i_idx] - beta[pairs.j_idx],
-                              v=np.zeros((pairs.n_pairs, 2)))
-        assert w.primal_residual(state) == 0.0
+        diffs = beta[pairs.i_idx] - beta[pairs.j_idx]
+        assert w.primal_residual(diffs, diffs.copy()) == 0.0
 
     def test_single_pair_unit(self):
-        state = w.SolverState(beta=np.array([[1.0], [0.0]]), eta=np.zeros(0),
-                              zeta=np.zeros((1, 1)), v=np.zeros((1, 1)))
-        assert w.primal_residual(state) == pytest.approx(1.0)
+        assert w.primal_residual(np.array([[1.0]]), np.zeros((1, 1))) == pytest.approx(1.0)
 
     def test_matches_dense_frobenius(self, rng):
         m, p = 6, 3
-        pairs = w.build_pair_index(m)
+        ds, _ = random_dataset(rng, m=m, p=p)
+        bundle = admm._Bundle(ds)
         beta = rng.standard_normal((m, p))
-        zeta = rng.standard_normal((pairs.n_pairs, p))
-        state = w.SolverState(beta=beta, eta=np.zeros(0), zeta=zeta,
-                              v=np.zeros((pairs.n_pairs, p)))
-        D = pairs.difference_matrix()
+        zeta = rng.standard_normal((bundle.pairs.n_pairs, p))
+        D = oracles.difference_matrix(m)
         ref = np.linalg.norm(D @ beta - zeta)
-        assert w.primal_residual(state) == pytest.approx(ref, abs=1e-12)
+        assert w.primal_residual(bundle.differences(beta), zeta) == pytest.approx(ref, abs=1e-12)
 
 
 class TestInitialize:

@@ -56,14 +56,9 @@ class TestExtractPartition:
             zero_mask = rng.random(pairs.n_pairs) < 0.3
             zeta = np.where(zero_mask, 0.0, 1.0)[None, :]
             part = w.extract_partition(fake_fit(beta, zeta))
-            # reference components via scipy
-            from scipy.sparse import coo_matrix
-            from scipy.sparse.csgraph import connected_components
-            rows = pairs.i_idx[zero_mask]
-            cols = pairs.j_idx[zero_mask]
-            graph = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m))
-            n_comp, labels = connected_components(graph, directed=False)
-            assert part.K_hat == n_comp
+            edges = zip(pairs.i_idx[zero_mask], pairs.j_idx[zero_mask])
+            labels = oracles.connected_labels(m, edges)
+            assert part.K_hat == labels.max() + 1
             assert w.adjusted_rand_index(part.assignment, labels) == pytest.approx(1.0)
 
     def test_m1_single_group(self):

@@ -139,9 +139,10 @@ class TestZetaProximal:
             out = w.zeta_proximal(kappa, spec, vt)
             got = oracles.proximal_objective(out, kappa, spec, vt)
             nrm = np.linalg.norm(kappa)
-            for s in np.linspace(0, 2 * nrm, 10001):
-                cand = s * kappa / nrm
-                assert got <= oracles.proximal_objective(cand, kappa, spec, vt) + 1e-9
+            cands = np.linspace(0, 2 * nrm, 10001)[:, None] * kappa / nrm
+            objs = (0.5 * vt * np.sum((kappa - cands) ** 2, axis=1)
+                    + w.scad_value(np.linalg.norm(cands, axis=1), spec))
+            assert np.all(got <= objs + 1e-9)
 
     def test_output_collinear_with_kappa(self, rng):
         for _ in range(100):

@@ -84,6 +84,8 @@ class TestConfigs:
         with pytest.raises(w.ValidationError):
             w.ScadSpec(lam=-0.1)
         with pytest.raises(w.ValidationError):
+            w.ScadSpec(lam=float("nan"))
+        with pytest.raises(w.ValidationError):
             w.ScadSpec(lam=1.0, gamma=2.0)
 
 
