@@ -16,7 +16,7 @@ from .admm import (
     update_zeta,
     weighted_loss,
 )
-from .grouping import extract_partition, group_estimates, location_estimates, refit_oracle, score_gradient
+from .grouping import extract_partition, group_estimates, location_estimates, refit_oracle
 from .metrics import adjusted_rand_index, rand_index_counts, rmse_beta, rmse_mu
 from .penalty import ScadSpec, group_soft_threshold, scad_derivative, scad_value, zeta_proximal
 from .selection import BicVariant, LambdaPath, default_lambda_grid, modified_bic, normalized_weights, select_lambda
@@ -52,6 +52,6 @@ __all__ = [
     "location_estimates", "make_dataset", "modified_bic", "normalized_weights", "objective",
     "poisson_sample", "primal_residual", "rand_index_counts",
     "refit_oracle", "rmse_beta", "rmse_mu", "run_monte_carlo", "scad_derivative",
-    "scad_value", "score_gradient", "select_lambda", "update_beta_eta", "update_v",
+    "scad_value", "select_lambda", "update_beta_eta", "update_v",
     "update_zeta", "validate", "weighted_loss", "zeta_proximal",
 ]

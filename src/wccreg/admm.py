@@ -4,9 +4,12 @@ The loss is ``0.5 * sum_i N_i^{-1} sum_h pi_ih^{-1} (y - z'eta - x'beta_i)^2``
 (an extra ``1/sigma2`` factor per row when known variances are present) plus a
 concave penalty on every pairwise difference ``beta_i - beta_j``.  Slack
 vectors carry the differences, a proximal map handles the penalty, and the
-coefficient update is a solve whose matrix is constant across iterations, so
-it is factored once per fit.  The pair structure is kept only as the index
-arrays (i, j) of each pair: differences gather over them and their adjoint
+coefficient update is a solve whose matrix depends only on the sample and on
+the augmented weight.  Those pieces are built once per dataset by
+:func:`prepared` and shared by every fit on it (the whole lambda path), the
+starting point, the loss and the group refit; each factor is computed once
+per dataset and weight.  The pair structure is kept only as the index arrays
+(i, j) of each pair: differences gather over them and their adjoint
 scatter-adds over them, so the n_pairs x m incidence matrix is never formed.
 """
 
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -83,15 +85,17 @@ def composite_weights(block: LocationBlock) -> np.ndarray:
 
 
 class _Bundle:
-    """Per-dataset precomputations shared by initialization and iterations.
+    """Per-dataset precomputations: the blocks of the weighted normal equations.
 
-    The pairwise difference operator D (row l is ``e_i - e_j`` for pair l)
-    acts only through the pair index: :meth:`differences` gathers ``D beta``
-    and :meth:`difference_adjoint` scatter-adds ``D'S``.
+    Built once per dataset by :func:`prepared` and kept with it; it holds
+    arrays only, never the dataset itself, so the dataset is freed as soon as
+    its last reference goes.  The pairwise difference operator D (row l is
+    ``e_i - e_j`` for pair l) acts only through the pair index:
+    :meth:`differences` gathers ``D beta`` and :meth:`difference_adjoint`
+    scatter-adds ``D'S``.
     """
 
     def __init__(self, data: Dataset):
-        self.data = data
         m, p, q = data.m, data.p, data.q
         self.m, self.p, self.q = m, p, q
         self.pairs = build_pair_index(m)
@@ -104,30 +108,29 @@ class _Bundle:
         self.slices = slices
         self.n_total = start
 
+        weights = [composite_weights(b) for b in data.locations]
         self.y = np.concatenate([b.y for b in data.locations])
-        self.w = np.concatenate([composite_weights(b) for b in data.locations])
+        self.w = np.concatenate(weights)
         self.X_blocks = [b.X for b in data.locations]
+        self.Z = np.concatenate([b.Z for b in data.locations], axis=0)   # (n_total, q)
 
-        # block pieces of the weighted normal equations
-        self.XtWX = np.stack([b.X.T @ (composite_weights(b)[:, None] * b.X) for b in data.locations])
-        self.XtWy = np.stack([b.X.T @ (composite_weights(b) * b.y) for b in data.locations])
+        # block pieces of the weighted normal equations (q may be 0)
+        self.XtWX = np.stack([b.X.T @ (w[:, None] * b.X) for b, w in zip(data.locations, weights)])
+        self.XtWy = np.stack([b.X.T @ (w * b.y) for b, w in zip(data.locations, weights)])
+        self.XtWZ = np.stack([b.X.T @ (w[:, None] * b.Z) for b, w in zip(data.locations, weights)])
+        wZ = self.w[:, None] * self.Z
+        self.ZtWZ = self.Z.T @ wZ
+        self.ZtWy = self.Z.T @ (self.w * self.y)
+        self.ZtW = wZ.T                         # (q, n_total)
 
+        self.XtQX = _block_diag(self.XtWX)
+        self.XtQy = self.XtWy.reshape(-1)
         if q > 0:
-            self.Z = np.concatenate([b.Z for b in data.locations], axis=0)
-            wZ = self.w[:, None] * self.Z
-            self.ZtWZ = self.Z.T @ wZ
-            self.ZtWy = self.Z.T @ (self.w * self.y)
-            self.ZtW = wZ.T                     # (q, n_total)
             self.gz_factor = _factor_spd(self.ZtWZ, "Z'WZ")
-            self.XtWZ = np.stack([b.X.T @ (composite_weights(b)[:, None] * b.Z) for b in data.locations])
             B = self.XtWZ.reshape(m * p, q)
             # X'QX = blockdiag(X'WX) - B (Z'WZ)^{-1} B'
-            self.XtQX = _block_diag(self.XtWX) - B @ cho_solve(self.gz_factor, B.T)
-            self.XtQy = self.XtWy.reshape(-1) - B @ cho_solve(self.gz_factor, self.ZtWy)
-        else:
-            self.Z = np.zeros((self.n_total, 0))
-            self.XtQX = _block_diag(self.XtWX)
-            self.XtQy = self.XtWy.reshape(-1)
+            self.XtQX = self.XtQX - B @ cho_solve(self.gz_factor, B.T)
+            self.XtQy = self.XtQy - B @ cho_solve(self.gz_factor, self.ZtWy)
 
         self.fused = fused_gram(m, p) if m > 1 else np.zeros((p, p))
         self._factors: dict[float, tuple] = {}
@@ -197,14 +200,29 @@ def _factor_spd(M: np.ndarray, what: str):
             ) from None
 
 
-def initialize(data: Dataset, cfg: AdmmConfig, bundle: Optional[_Bundle] = None) -> SolverState:
+def prepared(data: Dataset) -> _Bundle:
+    """The dataset's precomputation: validated and built on first use, then reused.
+
+    It is kept on the dataset instance outside its dataclass fields, so the
+    dataset's constructor, equality and repr are unchanged.  Two threads that
+    race here each build an equal precomputation, and one of them is kept.
+    """
+    bundle = vars(data).get("_prepared")
+    if bundle is None:
+        validate(data)
+        bundle = _Bundle(data)
+        object.__setattr__(data, "_prepared", bundle)
+    return bundle
+
+
+def initialize(data: Dataset, cfg: AdmmConfig) -> SolverState:
     """Starting point: squared-difference fusion of strength ``init_ridge``.
 
     The normal matrix is the coefficient-update matrix with the augmented
     weight replaced by ``2 * init_ridge``; slacks start at the implied
     pairwise differences and multipliers at zero.
     """
-    bundle = bundle or _Bundle(data)
+    bundle = prepared(data)
     beta = bundle.solve_beta(2.0 * cfg.init_ridge, bundle.XtQy)
     eta = bundle.eta_update(beta)
     zeta = bundle.differences(beta)
@@ -234,22 +252,20 @@ def primal_residual(diffs: np.ndarray, zeta: np.ndarray) -> float:
     return float(np.linalg.norm(diffs - zeta))
 
 
-def weighted_loss(data: Dataset, beta: np.ndarray, eta: np.ndarray,
-                  bundle: Optional[_Bundle] = None) -> float:
+def weighted_loss(data: Dataset, beta: np.ndarray, eta: np.ndarray) -> float:
     """Half the weighted residual sum of squares (no penalty)."""
-    bundle = bundle or _Bundle(data)
+    bundle = prepared(data)
     resid = bundle.y - bundle.fitted_local(np.atleast_2d(beta))
     if bundle.q > 0:
         resid = resid - bundle.Z @ np.atleast_1d(eta)
     return 0.5 * float(np.sum(bundle.w * resid * resid))
 
 
-def objective(data: Dataset, beta: np.ndarray, eta: np.ndarray, spec: ScadSpec,
-              bundle: Optional[_Bundle] = None) -> float:
+def objective(data: Dataset, beta: np.ndarray, eta: np.ndarray, spec: ScadSpec) -> float:
     """Weighted loss plus the fusion penalty over all pairwise differences."""
-    bundle = bundle or _Bundle(data)
+    bundle = prepared(data)
     beta = np.atleast_2d(beta)
-    loss = weighted_loss(data, beta, eta, bundle=bundle)
+    loss = weighted_loss(data, beta, eta)
     if bundle.m == 1:
         return loss
     norms = np.linalg.norm(bundle.differences(beta), axis=1)
@@ -262,12 +278,11 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
     Hitting ``max_iter`` is reported through ``converged=False`` but still
     returns the final iterate; only singular normal systems raise.
     """
-    validate(data)
     check_prox_compatible(spec, cfg.vartheta)
-    bundle = _Bundle(data)
+    bundle = prepared(data)
     vt = cfg.vartheta
 
-    state = initialize(data, cfg, bundle=bundle)
+    state = initialize(data, cfg)
     beta, eta, zeta, v = state.beta, state.eta, state.zeta, state.v
 
     if bundle.m == 1:

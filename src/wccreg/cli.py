@@ -18,7 +18,7 @@ from . import selection, simulation
 from .admm import fit as admm_fit
 from .grouping import extract_partition, refit_oracle
 from .penalty import ScadSpec
-from .types import AdmmConfig, Dataset, LocationBlock, SingularSystemError, ValidationError, validate
+from .types import AdmmConfig, Dataset, LocationBlock, SingularSystemError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -91,7 +91,6 @@ def _alpha_original_scale(alpha: np.ndarray, info: dict) -> list:
 
 def cmd_fit(args) -> int:
     data = wio.load_dataset_csv(args.csv, p=args.p, q=args.q)
-    validate(data)
     if args.unweighted:
         data = _unweighted_copy(data)
     std_info = None
@@ -162,8 +161,6 @@ def cmd_simulate(args) -> int:
     kind = {"mean": simulation.MEAN_MODEL, "regression": simulation.REGRESSION}.get(args.scenario)
     if kind is None:
         raise ValidationError(f"unknown scenario {args.scenario!r} (use mean|regression)")
-    if args.n not in (10, 30):
-        raise ValidationError("--n must be 10 or 30")
     methods = tuple(s.strip().lower() for s in args.methods.split(","))
     for meth in methods:
         if meth not in ("wcc", "cc"):
@@ -226,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run a Monte Carlo study")
     sp.add_argument("--scenario", required=True, help="mean | regression")
-    sp.add_argument("--n", type=int, required=True, help="expected per-location sample size (10 or 30)")
+    sp.add_argument("--n", type=int, required=True, help="expected per-location sample size, 1 <= n <= H (H = 120)")
     sp.add_argument("--reps", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--methods", default="wcc,cc")

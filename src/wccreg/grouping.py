@@ -56,22 +56,6 @@ def location_estimates(partition: Partition) -> np.ndarray:
     return partition.alpha[partition.assignment]
 
 
-def _collapsed_design(data: Dataset, assignment: np.ndarray, K: int) -> np.ndarray:
-    """Design tying each location's local block to its group columns."""
-    cols = data.q + K * data.p
-    C = np.zeros((sum(b.n for b in data.locations), cols))
-    start = 0
-    for i, block in enumerate(data.locations):
-        stop = start + block.n
-        if data.q > 0:
-            C[start:stop, :data.q] = block.Z
-        k = int(assignment[i])
-        off = data.q + k * data.p
-        C[start:stop, off:off + data.p] = block.X
-        start = stop
-    return C
-
-
 def refit_oracle(data: Dataset, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Weighted least squares with coefficients tied inside each group.
 
@@ -81,29 +65,20 @@ def refit_oracle(data: Dataset, partition: Partition) -> tuple[np.ndarray, np.nd
     """
     if partition.m != data.m:
         raise ValueError("partition size does not match dataset")
-    K = partition.K_hat
-    C = _collapsed_design(data, partition.assignment, K)
-    w = np.concatenate([admm.composite_weights(b) for b in data.locations])
-    y = np.concatenate([b.y for b in data.locations])
-    G = C.T @ (w[:, None] * C)
-    rhs = C.T @ (w * y)
+    bundle = admm.prepared(data)
+    K, p, q = partition.K_hat, data.p, data.q
+    labels = partition.assignment
+    # the collapsed normal equations: per-location blocks summed within groups
+    XtWX = np.zeros((K, p, p))
+    XtWy = np.zeros((K, p))
+    XtWZ = np.zeros((K, p, q))
+    np.add.at(XtWX, labels, bundle.XtWX)
+    np.add.at(XtWy, labels, bundle.XtWy)
+    np.add.at(XtWZ, labels, bundle.XtWZ)
+    B = XtWZ.reshape(K * p, q)
+    G = np.block([[bundle.ZtWZ, B.T], [B, admm._block_diag(XtWX)]])
+    rhs = np.concatenate([bundle.ZtWy, XtWy.reshape(-1)])
     sol = cho_solve(admm._factor_spd(G, "collapsed normal matrix"), rhs)
-    eta = sol[:data.q]
-    alpha = sol[data.q:].reshape(K, data.p)
+    eta = sol[:q]
+    alpha = sol[q:].reshape(K, p)
     return eta, alpha
-
-
-def score_gradient(data: Dataset, partition: Partition, eta: np.ndarray,
-                   alpha: np.ndarray) -> np.ndarray:
-    """Gradient of the weighted loss in (eta, alpha) at the tied coefficients.
-
-    Vanishes (to solver precision) at the refit_oracle output; used to verify
-    that the refit solves the weighted estimating equations.
-    """
-    K = np.atleast_2d(alpha).shape[0]
-    C = _collapsed_design(data, partition.assignment, K)
-    w = np.concatenate([admm.composite_weights(b) for b in data.locations])
-    y = np.concatenate([b.y for b in data.locations])
-    theta = np.concatenate([np.atleast_1d(eta), np.atleast_2d(alpha).reshape(-1)])
-    resid = y - C @ theta
-    return -C.T @ (w * resid)

@@ -116,10 +116,10 @@ def default_lambda_grid(data: Dataset, cfg: AdmmConfig = AdmmConfig(), num: int 
     """
     if num < 1:
         raise ValidationError("grid size must be at least 1")
+    bundle = admm.prepared(data)
     beta0 = admm.initialize(data, replace(cfg, init_ridge=0.0)).beta
     if data.m > 1:
-        pairs = admm.build_pair_index(data.m)
-        anchor = float(np.linalg.norm(beta0[pairs.i_idx] - beta0[pairs.j_idx], axis=1).max())
+        anchor = float(np.linalg.norm(bundle.differences(beta0), axis=1).max())
     else:
         anchor = 0.0
     if anchor <= 0:

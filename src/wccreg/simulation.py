@@ -65,8 +65,11 @@ class ScenarioSpec:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
         if abs(sum(self.group_probs) - 1.0) > 1e-12:
             raise ValidationError("group probabilities must sum to 1")
+        if self.expected_n < 1:
+            raise ValidationError(f"expected sample size n={self.expected_n} must be at least 1")
         if self.H < self.expected_n:
-            raise ValidationError("population size H must be at least the expected sample size")
+            raise ValidationError(f"expected sample size n={self.expected_n} exceeds the "
+                                  f"population size H={self.H}")
         if self.reps < 1:
             raise ValidationError("reps must be at least 1")
 

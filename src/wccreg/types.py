@@ -4,7 +4,10 @@ A dataset is a list of location blocks.  Each block stores only the sampled
 rows of its location together with the inclusion probabilities under which
 they were drawn; unsampled population units are never represented.  All
 containers are frozen dataclasses holding read-only numpy arrays, so they can
-be shared freely across threads.
+be shared freely across threads.  A dataset also keeps the solver's
+precomputation, attached on first use outside its dataclass fields (see
+``admm.prepared``); threads that race there only build an equal precomputation
+twice.
 """
 
 from __future__ import annotations
@@ -166,8 +169,8 @@ def make_dataset(blocks: Sequence[LocationBlock]) -> Dataset:
 def validate(data: Dataset) -> None:
     """Re-run every dataset and block invariant, raising on the first failure.
 
-    Construction already enforces these; this entry point exists for callers
-    that want an explicit gate (the CLI runs it before fitting).
+    Construction already enforces these; the solver's precomputation runs
+    this gate once per dataset before building on it.
     """
     _check_dataset(data)
     for block in data.locations:

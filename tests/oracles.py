@@ -148,6 +148,48 @@ def brute_force_partition(data: w.Dataset, spec: w.ScadSpec):
     return best
 
 
+def collapsed_design(data: w.Dataset, assignment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense tied design C, composite weights and responses over all rows.
+
+    The rows of location i carry Z_i in the first q columns and X_i in the
+    p columns of its group; this is the design the group refit regresses on.
+    """
+    K = int(np.max(assignment)) + 1
+    C = np.zeros((data.n_total, data.q + K * data.p))
+    wt, ys = [], []
+    start = 0
+    for i, block in enumerate(data.locations):
+        stop = start + block.n
+        C[start:stop, :data.q] = block.Z
+        off = data.q + int(assignment[i]) * data.p
+        C[start:stop, off:off + data.p] = block.X
+        row_w = 1.0 / (block.N * block.pi)
+        if block.sigma2 is not None:
+            row_w = row_w / block.sigma2
+        wt.append(row_w)
+        ys.append(block.y)
+        start = stop
+    return C, np.concatenate(wt), np.concatenate(ys)
+
+
+def collapsed_score(data: w.Dataset, partition: w.Partition, eta, alpha) -> np.ndarray:
+    """Gradient of the weighted loss in (eta, alpha) at the tied coefficients.
+
+    Vanishes (to solver precision) at the group refit's output.
+    """
+    C, wt, y = collapsed_design(data, partition.assignment)
+    theta = np.concatenate([np.atleast_1d(eta), np.atleast_2d(alpha).reshape(-1)])
+    return -C.T @ (wt * (y - C @ theta))
+
+
+def collapsed_wls(data: w.Dataset, partition: w.Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Group refit by least squares on the square-root-weighted dense design."""
+    C, wt, y = collapsed_design(data, partition.assignment)
+    sw = np.sqrt(wt)
+    sol, *_ = np.linalg.lstsq(C * sw[:, None], y * sw, rcond=None)
+    return sol[:data.q], sol[data.q:].reshape(-1, data.p)
+
+
 def difference_matrix(m: int) -> np.ndarray:
     """Dense (n_pairs, m) signed incidence matrix; row l is e_i - e_j.
 

@@ -1,5 +1,7 @@
+import gc
 import logging
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ class TestPairIndex:
     @pytest.mark.parametrize("p", [1, 3])
     def test_difference_adjoint_matches_dense_oracle(self, rng, m, p):
         ds, _ = random_dataset(rng, m=m, p=p)
-        bundle = admm._Bundle(ds)
+        bundle = admm.prepared(ds)
         D = oracles.difference_matrix(m)
         S = rng.standard_normal((D.shape[0], p))
         assert np.abs(bundle.difference_adjoint(S) - D.T @ S).max() < 1e-12
@@ -51,7 +53,7 @@ class TestPairIndex:
         ds, _ = random_dataset(rng, m=300, p=1)
         tracemalloc.start()
         try:
-            admm._Bundle(ds)
+            admm.prepared(ds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -105,7 +107,7 @@ class TestUpdates:
         y = X @ truth + 0.5 + 0.01 * rng.standard_normal(n)
         pi = rng.uniform(0.3, 1.0, n)
         ds = w.make_dataset([w.LocationBlock("a", 60, y=y, X=X, Z=Z, pi=pi)])
-        bundle = admm._Bundle(ds)
+        bundle = admm.prepared(ds)
         eta = bundle.eta_update(truth[None, :])
         wt = w.composite_weights(ds.locations[0])
         expected = np.sum(wt * (y - X @ truth)) / np.sum(wt)
@@ -115,7 +117,7 @@ class TestUpdates:
         # (beta, eta) minimize the weighted loss plus
         # vartheta/2 ||D beta - zeta + v/vartheta||^2, so both gradients vanish
         ds, _ = random_dataset(rng, m=4, p=2, q=1)
-        bundle = admm._Bundle(ds)
+        bundle = admm.prepared(ds)
         D = oracles.difference_matrix(ds.m)
         zeta = rng.standard_normal((D.shape[0], ds.p))
         v = rng.standard_normal((D.shape[0], ds.p))
@@ -180,12 +182,55 @@ class TestPrimalResidual:
     def test_matches_dense_frobenius(self, rng):
         m, p = 6, 3
         ds, _ = random_dataset(rng, m=m, p=p)
-        bundle = admm._Bundle(ds)
+        bundle = admm.prepared(ds)
         beta = rng.standard_normal((m, p))
         zeta = rng.standard_normal((bundle.pairs.n_pairs, p))
         D = oracles.difference_matrix(m)
         ref = np.linalg.norm(D @ beta - zeta)
         assert w.primal_residual(bundle.differences(beta), zeta) == pytest.approx(ref, abs=1e-12)
+
+
+class TestPrecomputation:
+    def test_built_once_and_kept_outside_the_fields(self, rng, monkeypatch):
+        ds, _ = random_dataset(rng, m=3, p=2)
+        text = repr(ds)
+        checked = []
+        real = admm.validate
+        monkeypatch.setattr(admm, "validate", lambda d: checked.append(d) or real(d))
+        bundle = admm.prepared(ds)
+        w.fit(ds, w.ScadSpec(lam=0.1))
+        w.default_lambda_grid(ds)
+        w.objective(ds, np.zeros((3, 2)), np.zeros(0), w.ScadSpec(lam=0.1))
+        assert admm.prepared(ds) is bundle
+        assert checked == [ds]
+        assert repr(ds) == text
+        assert admm.prepared(w.make_dataset(ds.locations)) is not bundle
+
+    def test_factorizations_do_not_grow_with_grid(self, rng, monkeypatch):
+        ds, _ = random_dataset(rng, m=5, p=2, q=1)
+        calls = []
+        real = admm.cho_factor
+        monkeypatch.setattr(admm, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+        counts = []
+        for num in (2, 6):
+            fresh = w.make_dataset(ds.locations)
+            calls.clear()
+            grid = w.default_lambda_grid(fresh, num=num)
+            w.select_lambda(fresh, grid, w.ScadSpec(lam=1.0))
+            counts.append(len(calls))
+        # Z'WZ, the start (ridge 0) and the augmented weight, once each
+        assert counts == [3, 3]
+
+    def test_dataset_freed_without_cyclic_gc(self, rng):
+        ds, _ = random_dataset(rng, m=4, p=1)
+        gc.disable()
+        try:
+            w.fit(ds, w.ScadSpec(lam=0.1))
+            refs = [weakref.ref(ds), weakref.ref(admm.prepared(ds))]
+            del ds
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestInitialize:

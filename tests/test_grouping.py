@@ -148,15 +148,31 @@ class TestRefitOracle:
             fitres = w.fit(ds, w.ScadSpec(lam=0.2))
             part = w.extract_partition(fitres)
             eta, alpha = w.refit_oracle(ds, part)
-            grad = w.score_gradient(ds, part, eta, alpha)
+            grad = oracles.collapsed_score(ds, part, eta, alpha)
             assert np.linalg.norm(grad) < 1e-6
 
     def test_score_gradient_nonzero_off_solution(self, rng):
         ds, _ = random_dataset(rng, m=3, p=2)
         part = w.extract_partition(w.fit(ds, w.ScadSpec(lam=0.1)))
         eta, alpha = w.refit_oracle(ds, part)
-        grad = w.score_gradient(ds, part, eta, alpha + 0.5)
+        grad = oracles.collapsed_score(ds, part, eta, alpha + 0.5)
         assert np.linalg.norm(grad) > 1e-3
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("sigma2", [False, True])
+    def test_matches_dense_collapsed_least_squares(self, rng, q, sigma2):
+        # the group sums of the cached blocks against a solve on the dense design
+        for _ in range(10):
+            m = int(rng.integers(2, 8))
+            ds, _ = random_dataset(rng, m=m, p=int(rng.integers(1, 4)), q=q, sigma2=sigma2)
+            labels = rng.integers(0, m, m)
+            groups = [np.flatnonzero(labels == k).tolist() for k in np.unique(labels)]
+            part = oracles.partition_from_groups(groups, m, ds.p)
+            eta, alpha = w.refit_oracle(ds, part)
+            eta_ref, alpha_ref = oracles.collapsed_wls(ds, part)
+            assert eta.shape == (q,) and alpha.shape == (part.K_hat, ds.p)
+            assert np.abs(eta - eta_ref).max(initial=0.0) < 1e-10
+            assert np.abs(alpha - alpha_ref).max() < 1e-10
 
     def test_partition_size_mismatch_rejected(self, rng):
         ds, _ = random_dataset(rng, m=3, p=1)

@@ -119,6 +119,24 @@ class TestSerializationRoundTrip:
         assert back.final_residual == fit.final_residual
         assert back.iterations == fit.iterations
 
+    def test_dumps_is_byte_deterministic_and_keeps_nan(self, rng):
+        import json
+        fit = w.FitResult(beta=rng.standard_normal((3, 1)), eta=np.zeros(0),
+                          zeta=rng.standard_normal((1, 3)), v=rng.standard_normal((1, 3)),
+                          iterations=5, final_residual=1e-7, converged=True)
+
+        def report():
+            return {"schema_version": wio.SCHEMA_VERSION, "fit": wio.fit_result_to_dict(fit),
+                    "bic": float("nan")}
+
+        text = wio.dumps(report())
+        assert text.encode("utf-8") == wio.dumps(report()).encode("utf-8")
+        assert text.endswith("}\n") and text.count("\n") == 1
+        back = json.loads(text)
+        assert list(back) == ["schema_version", "fit", "bic"]
+        assert np.isnan(back["bic"]) and np.isnan(back["fit"]["final_dual_residual"])
+        assert back["fit"]["zeta"] == fit.zeta.tolist()
+
     def test_partition_round_trip(self):
         part = w.Partition(assignment=np.array([0, 1, 0, 2]), K_hat=3,
                            alpha=np.array([[1.0], [2.0], [3.0]]),
