@@ -7,10 +7,11 @@ vectors carry the differences, a proximal map handles the penalty, and the
 coefficient update is a solve whose matrix depends only on the sample and on
 the augmented weight.  Those pieces are built once per dataset by
 :func:`prepared` and shared by every fit on it (the whole lambda path), the
-starting point, the loss and the group refit; each factor is computed once
-per dataset and weight.  The pair structure is kept only as the index arrays
-(i, j) of each pair: differences gather over them and their adjoint
-scatter-adds over them, so the n_pairs x m incidence matrix is never formed.
+starting point, the loss, the BIC and the group refit; each factor is
+computed once per dataset and weight.  The pair structure is kept only as the
+index arrays (i, j) of each pair: differences gather over them and their
+adjoint scatter-adds over them, so the n_pairs x m incidence matrix is never
+formed.
 """
 
 from __future__ import annotations
@@ -84,8 +85,15 @@ def composite_weights(block: LocationBlock) -> np.ndarray:
     return w
 
 
+def normalized_weights(block: LocationBlock) -> np.ndarray:
+    """Inverse inclusion probabilities normalized to sum to one in the block."""
+    w = 1.0 / block.pi
+    return w / w.sum()
+
+
 class _Bundle:
-    """Per-dataset precomputations: the blocks of the weighted normal equations.
+    """Per-dataset precomputations: the blocks of the weighted normal equations
+    and the stacked rows that the BIC's residual term reads.
 
     Built once per dataset by :func:`prepared` and kept with it; it holds
     arrays only, never the dataset itself, so the dataset is freed as soon as
@@ -99,6 +107,10 @@ class _Bundle:
         m, p, q = data.m, data.p, data.q
         self.m, self.p, self.q = m, p, q
         self.pairs = build_pair_index(m)
+        # flat (row, column) positions of each pair's entries in an (m, p) block
+        cols = np.arange(p)
+        self._flat_i = (self.pairs.i_idx[:, None] * p + cols).ravel()
+        self._flat_j = (self.pairs.j_idx[:, None] * p + cols).ravel()
 
         slices = []
         start = 0
@@ -112,7 +124,11 @@ class _Bundle:
         self.y = np.concatenate([b.y for b in data.locations])
         self.w = np.concatenate(weights)
         self.X_blocks = [b.X for b in data.locations]
+        self.X = np.concatenate(self.X_blocks, axis=0)                   # (n_total, p)
         self.Z = np.concatenate([b.Z for b in data.locations], axis=0)   # (n_total, q)
+        # the BIC's residual weights: each row's location and its normalized weight
+        self.row_location = np.repeat(np.arange(m), [b.n for b in data.locations])
+        self.w_norm = np.concatenate([normalized_weights(b) for b in data.locations])
 
         # block pieces of the weighted normal equations (q may be 0)
         self.XtWX = np.stack([b.X.T @ (w[:, None] * b.X) for b, w in zip(data.locations, weights)])
@@ -164,13 +180,18 @@ class _Bundle:
 
     def differences(self, beta: np.ndarray) -> np.ndarray:
         """``D beta``: row l is ``beta_i - beta_j`` for pair l."""
-        return beta[self.pairs.i_idx] - beta[self.pairs.j_idx]
+        return np.take(beta, self.pairs.i_idx, axis=0) - np.take(beta, self.pairs.j_idx, axis=0)
 
     def difference_adjoint(self, S: np.ndarray) -> np.ndarray:
-        """``D'S`` for an (n_pairs, p) block: +S_l added at row i, -S_l at row j."""
-        i, j, m = self.pairs.i_idx, self.pairs.j_idx, self.m
-        return np.stack([np.bincount(i, S[:, k], m) - np.bincount(j, S[:, k], m)
-                         for k in range(S.shape[1])], axis=1)
+        """``D'S`` for an (n_pairs, p) block: +S_l added at row i, -S_l at row j.
+
+        Entry (l, k) of S goes to flat entry (i_l, k) and (j_l, k) of the
+        (m, p) result, added in pair order.
+        """
+        flat = np.ravel(S)
+        size = self.m * self.p
+        return (np.bincount(self._flat_i, flat, size)
+                - np.bincount(self._flat_j, flat, size)).reshape(self.m, self.p)
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
@@ -291,20 +312,19 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
                          final_residual=0.0, converged=True, final_dual_residual=0.0)
 
     primal = np.inf
-    dual = np.inf
     iterations = 0
     for r in range(cfg.max_iter):
         beta, eta = update_beta_eta(bundle, zeta, v, vt)
         diffs = bundle.differences(beta)
-        zeta_new = update_zeta(diffs, v, spec, vt)
-        v = update_v(v, diffs, zeta_new, vt)
-        primal = primal_residual(diffs, zeta_new)
-        dual = vt * float(np.linalg.norm(bundle.difference_adjoint(zeta_new - zeta)))
-        zeta = zeta_new
+        zeta_prev, zeta = zeta, update_zeta(diffs, v, spec, vt)
+        v = update_v(v, diffs, zeta, vt)
+        primal = primal_residual(diffs, zeta)
         iterations = r + 1
         if primal < cfg.tol:
             break
 
+    # only the last iteration's dual residual is reported, so it is computed once
+    dual = vt * float(np.linalg.norm(bundle.difference_adjoint(zeta - zeta_prev)))
     converged = primal < cfg.tol
     if not converged:
         logger.warning("solver hit max_iter=%d with primal residual %.3e (tol %.1e)",

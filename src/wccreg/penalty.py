@@ -134,24 +134,27 @@ def zeta_proximal(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndar
 
 
 def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarray:
-    """Column-vectorized :func:`zeta_proximal` for a (npairs, p) block of kappas."""
+    """Column-vectorized :func:`zeta_proximal` for a (npairs, p) block of kappas.
+
+    Each row is multiplied by one scale: ``max(0, 1 - t/||kappa||)`` with
+    ``t = lam/vartheta`` on the soft-threshold branch, the same with
+    ``t = gamma*lam*shrink`` and divided by ``1 - shrink`` on the middle
+    branch, and 1 beyond ``gamma*lam``.  The soft-threshold branch divides by
+    1 and the identity branch multiplies by 1, both exact, so every element
+    gets the float operations of the branchwise form, bit for bit.
+    """
     check_prox_compatible(spec, vartheta)
     kappa = np.asarray(kappa, dtype=float)
     lam, gam = spec.lam, spec.gamma
-    norms = np.linalg.norm(kappa, axis=1)
-    out = kappa.copy()
-
     if lam == 0:
-        return out
+        return kappa.copy()
 
+    norms = np.linalg.norm(kappa, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
-
     low = norms <= lam + lam / vartheta
-    scale_low = np.maximum(0.0, 1.0 - (lam / vartheta) / safe)
-    mid = ~low & (norms <= gam * lam)
     shrink = 1.0 / ((gam - 1.0) * vartheta)
-    scale_mid = np.maximum(0.0, 1.0 - (gam * lam * shrink) / safe) / (1.0 - shrink)
-
-    out[low] *= scale_low[low, None]
-    out[mid] *= scale_mid[mid, None]
-    return out
+    thr = np.where(low, lam / vartheta, gam * lam * shrink)
+    scale = np.maximum(0.0, 1.0 - thr / safe) / np.where(low, 1.0, 1.0 - shrink)
+    # the soft-threshold branch wins even where rounding puts it past gamma*lam
+    scale = np.where(low | (norms <= gam * lam), scale, 1.0)
+    return kappa * scale[:, None]

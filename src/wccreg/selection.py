@@ -10,9 +10,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 import wccreg.admm as admm
+from .admm import normalized_weights  # noqa: F401  (re-exported)
 from .grouping import extract_partition
 from .penalty import ScadSpec
-from .types import AdmmConfig, Dataset, FitResult, LocationBlock, Partition, ValidationError
+from .types import AdmmConfig, Dataset, FitResult, Partition, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -77,12 +78,6 @@ class LambdaPath:
         object.__setattr__(self, "records", tuple(self.records))
 
 
-def normalized_weights(block: LocationBlock) -> np.ndarray:
-    """Inverse inclusion probabilities normalized to sum to one in the block."""
-    w = 1.0 / block.pi
-    return w / w.sum()
-
-
 def modified_bic(data: Dataset, fit: FitResult, partition: Partition,
                  variant: BicVariant = BicVariant()) -> float:
     """Log of the weight-normalized residual average plus a complexity charge.
@@ -92,13 +87,11 @@ def modified_bic(data: Dataset, fit: FitResult, partition: Partition,
     term is ``C_m * (log m / m)`` per counted parameter.
     """
     m = data.m
-    total = 0.0
-    for i, block in enumerate(data.locations):
-        resid = block.y - block.X @ fit.beta[i]
-        if data.q > 0:
-            resid = resid - block.Z @ fit.eta
-        total += float(np.sum(normalized_weights(block) * resid * resid))
-    avg = total / m
+    bundle = admm.prepared(data)
+    resid = bundle.y - np.sum(bundle.X * fit.beta[bundle.row_location], axis=1)
+    if data.q > 0:
+        resid = resid - bundle.Z @ fit.eta
+    avg = float(np.sum(bundle.w_norm * resid * resid)) / m
     if avg < _RESIDUAL_FLOOR:
         logger.warning("BIC residual term clamped at %g (perfect interpolation?)", _RESIDUAL_FLOOR)
         avg = _RESIDUAL_FLOOR

@@ -208,7 +208,9 @@ class FitResult:
     """Converged (or capped) solver state plus iteration diagnostics.
 
     ``zeta`` and ``v`` have one column per location pair, ordered like the
-    lexicographic pair index; ``final_dual_residual`` is logged for
+    lexicographic pair index.  ``final_dual_residual`` is
+    ``vartheta ||D'(zeta_k - zeta_{k-1})||`` of the last iteration, computed
+    once after the loop from the last two slack iterates; it is logged for
     diagnostics only and never used for stopping.
     """
 

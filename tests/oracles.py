@@ -243,3 +243,47 @@ def ari_pair_counts(labels_a, labels_b) -> float:
     if maximum == expected:
         return 1.0 if fp == fn == 0 else 0.0
     return (tp - expected) / (maximum - expected)
+
+
+def dense_admm(data: w.Dataset, spec: w.ScadSpec, cfg: w.AdmmConfig) -> dict:
+    """Textbook ADMM on the dense normal system, one proximal call per pair.
+
+    The coefficient step solves the full (q + m p) normal equations of the
+    loss plus ``vartheta/2 ||A beta - zeta + v/vartheta||^2`` with
+    ``np.linalg.solve``, where A is the materialized pair-difference matrix
+    (x) I_p; the slack step applies the scalar :func:`wccreg.zeta_proximal`
+    to each pair.  Same start, stopping rule and residual definitions as the
+    solver: the dual residual is ``vartheta ||A'(zeta_k - zeta_{k-1})||`` of
+    the last iteration.
+    """
+    m, p, q, vt = data.m, data.p, data.q, cfg.vartheta
+    C, wt, y = collapsed_design(data, np.arange(m))      # columns: Z, then beta_1..beta_m
+    G = C.T @ (wt[:, None] * C)
+    b = C.T @ (wt * y)
+    A = np.kron(difference_matrix(m), np.eye(p))
+    AtA = np.zeros_like(G)
+    AtA[q:, q:] = A.T @ A
+
+    def solve(scale, extra):
+        rhs = b.copy()
+        rhs[q:] += extra
+        sol = np.linalg.solve(G + scale * AtA, rhs)
+        return sol[q:], sol[:q]
+
+    beta, eta = solve(2.0 * cfg.init_ridge, 0.0)
+    zeta = A @ beta
+    v = np.zeros_like(zeta)
+    for k in range(cfg.max_iter):
+        beta, eta = solve(vt, A.T @ (vt * zeta - v))
+        diffs = A @ beta
+        kappa = (diffs + v / vt).reshape(-1, p)
+        zeta_new = np.concatenate([w.zeta_proximal(row, spec, vt) for row in kappa])
+        v = v + vt * (diffs - zeta_new)
+        primal = float(np.linalg.norm(diffs - zeta_new))
+        dual = vt * float(np.linalg.norm(A.T @ (zeta_new - zeta)))
+        zeta = zeta_new
+        if primal < cfg.tol:
+            break
+    return {"beta": beta.reshape(m, p), "eta": eta, "zeta": zeta.reshape(-1, p).T,
+            "v": v.reshape(-1, p).T, "iterations": k + 1, "final_residual": primal,
+            "final_dual_residual": dual}

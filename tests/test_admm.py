@@ -351,6 +351,27 @@ class TestFit:
         assert primal == pytest.approx(res.final_residual, rel=1e-10)
         assert primal >= cfg.tol
 
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_matches_dense_textbook_admm(self, rng, p, q):
+        # lam at the smallest starting distance, so the start is not a fixed
+        # point and every capped run does its k iterations
+        ds, _ = random_dataset(rng, m=8, p=p, q=q, noise=1.0, sigma2=bool(q))
+        start = admm.initialize(ds, w.AdmmConfig())
+        spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=1).min()))
+        assert w.fit(ds, spec, w.AdmmConfig(vartheta=1.5)).iterations > 5
+        for k in (1, 2, 5):
+            cfg = w.AdmmConfig(max_iter=k, vartheta=1.5)
+            res = w.fit(ds, spec, cfg)
+            ref = oracles.dense_admm(ds, spec, cfg)
+            assert res.iterations == ref["iterations"] == k
+            for name in ("beta", "eta", "zeta", "v"):
+                np.testing.assert_allclose(getattr(res, name), ref[name], rtol=0, atol=1e-10,
+                                           err_msg=f"{name} after {k} iterations")
+            for name in ("final_residual", "final_dual_residual"):
+                assert getattr(res, name) == pytest.approx(ref[name], rel=0, abs=1e-10), name
+            assert res.final_dual_residual > 0
+
     def test_gamma_vartheta_incompatibility_fatal(self, rng):
         ds, _ = random_dataset(rng, m=2, p=1)
         with pytest.raises(w.ValidationError):

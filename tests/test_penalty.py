@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +168,31 @@ class TestZetaProximal:
         cols = prox_columns(K, spec, vt)
         for l in range(50):
             assert cols[l] == pytest.approx(w.zeta_proximal(K[l], spec, vt), abs=1e-12)
+
+    def test_prox_columns_at_branch_boundaries(self):
+        # lam/vartheta = 0.5 (zero below), lam + lam/vartheta = 1.0 (end of the
+        # soft-threshold branch) and gamma*lam = 1.5 (start of the identity)
+        spec, vt = w.ScadSpec(lam=0.5, gamma=3.0), 1.0
+        edges = [0.5, 1.0, 1.5]
+        norms = [0.0, -0.0, 2.0] + [x for e in edges for x in
+                                    (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+        for rows in ([[t] for t in norms], [[t, 0.0] for t in norms], [[0.0, -t] for t in norms]):
+            kappa = np.array(rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")      # a zero row must not divide by zero
+                out = prox_columns(kappa, spec, vt)
+            for l, t in enumerate(norms):
+                assert out[l] == pytest.approx(w.zeta_proximal(kappa[l], spec, vt), abs=1e-12)
+                if abs(t) <= 0.5:
+                    assert np.all(out[l] == 0.0), t
+                if abs(t) > 1.5:
+                    assert np.array_equal(out[l], kappa[l]), t
+
+    def test_prox_columns_lam_zero_returns_a_new_equal_array(self, rng):
+        kappa = rng.standard_normal((7, 2))
+        out = prox_columns(kappa, w.ScadSpec(lam=0.0), 1.0)
+        assert out is not kappa and not np.shares_memory(out, kappa)
+        assert np.array_equal(out, kappa)
 
     def test_check_prox_compatible_boundary(self):
         check_prox_compatible(w.ScadSpec(lam=1.0, gamma=3.0), 1.0)
