@@ -11,7 +11,7 @@ from .admm import (
     initialize,
     objective,
     primal_residual,
-    update_beta_eta,
+    update_beta,
     update_v,
     update_zeta,
     weighted_loss,
@@ -52,6 +52,6 @@ __all__ = [
     "location_estimates", "make_dataset", "modified_bic", "normalized_weights", "objective",
     "poisson_sample", "primal_residual", "rand_index_counts",
     "refit_oracle", "rmse_beta", "rmse_mu", "run_monte_carlo", "scad_derivative",
-    "scad_value", "select_lambda", "update_beta_eta", "update_v",
+    "scad_value", "select_lambda", "update_beta", "update_v",
     "update_zeta", "validate", "weighted_loss", "zeta_proximal",
 ]

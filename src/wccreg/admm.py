@@ -11,7 +11,11 @@ starting point, the loss, the BIC and the group refit; each factor is
 computed once per dataset and weight.  The pair structure is kept only as the
 index arrays (i, j) of each pair: differences gather over them and their
 adjoint scatter-adds over them, so the n_pairs x m incidence matrix is never
-formed.
+formed.  Every pair block (differences, slacks, multipliers) is pair-major,
+one column per pair: a contiguous (p, n_pairs) array, the layout
+:class:`FitResult` stores.  The shared-covariate coefficient eta is not read
+by the coefficient update, so the loop leaves it out and it is computed once,
+from the final coefficients.
 """
 
 from __future__ import annotations
@@ -69,12 +73,12 @@ def fused_gram(m: int, p: int) -> np.ndarray:
 
 @dataclass
 class SolverState:
-    """Mutable iterate: coefficients, slacks (one row per pair) and multipliers."""
+    """Mutable iterate: coefficients, slacks and multipliers (one column per pair)."""
 
     beta: np.ndarray          # (m, p)
     eta: np.ndarray           # (q,)
-    zeta: np.ndarray          # (n_pairs, p)
-    v: np.ndarray             # (n_pairs, p)
+    zeta: np.ndarray          # (p, n_pairs)
+    v: np.ndarray             # (p, n_pairs)
 
 
 def composite_weights(block: LocationBlock) -> np.ndarray:
@@ -100,17 +104,19 @@ class _Bundle:
     its last reference goes.  The pairwise difference operator D (row l is
     ``e_i - e_j`` for pair l) acts only through the pair index:
     :meth:`differences` gathers ``D beta`` and :meth:`difference_adjoint`
-    scatter-adds ``D'S``.
+    scatter-adds ``D'S``.  Both work pair-major, one column per pair: their
+    pair blocks are contiguous (p, n_pairs) arrays.
     """
 
     def __init__(self, data: Dataset):
         m, p, q = data.m, data.p, data.q
         self.m, self.p, self.q = m, p, q
         self.pairs = build_pair_index(m)
-        # flat (row, column) positions of each pair's entries in an (m, p) block
-        cols = np.arange(p)
-        self._flat_i = (self.pairs.i_idx[:, None] * p + cols).ravel()
-        self._flat_j = (self.pairs.j_idx[:, None] * p + cols).ravel()
+        # flat position in an (m, p) block of entry (column k, pair l) of a
+        # (p, n_pairs) pair block, stored in that block's order
+        cols = np.arange(p)[:, None]
+        self._pos_i = (self.pairs.i_idx * p + cols).ravel()
+        self._pos_j = (self.pairs.j_idx * p + cols).ravel()
 
         slices = []
         start = 0
@@ -179,19 +185,20 @@ class _Bundle:
         return self.XtQy + self.difference_adjoint(vartheta * zeta - v).reshape(-1)
 
     def differences(self, beta: np.ndarray) -> np.ndarray:
-        """``D beta``: row l is ``beta_i - beta_j`` for pair l."""
-        return np.take(beta, self.pairs.i_idx, axis=0) - np.take(beta, self.pairs.j_idx, axis=0)
+        """``(D beta)'`` as a (p, n_pairs) block: column l is ``beta_i - beta_j`` for pair l."""
+        flat = beta.reshape(-1)
+        return (np.take(flat, self._pos_i) - np.take(flat, self._pos_j)).reshape(self.p, -1)
 
     def difference_adjoint(self, S: np.ndarray) -> np.ndarray:
-        """``D'S`` for an (n_pairs, p) block: +S_l added at row i, -S_l at row j.
+        """``D'S'`` for a (p, n_pairs) block: +S_l added at row i, -S_l at row j.
 
-        Entry (l, k) of S goes to flat entry (i_l, k) and (j_l, k) of the
+        Entry (k, l) of S goes to flat entry (i_l, k) and (j_l, k) of the
         (m, p) result, added in pair order.
         """
-        flat = np.ravel(S)
+        flat = S.reshape(-1)
         size = self.m * self.p
-        return (np.bincount(self._flat_i, flat, size)
-                - np.bincount(self._flat_j, flat, size)).reshape(self.m, self.p)
+        return (np.bincount(self._pos_i, flat, size)
+                - np.bincount(self._pos_j, flat, size)).reshape(self.m, self.p)
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
@@ -251,11 +258,13 @@ def initialize(data: Dataset, cfg: AdmmConfig) -> SolverState:
     return SolverState(beta=beta, eta=eta, zeta=zeta, v=v)
 
 
-def update_beta_eta(bundle: _Bundle, zeta: np.ndarray, v: np.ndarray,
-                    vartheta: float) -> tuple[np.ndarray, np.ndarray]:
-    """One coefficient update given the current slacks and multipliers."""
-    beta = bundle.solve_beta(vartheta, bundle.beta_rhs(zeta, v, vartheta))
-    return beta, bundle.eta_update(beta)
+def update_beta(bundle: _Bundle, zeta: np.ndarray, v: np.ndarray, vartheta: float) -> np.ndarray:
+    """One coefficient update given the current slacks and multipliers.
+
+    eta is profiled out of the update matrix, so only beta is returned; the
+    eta that goes with a beta is ``bundle.eta_update(beta)``.
+    """
+    return bundle.solve_beta(vartheta, bundle.beta_rhs(zeta, v, vartheta))
 
 
 def update_zeta(diffs: np.ndarray, v: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarray:
@@ -289,7 +298,7 @@ def objective(data: Dataset, beta: np.ndarray, eta: np.ndarray, spec: ScadSpec) 
     loss = weighted_loss(data, beta, eta)
     if bundle.m == 1:
         return loss
-    norms = np.linalg.norm(bundle.differences(beta), axis=1)
+    norms = np.linalg.norm(bundle.differences(beta), axis=0)
     return loss + float(np.sum(scad_value(norms, spec)))
 
 
@@ -314,7 +323,7 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
     primal = np.inf
     iterations = 0
     for r in range(cfg.max_iter):
-        beta, eta = update_beta_eta(bundle, zeta, v, vt)
+        beta = update_beta(bundle, zeta, v, vt)
         diffs = bundle.differences(beta)
         zeta_prev, zeta = zeta, update_zeta(diffs, v, spec, vt)
         v = update_v(v, diffs, zeta, vt)
@@ -323,13 +332,14 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
         if primal < cfg.tol:
             break
 
-    # only the last iteration's dual residual is reported, so it is computed once
+    # only the last iterate's eta and dual residual are reported, so each is computed once
+    eta = bundle.eta_update(beta)
     dual = vt * float(np.linalg.norm(bundle.difference_adjoint(zeta - zeta_prev)))
     converged = primal < cfg.tol
     if not converged:
         logger.warning("solver hit max_iter=%d with primal residual %.3e (tol %.1e)",
                        cfg.max_iter, primal, cfg.tol)
     logger.debug("fit finished: %d iterations, primal %.3e, dual %.3e", iterations, primal, dual)
-    return FitResult(beta=beta, eta=eta, zeta=zeta.T.copy(), v=v.T.copy(),
+    return FitResult(beta=beta, eta=eta, zeta=zeta, v=v,
                      iterations=iterations, final_residual=primal,
                      converged=converged, final_dual_residual=dual)

@@ -134,14 +134,17 @@ def zeta_proximal(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndar
 
 
 def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarray:
-    """Column-vectorized :func:`zeta_proximal` for a (npairs, p) block of kappas.
+    """Column-vectorized :func:`zeta_proximal` for a (p, n_pairs) block of
+    kappas, pair-major, one column per pair.
 
-    Each row is multiplied by one scale: ``max(0, 1 - t/||kappa||)`` with
+    Each column is multiplied by one scale: ``max(0, 1 - t/||kappa||)`` with
     ``t = lam/vartheta`` on the soft-threshold branch, the same with
     ``t = gamma*lam*shrink`` and divided by ``1 - shrink`` on the middle
     branch, and 1 beyond ``gamma*lam``.  The soft-threshold branch divides by
     1 and the identity branch multiplies by 1, both exact, so every element
-    gets the float operations of the branchwise form, bit for bit.
+    gets the float operations of the branchwise form, bit for bit.  For p = 1
+    the norm is ``abs``, which does not underflow; for p > 1 a column whose
+    norm underflows to 0 is zeroed, like a zero column.
     """
     check_prox_compatible(spec, vartheta)
     kappa = np.asarray(kappa, dtype=float)
@@ -149,12 +152,17 @@ def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
     if lam == 0:
         return kappa.copy()
 
-    norms = np.linalg.norm(kappa, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
+    if kappa.shape[0] == 1:
+        norms = np.abs(kappa[0])
+    else:
+        norms = np.sqrt(np.einsum("kl,kl->l", kappa, kappa))
     low = norms <= lam + lam / vartheta
     shrink = 1.0 / ((gam - 1.0) * vartheta)
     thr = np.where(low, lam / vartheta, gam * lam * shrink)
-    scale = np.maximum(0.0, 1.0 - thr / safe) / np.where(low, 1.0, 1.0 - shrink)
+    # a zero norm (also one that underflowed) gives 1 - thr/0 = -inf, or nan
+    # where thr underflowed too; fmax takes both to the soft-threshold zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.fmax(0.0, 1.0 - thr / norms) / np.where(low, 1.0, 1.0 - shrink)
     # the soft-threshold branch wins even where rounding puts it past gamma*lam
     scale = np.where(low | (norms <= gam * lam), scale, 1.0)
-    return kappa * scale[:, None]
+    return kappa * scale

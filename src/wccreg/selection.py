@@ -112,7 +112,7 @@ def default_lambda_grid(data: Dataset, cfg: AdmmConfig = AdmmConfig(), num: int 
     bundle = admm.prepared(data)
     beta0 = admm.initialize(data, replace(cfg, init_ridge=0.0)).beta
     if data.m > 1:
-        anchor = float(np.linalg.norm(bundle.differences(beta0), axis=1).max())
+        anchor = float(np.linalg.norm(bundle.differences(beta0), axis=0).max())
     else:
         anchor = 0.0
     if anchor <= 0:

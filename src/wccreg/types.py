@@ -207,8 +207,9 @@ class AdmmConfig:
 class FitResult:
     """Converged (or capped) solver state plus iteration diagnostics.
 
-    ``zeta`` and ``v`` have one column per location pair, ordered like the
-    lexicographic pair index.  ``final_dual_residual`` is
+    ``zeta`` and ``v`` are (p, n_pairs), pair-major, one column per pair,
+    ordered like the lexicographic pair index; the solver iterates in this
+    layout, so they are stored as it leaves them.  ``final_dual_residual`` is
     ``vartheta ||D'(zeta_k - zeta_{k-1})||`` of the last iteration, computed
     once after the loop from the last two slack iterates; it is logged for
     diagnostics only and never used for stopping.

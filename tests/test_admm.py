@@ -43,10 +43,10 @@ class TestPairIndex:
         ds, _ = random_dataset(rng, m=m, p=p)
         bundle = admm.prepared(ds)
         D = oracles.difference_matrix(m)
-        S = rng.standard_normal((D.shape[0], p))
-        assert np.abs(bundle.difference_adjoint(S) - D.T @ S).max() < 1e-12
+        S = rng.standard_normal((D.shape[0], p)).T           # pair-major, one column per pair
+        assert np.abs(bundle.difference_adjoint(S) - D.T @ S.T).max() < 1e-12
         beta = rng.standard_normal((m, p))
-        assert np.array_equal(bundle.differences(beta), D @ beta)
+        assert np.array_equal(bundle.differences(beta), (D @ beta).T)
 
     def test_bundle_memory_is_not_quadratic_in_pairs(self, rng):
         # a dense n_pairs x m incidence matrix alone is ~107 MB at m = 300
@@ -119,11 +119,12 @@ class TestUpdates:
         ds, _ = random_dataset(rng, m=4, p=2, q=1)
         bundle = admm.prepared(ds)
         D = oracles.difference_matrix(ds.m)
-        zeta = rng.standard_normal((D.shape[0], ds.p))
-        v = rng.standard_normal((D.shape[0], ds.p))
+        zeta = rng.standard_normal((D.shape[0], ds.p)).T
+        v = rng.standard_normal((D.shape[0], ds.p)).T
         vt = 1.3
-        beta, eta = w.update_beta_eta(bundle, zeta, v, vt)
-        grad_beta = vt * D.T @ (D @ beta - zeta + v / vt)
+        beta = w.update_beta(bundle, zeta, v, vt)
+        eta = bundle.eta_update(beta)
+        grad_beta = vt * D.T @ (D @ beta - zeta.T + v.T / vt)
         grad_eta = np.zeros(ds.q)
         for i, b in enumerate(ds.locations):
             wr = w.composite_weights(b) * (b.X @ beta[i] + b.Z @ eta - b.y)
@@ -136,36 +137,36 @@ class TestUpdates:
         m, p = 5, 2
         pairs = w.build_pair_index(m)
         beta = rng.standard_normal((m, p))
-        diffs = beta[pairs.i_idx] - beta[pairs.j_idx]
-        v = rng.standard_normal((pairs.n_pairs, p))
+        diffs = (beta[pairs.i_idx] - beta[pairs.j_idx]).T
+        v = rng.standard_normal((pairs.n_pairs, p)).T
         spec = w.ScadSpec(lam=0.3)
         out = w.update_zeta(diffs, v, spec, vartheta=1.2)
         for l in range(pairs.n_pairs):
-            kappa = beta[pairs.i_idx[l]] - beta[pairs.j_idx[l]] + v[l] / 1.2
-            assert out[l] == pytest.approx(w.zeta_proximal(kappa, spec, 1.2), abs=1e-12)
+            kappa = beta[pairs.i_idx[l]] - beta[pairs.j_idx[l]] + v[:, l] / 1.2
+            assert out[:, l] == pytest.approx(w.zeta_proximal(kappa, spec, 1.2), abs=1e-12)
 
     def test_update_zeta_zero_difference(self):
-        out = w.update_zeta(np.zeros((1, 2)), np.zeros((1, 2)), w.ScadSpec(lam=0.5), 1.0)
-        assert np.array_equal(out, np.zeros((1, 2)))
+        out = w.update_zeta(np.zeros((2, 1)), np.zeros((2, 1)), w.ScadSpec(lam=0.5), 1.0)
+        assert np.array_equal(out, np.zeros((2, 1)))
 
     def test_update_zeta_identity_beyond_flat(self):
-        out = w.update_zeta(np.array([[5.0, 0.0]]), np.zeros((1, 2)), w.ScadSpec(lam=0.5), 1.0)
-        assert out[0] == pytest.approx([5.0, 0.0])
+        out = w.update_zeta(np.array([[5.0], [0.0]]), np.zeros((2, 1)), w.ScadSpec(lam=0.5), 1.0)
+        assert out[:, 0] == pytest.approx([5.0, 0.0])
 
     def test_update_v_affine(self):
-        diffs = np.array([[1.0, -1.0]])
-        zeta = np.zeros((1, 2))
-        v1 = w.update_v(np.zeros((1, 2)), diffs, zeta, vartheta=1.0)
-        assert v1[0] == pytest.approx([1.0, -1.0])
+        diffs = np.array([[1.0], [-1.0]])
+        zeta = np.zeros((2, 1))
+        v1 = w.update_v(np.zeros((2, 1)), diffs, zeta, vartheta=1.0)
+        assert v1[:, 0] == pytest.approx([1.0, -1.0])
         # frozen differences/zeta: two applications double the increment
         v2 = w.update_v(v1, diffs, zeta, vartheta=1.0)
-        assert v2[0] == pytest.approx([2.0, -2.0])
+        assert v2[:, 0] == pytest.approx([2.0, -2.0])
 
     def test_update_v_no_change_at_consensus(self, rng):
         beta = rng.standard_normal((3, 2))
         pairs = w.build_pair_index(3)
-        zeta = beta[pairs.i_idx] - beta[pairs.j_idx]
-        v = rng.standard_normal((3, 2))
+        zeta = (beta[pairs.i_idx] - beta[pairs.j_idx]).T
+        v = rng.standard_normal((3, 2)).T
         assert w.update_v(v, zeta.copy(), zeta, 2.0) == pytest.approx(v)
 
 
@@ -173,7 +174,7 @@ class TestPrimalResidual:
     def test_zero_when_slacks_track(self, rng):
         beta = rng.standard_normal((4, 2))
         pairs = w.build_pair_index(4)
-        diffs = beta[pairs.i_idx] - beta[pairs.j_idx]
+        diffs = (beta[pairs.i_idx] - beta[pairs.j_idx]).T
         assert w.primal_residual(diffs, diffs.copy()) == 0.0
 
     def test_single_pair_unit(self):
@@ -184,9 +185,9 @@ class TestPrimalResidual:
         ds, _ = random_dataset(rng, m=m, p=p)
         bundle = admm.prepared(ds)
         beta = rng.standard_normal((m, p))
-        zeta = rng.standard_normal((bundle.pairs.n_pairs, p))
+        zeta = rng.standard_normal((bundle.pairs.n_pairs, p)).T
         D = oracles.difference_matrix(m)
-        ref = np.linalg.norm(D @ beta - zeta)
+        ref = np.linalg.norm(D @ beta - zeta.T)
         assert w.primal_residual(bundle.differences(beta), zeta) == pytest.approx(ref, abs=1e-12)
 
 
@@ -251,7 +252,8 @@ class TestInitialize:
         state = w.initialize(ds, w.AdmmConfig(init_ridge=0.01))
         assert np.all(state.v == 0)
         pairs = w.build_pair_index(3)
-        assert state.zeta == pytest.approx(state.beta[pairs.i_idx] - state.beta[pairs.j_idx])
+        assert state.zeta.shape == (1, pairs.n_pairs)
+        assert state.zeta == pytest.approx((state.beta[pairs.i_idx] - state.beta[pairs.j_idx]).T)
 
 
 class TestObjective:
@@ -322,7 +324,7 @@ class TestFit:
         ds, _ = random_dataset(rng, m=5, p=2, noise=0.5)
         spec = w.ScadSpec(lam=0.08)
         start = admm.initialize(ds, w.AdmmConfig())
-        assert spec.gamma * spec.lam < np.linalg.norm(start.zeta, axis=1).min()
+        assert spec.gamma * spec.lam < np.linalg.norm(start.zeta, axis=0).min()
         res = w.fit(ds, spec)
         assert res.converged
         assert res.iterations == 1
@@ -334,7 +336,7 @@ class TestFit:
         # closest pair starts inside the shrinkage region and the start is not
         # a fixed point
         start = admm.initialize(ds, w.AdmmConfig())
-        spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=1).min()))
+        spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=0).min()))
         assert w.fit(ds, spec).iterations > 2
 
         cfg = w.AdmmConfig(max_iter=2)
@@ -358,7 +360,7 @@ class TestFit:
         # point and every capped run does its k iterations
         ds, _ = random_dataset(rng, m=8, p=p, q=q, noise=1.0, sigma2=bool(q))
         start = admm.initialize(ds, w.AdmmConfig())
-        spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=1).min()))
+        spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=0).min()))
         assert w.fit(ds, spec, w.AdmmConfig(vartheta=1.5)).iterations > 5
         for k in (1, 2, 5):
             cfg = w.AdmmConfig(max_iter=k, vartheta=1.5)
@@ -371,6 +373,26 @@ class TestFit:
             for name in ("final_residual", "final_dual_residual"):
                 assert getattr(res, name) == pytest.approx(ref[name], rel=0, abs=1e-10), name
             assert res.final_dual_residual > 0
+
+    def test_eta_computed_once_per_fit(self, rng, monkeypatch):
+        # the coefficient update does not read eta, so the number of eta
+        # updates in one fit must not grow with the iterations
+        ds, _ = random_dataset(rng, m=6, p=2, q=1, noise=1.0)
+        start = admm.initialize(ds, w.AdmmConfig())
+        spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=0).min()))
+        calls = []
+        real = admm._Bundle.eta_update
+        monkeypatch.setattr(admm._Bundle, "eta_update",
+                            lambda self, beta: calls.append(1) or real(self, beta))
+        iterations, counts = [], []
+        for max_iter in (2, 20):
+            calls.clear()
+            res = w.fit(ds, spec, w.AdmmConfig(max_iter=max_iter))
+            iterations.append(res.iterations)
+            counts.append(len(calls))
+        assert iterations[0] == 2 < iterations[1]
+        assert counts[0] == counts[1] <= 2
+        assert np.array_equal(res.eta, real(admm.prepared(ds), res.beta))
 
     def test_gamma_vartheta_incompatibility_fatal(self, rng):
         ds, _ = random_dataset(rng, m=2, p=1)

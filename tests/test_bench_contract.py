@@ -1,12 +1,18 @@
-"""The benchmark wraps program functions by name and binds their arguments by
-parameter name; these tests fail when a rename would break it."""
+"""The benchmark wraps program functions by name, binds their arguments by
+parameter name and counts their calls; these tests fail when a rename would
+break it or a count would change its meaning."""
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
+import wccreg as w
 from wccreg import admm, selection
+
+from conftest import random_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,3 +39,18 @@ def test_bound_parameter_names_exist():
     params = inspect.signature(selection.select_lambda).parameters
     for name in ("data", "variant", "zero_tol"):
         assert name in params, name
+
+
+def test_prox_layer_is_called_once_per_iteration_on_a_pair_block(rng, monkeypatch):
+    # penalty.prox_calls counts the calls to admm.prox_columns, so one fit
+    # must make exactly one per iteration, each on the whole (p, n_pairs) block
+    ds, _ = random_dataset(rng, m=6, p=2, noise=1.0)
+    start = admm.initialize(ds, w.AdmmConfig())
+    spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=0).min()))
+    shapes = []
+    real = admm.prox_columns
+    monkeypatch.setattr(admm, "prox_columns",
+                        lambda kappa, *a, **k: shapes.append(np.shape(kappa)) or real(kappa, *a, **k))
+    res = w.fit(ds, spec)
+    assert res.iterations > 2
+    assert shapes == [(ds.p, ds.m * (ds.m - 1) // 2)] * res.iterations

@@ -164,10 +164,10 @@ class TestZetaProximal:
     def test_prox_columns_matches_single(self, rng):
         vt = 1.3
         spec = w.ScadSpec(lam=0.4, gamma=3.2)
-        K = rng.standard_normal((50, 3)) * rng.uniform(0.05, 3.0, (50, 1))
+        K = (rng.standard_normal((50, 3)) * rng.uniform(0.05, 3.0, (50, 1))).T
         cols = prox_columns(K, spec, vt)
         for l in range(50):
-            assert cols[l] == pytest.approx(w.zeta_proximal(K[l], spec, vt), abs=1e-12)
+            assert cols[:, l] == pytest.approx(w.zeta_proximal(K[:, l], spec, vt), abs=1e-12)
 
     def test_prox_columns_at_branch_boundaries(self):
         # lam/vartheta = 0.5 (zero below), lam + lam/vartheta = 1.0 (end of the
@@ -177,22 +177,44 @@ class TestZetaProximal:
         norms = [0.0, -0.0, 2.0] + [x for e in edges for x in
                                     (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
         for rows in ([[t] for t in norms], [[t, 0.0] for t in norms], [[0.0, -t] for t in norms]):
-            kappa = np.array(rows)
+            kappa = np.array(rows).T
             with warnings.catch_warnings():
-                warnings.simplefilter("error")      # a zero row must not divide by zero
+                warnings.simplefilter("error")      # a zero column must not divide by zero
                 out = prox_columns(kappa, spec, vt)
             for l, t in enumerate(norms):
-                assert out[l] == pytest.approx(w.zeta_proximal(kappa[l], spec, vt), abs=1e-12)
+                assert out[:, l] == pytest.approx(w.zeta_proximal(kappa[:, l], spec, vt), abs=1e-12)
                 if abs(t) <= 0.5:
-                    assert np.all(out[l] == 0.0), t
+                    assert np.all(out[:, l] == 0.0), t
                 if abs(t) > 1.5:
-                    assert np.array_equal(out[l], kappa[l]), t
+                    assert np.array_equal(out[:, l], kappa[:, l]), t
 
     def test_prox_columns_lam_zero_returns_a_new_equal_array(self, rng):
-        kappa = rng.standard_normal((7, 2))
+        kappa = rng.standard_normal((7, 2)).T
         out = prox_columns(kappa, w.ScadSpec(lam=0.0), 1.0)
         assert out is not kappa and not np.shares_memory(out, kappa)
         assert np.array_equal(out, kappa)
+
+    @pytest.mark.parametrize("column", [[1e-170], [1e-170, 1e-170], [-1e-170, 1e-170]])
+    def test_prox_columns_zeroes_a_norm_that_underflows(self, column):
+        # the squared entries underflow to 0, but the norm is far below
+        # lam/vartheta = 0.5, so the column is soft-thresholded to zero
+        spec, vt = w.ScadSpec(lam=0.5, gamma=3.0), 1.0
+        kappa = np.array(column)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = prox_columns(kappa, spec, vt)
+        assert np.array_equal(out[:, 0], w.zeta_proximal(kappa[:, 0], spec, vt))
+        assert np.all(out == 0.0)
+
+    def test_prox_columns_zeroes_a_zero_column_when_the_threshold_underflows(self):
+        # lam/vartheta rounds to 0, so a zero column divides 0 by 0
+        spec, vt = w.ScadSpec(lam=5e-324), 2.0
+        kappa = np.array([[0.0, 1e-170, 0.25], [0.0, 1e-170, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = prox_columns(kappa, spec, vt)
+        for l in range(kappa.shape[1]):
+            assert np.array_equal(out[:, l], w.zeta_proximal(kappa[:, l], spec, vt)), l
 
     def test_check_prox_compatible_boundary(self):
         check_prox_compatible(w.ScadSpec(lam=1.0, gamma=3.0), 1.0)

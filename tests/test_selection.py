@@ -70,7 +70,7 @@ class TestModifiedBic:
 
 def _start_distances(ds):
     start = w.initialize(ds, w.AdmmConfig())
-    return np.linalg.norm(start.zeta, axis=1)
+    return np.linalg.norm(start.zeta, axis=0)
 
 
 class TestSelectLambda:
