@@ -15,16 +15,19 @@ formed.  Every pair block (differences, slacks, multipliers) is pair-major,
 one column per pair: a contiguous (p, n_pairs) array, the layout
 :class:`FitResult` stores.  The shared-covariate coefficient eta is not read
 by the coefficient update, so the loop leaves it out and it is computed once,
-from the final coefficients.
+from the final coefficients.  The update matrix is block diagonal minus a
+term of rank q + p and is solved in that form (:func:`_structured_factor`),
+so no (mp)^2 array is built and a solve is a few O(m p (p + q)) numpy passes.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 from .penalty import ScadSpec, check_prox_compatible, prox_columns, scad_value
 from .types import AdmmConfig, Dataset, FitResult, LocationBlock, SingularSystemError, validate
@@ -55,20 +58,14 @@ class PairIndex:
         return i * self.m - i * (i + 1) // 2 + (j - i - 1)
 
 
+@functools.lru_cache(maxsize=8)
 def build_pair_index(m: int) -> PairIndex:
+    """The pair index of m locations, built once per m and shared read-only."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    iu = np.triu_indices(m, k=1)
-    return PairIndex(m=m, i_idx=iu[0].copy(), j_idx=iu[1].copy())
-
-
-def fused_gram(m: int, p: int) -> np.ndarray:
-    """Dense ``A'A`` for the pairwise difference operator.
-
-    Never builds A itself: over the full pair set A'A equals
-    ``(m I_m - J_m) (x) I_p`` with J the all-ones matrix.
-    """
-    return np.kron(m * np.eye(m) - np.ones((m, m)), np.eye(p))
+    i_idx, j_idx = np.triu_indices(m, k=1)
+    i_idx.flags.writeable = j_idx.flags.writeable = False
+    return PairIndex(m=m, i_idx=i_idx, j_idx=j_idx)
 
 
 @dataclass
@@ -76,7 +73,6 @@ class SolverState:
     """Mutable iterate: coefficients, slacks and multipliers (one column per pair)."""
 
     beta: np.ndarray          # (m, p)
-    eta: np.ndarray           # (q,)
     zeta: np.ndarray          # (p, n_pairs)
     v: np.ndarray             # (p, n_pairs)
 
@@ -105,7 +101,8 @@ class _Bundle:
     ``e_i - e_j`` for pair l) acts only through the pair index:
     :meth:`differences` gathers ``D beta`` and :meth:`difference_adjoint`
     scatter-adds ``D'S``.  Both work pair-major, one column per pair: their
-    pair blocks are contiguous (p, n_pairs) arrays.
+    pair blocks are contiguous (p, n_pairs) arrays.  The normal equations are
+    kept as per-location blocks plus Z'WZ; no (mp)^2 array is built.
     """
 
     def __init__(self, data: Dataset):
@@ -118,21 +115,12 @@ class _Bundle:
         self._pos_i = (self.pairs.i_idx * p + cols).ravel()
         self._pos_j = (self.pairs.j_idx * p + cols).ravel()
 
-        slices = []
-        start = 0
-        for b in data.locations:
-            slices.append(slice(start, start + b.n))
-            start += b.n
-        self.slices = slices
-        self.n_total = start
-
         weights = [composite_weights(b) for b in data.locations]
         self.y = np.concatenate([b.y for b in data.locations])
         self.w = np.concatenate(weights)
-        self.X_blocks = [b.X for b in data.locations]
-        self.X = np.concatenate(self.X_blocks, axis=0)                   # (n_total, p)
+        self.X = np.concatenate([b.X for b in data.locations], axis=0)   # (n_total, p)
         self.Z = np.concatenate([b.Z for b in data.locations], axis=0)   # (n_total, q)
-        # the BIC's residual weights: each row's location and its normalized weight
+        # each row's location, and the BIC's normalized residual weights
         self.row_location = np.repeat(np.arange(m), [b.n for b in data.locations])
         self.w_norm = np.concatenate([normalized_weights(b) for b in data.locations])
 
@@ -145,35 +133,28 @@ class _Bundle:
         self.ZtWy = self.Z.T @ (self.w * self.y)
         self.ZtW = wZ.T                         # (q, n_total)
 
-        self.XtQX = _block_diag(self.XtWX)
+        # X'Qy = X'Wy - B (Z'WZ)^{-1} Z'Wy with B = X'WZ stacked
         self.XtQy = self.XtWy.reshape(-1)
         if q > 0:
-            self.gz_factor = _factor_spd(self.ZtWZ, "Z'WZ")
-            B = self.XtWZ.reshape(m * p, q)
-            # X'QX = blockdiag(X'WX) - B (Z'WZ)^{-1} B'
-            self.XtQX = self.XtQX - B @ cho_solve(self.gz_factor, B.T)
-            self.XtQy = self.XtQy - B @ cho_solve(self.gz_factor, self.ZtWy)
-
-        self.fused = fused_gram(m, p) if m > 1 else np.zeros((p, p))
+            self.gz_factor = _factor_spd(lambda tau: cho_factor(self.ZtWZ + tau * np.eye(q), lower=True),
+                                         lambda: np.trace(self.ZtWZ), "Z'WZ")
+            self.XtQy = self.XtQy - self.XtWZ.reshape(m * p, q) @ cho_solve(self.gz_factor, self.ZtWy)
         self._factors: dict[float, tuple] = {}
 
-    def factor(self, scale: float):
-        """Cholesky factor of X'QX + scale * A'A, cached per scale."""
+    def factor(self, scale: float) -> tuple:
+        """Structured factor of X'QX + scale * A'A (A'A = 0 for m = 1), cached per scale."""
         key = float(scale)
         if key not in self._factors:
-            M = self.XtQX + key * self.fused if self.m > 1 else self.XtQX
-            self._factors[key] = _factor_spd(M, "coefficient update matrix")
+            scale = key if self.m > 1 else 0.0
+            self._factors[key] = _structured_factor(self.XtWX, self.XtWZ, self.ZtWZ, scale, "coefficient update matrix")
         return self._factors[key]
 
     def solve_beta(self, scale: float, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self.factor(scale), rhs).reshape(self.m, self.p)
+        return _structured_solve(self.factor(scale), rhs)
 
     def fitted_local(self, beta: np.ndarray) -> np.ndarray:
         """Stacked ``X_i beta_i`` over all rows."""
-        out = np.empty(self.n_total)
-        for i, sl in enumerate(self.slices):
-            out[sl] = self.X_blocks[i] @ beta[i]
-        return out
+        return np.sum(self.X * beta[self.row_location], axis=1)
 
     def eta_update(self, beta: np.ndarray) -> np.ndarray:
         if self.q == 0:
@@ -201,31 +182,65 @@ class _Bundle:
                 - np.bincount(self._pos_j, flat, size)).reshape(self.m, self.p)
 
 
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    m, p, _ = blocks.shape
-    out = np.zeros((m * p, m * p))
-    for i in range(m):
-        out[i * p:(i + 1) * p, i * p:(i + 1) * p] = blocks[i]
-    return out
-
-
-def _factor_spd(M: np.ndarray, what: str):
-    """Cholesky with a single trace-jitter retry; fatal if still singular."""
+def _factor_spd(factor, trace, what: str):
+    """``factor(tau)`` factors a symmetric matrix M plus ``tau I`` by Cholesky:
+    ``factor(0.0)``, and if M is not positive definite one retry with
+    ``tau = 1e-10 * trace()``, the trace of M; fatal if still singular."""
+    hint = "use vartheta > 0 or a positive init_ridge"
     try:
-        return cho_factor(M, lower=True)
+        return factor(0.0)
     except LinAlgError:
-        jitter = 1e-10 * np.trace(M)
-        if jitter <= 0:
-            raise SingularSystemError(
-                f"{what} is singular; use vartheta > 0 or a positive init_ridge"
-            ) from None
-        try:
-            return cho_factor(M + jitter * np.eye(M.shape[0]), lower=True)
-        except LinAlgError:
-            raise SingularSystemError(
-                f"{what} is singular even after diagonal jitter; "
-                "use vartheta > 0 or a positive init_ridge"
-            ) from None
+        jitter = 1e-10 * trace()
+    if jitter <= 0:
+        raise SingularSystemError(f"{what} is singular; {hint}")
+    try:
+        return factor(jitter)
+    except LinAlgError:
+        raise SingularSystemError(f"{what} is singular even after diagonal jitter; {hint}") from None
+
+
+def _structured_factor(A: np.ndarray, B: np.ndarray, G: np.ndarray, scale: float, what: str) -> tuple:
+    """Factor of ``M = blockdiag(A_i) - B G^{-1} B' + scale (k I - J) (x) I_p`` for
+    A (k, p, p), B (k, p, q), G (q, q), by :func:`_factor_spd`.  ``M + tau I = D - U C U'``
+    with ``D = blockdiag(A_i + (scale k + tau) I)``, ``U = [B, sqrt(scale) 1_k (x) I_p]``
+    (B at scale 0) and ``C = blockdiag(G^{-1}, I_p)``; its inverse is ``D^{-1} + V V'``
+    (Woodbury), ``V = D^{-1} U L_K^{-T}``, L_K the Cholesky factor of ``K = C^{-1} - U'D^{-1}U``.
+    As U C U' is positive semidefinite, M + tau I is positive definite exactly when
+    D's blocks and K are.  Returns D's inverse Cholesky blocks ((k,) for p = 1) and V'.
+    """
+    k, p, q = B.shape
+    eye = np.eye(p)
+
+    def factor(tau):
+        A_tau = A + tau * eye
+        Linv = np.linalg.inv(np.linalg.cholesky(A_tau + (scale * k) * eye))
+        LinvT = Linv.transpose(0, 2, 1)
+        U = B if scale == 0 else np.concatenate([B, np.broadcast_to(np.sqrt(scale) * eye, (k, p, p))], 2)
+        DinvU = LinvT @ (Linv @ U)                                   # (k, p, q + p)
+        K = -np.einsum("kpa,kpb->ab", U, DinvU)
+        K[:q, :q] += G
+        if scale > 0:
+            # I - scale sum_i D_i^{-1} = (1/k) sum_i (A_i + tau I) D_i^{-1}, summed without cancellation
+            K[q:, q:] = np.einsum("kab,kbc->ac", A_tau, LinvT @ Linv) / k
+        Vt = solve_triangular(np.linalg.cholesky(0.5 * (K + K.T)), DinvU.reshape(k * p, -1).T, lower=True)
+        return (Linv[:, 0, 0].copy() if p == 1 else Linv), Vt
+
+    return _factor_spd(factor, lambda: (np.einsum("kii->", A) + scale * p * k * (k - 1)
+                                        - np.einsum("kpa,kpb,ab->", B, B, np.linalg.inv(G))), what)
+
+
+def _structured_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """``M^{-1} rhs`` as (k, p): D^{-1} as two batched products with the inverse
+    Cholesky blocks (for p = 1 ``rhs * (1/L) * (1/L)``, like a dense triangular
+    solve on a diagonal factor), plus ``V (V' rhs)``."""
+    Linv, Vt = factor
+    if Linv.ndim == 1:
+        x = rhs * Linv * Linv
+    else:
+        x = np.einsum("kji,kj->ki", Linv, np.einsum("kij,kj->ki", Linv, rhs.reshape(Linv.shape[:2]))).ravel()
+    if Vt.size:
+        x += np.dot(Vt.T, np.dot(Vt, rhs))
+    return x.reshape(Linv.shape[0], -1)
 
 
 def prepared(data: Dataset) -> _Bundle:
@@ -252,18 +267,13 @@ def initialize(data: Dataset, cfg: AdmmConfig) -> SolverState:
     """
     bundle = prepared(data)
     beta = bundle.solve_beta(2.0 * cfg.init_ridge, bundle.XtQy)
-    eta = bundle.eta_update(beta)
     zeta = bundle.differences(beta)
-    v = np.zeros_like(zeta)
-    return SolverState(beta=beta, eta=eta, zeta=zeta, v=v)
+    return SolverState(beta=beta, zeta=zeta, v=np.zeros_like(zeta))
 
 
 def update_beta(bundle: _Bundle, zeta: np.ndarray, v: np.ndarray, vartheta: float) -> np.ndarray:
-    """One coefficient update given the current slacks and multipliers.
-
-    eta is profiled out of the update matrix, so only beta is returned; the
-    eta that goes with a beta is ``bundle.eta_update(beta)``.
-    """
+    """One coefficient update given the current slacks and multipliers; eta is
+    profiled out, so only beta is returned (its eta is ``bundle.eta_update(beta)``)."""
     return bundle.solve_beta(vartheta, bundle.beta_rhs(zeta, v, vartheta))
 
 
@@ -313,10 +323,10 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
     vt = cfg.vartheta
 
     state = initialize(data, cfg)
-    beta, eta, zeta, v = state.beta, state.eta, state.zeta, state.v
+    beta, zeta, v = state.beta, state.zeta, state.v
 
     if bundle.m == 1:
-        return FitResult(beta=beta, eta=eta, zeta=np.zeros((bundle.p, 0)),
+        return FitResult(beta=beta, eta=bundle.eta_update(beta), zeta=np.zeros((bundle.p, 0)),
                          v=np.zeros((bundle.p, 0)), iterations=0,
                          final_residual=0.0, converged=True, final_dual_residual=0.0)
 

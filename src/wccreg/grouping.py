@@ -5,11 +5,11 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 import wccreg.admm as admm
+from .penalty import column_norms
 from .types import Dataset, FitResult, Partition
 
 
@@ -25,15 +25,13 @@ def extract_partition(fit: FitResult, zero_tol: float = 1e-6) -> Partition:
         raise ValueError("zero_tol must be nonnegative")
     m = fit.beta.shape[0]
     pairs = admm.build_pair_index(m)
-    fused = np.linalg.norm(fit.zeta, axis=0) <= zero_tol
+    fused = column_norms(fit.zeta) <= zero_tol
     graph = coo_matrix((np.ones(int(fused.sum())), (pairs.i_idx[fused], pairs.j_idx[fused])),
                        shape=(m, m))
     K, components = connected_components(graph, directed=False)
-    # relabel so that labels follow the first appearance of each component
+    # relabel by the rank of each component's first appearance
     _, first = np.unique(components, return_index=True)
-    rank = np.empty(K, dtype=int)
-    rank[np.argsort(first)] = np.arange(K)
-    labels = rank[components]
+    labels = np.argsort(np.argsort(first))[components]
     sizes = np.bincount(labels, minlength=K)
     alpha = group_estimates(fit.beta, labels, K)
     return Partition(assignment=labels, K_hat=K, alpha=alpha, group_sizes=sizes)
@@ -61,7 +59,9 @@ def refit_oracle(data: Dataset, partition: Partition) -> tuple[np.ndarray, np.nd
 
     Minimizes the weighted loss over (eta, alpha) with every location's
     coefficients replaced by its group's; this is the estimator one would
-    compute if the grouping were known in advance.
+    compute if the grouping were known in advance.  The collapsed system is
+    the coefficient update's on group-summed blocks with no fusion term, so it
+    takes the same structured solve; eta is profiled out as in ``eta_update``.
     """
     if partition.m != data.m:
         raise ValueError("partition size does not match dataset")
@@ -69,16 +69,12 @@ def refit_oracle(data: Dataset, partition: Partition) -> tuple[np.ndarray, np.nd
     K, p, q = partition.K_hat, data.p, data.q
     labels = partition.assignment
     # the collapsed normal equations: per-location blocks summed within groups
-    XtWX = np.zeros((K, p, p))
-    XtWy = np.zeros((K, p))
-    XtWZ = np.zeros((K, p, q))
-    np.add.at(XtWX, labels, bundle.XtWX)
-    np.add.at(XtWy, labels, bundle.XtWy)
-    np.add.at(XtWZ, labels, bundle.XtWZ)
-    B = XtWZ.reshape(K * p, q)
-    G = np.block([[bundle.ZtWZ, B.T], [B, admm._block_diag(XtWX)]])
-    rhs = np.concatenate([bundle.ZtWy, XtWy.reshape(-1)])
-    sol = cho_solve(admm._factor_spd(G, "collapsed normal matrix"), rhs)
-    eta = sol[:q]
-    alpha = sol[q:].reshape(K, p)
-    return eta, alpha
+    XtWX, XtWy, XtWZ = [np.zeros((K,) + a.shape[1:]) for a in (bundle.XtWX, bundle.XtWy, bundle.XtWZ)]
+    for total, a in ((XtWX, bundle.XtWX), (XtWy, bundle.XtWy), (XtWZ, bundle.XtWZ)):
+        np.add.at(total, labels, a)
+    rhs = XtWy.reshape(-1)
+    if q > 0:
+        rhs = rhs - XtWZ.reshape(K * p, q) @ admm.cho_solve(bundle.gz_factor, bundle.ZtWy)
+    factor = admm._structured_factor(XtWX, XtWZ, bundle.ZtWZ, 0.0, "collapsed normal matrix")
+    alpha = admm._structured_solve(factor, rhs)
+    return bundle.eta_update(alpha[labels]), alpha

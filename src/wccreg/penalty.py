@@ -133,6 +133,11 @@ def zeta_proximal(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndar
     return group_soft_threshold(kappa, gam * lam * shrink) / (1.0 - shrink)
 
 
+def column_norms(block: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a (p, n) block: ``abs`` for p = 1."""
+    return np.abs(block[0]) if block.shape[0] == 1 else np.sqrt(np.einsum("kl,kl->l", block, block))
+
+
 def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarray:
     """Column-vectorized :func:`zeta_proximal` for a (p, n_pairs) block of
     kappas, pair-major, one column per pair.
@@ -152,10 +157,7 @@ def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
     if lam == 0:
         return kappa.copy()
 
-    if kappa.shape[0] == 1:
-        norms = np.abs(kappa[0])
-    else:
-        norms = np.sqrt(np.einsum("kl,kl->l", kappa, kappa))
+    norms = column_norms(kappa)
     low = norms <= lam + lam / vartheta
     shrink = 1.0 / ((gam - 1.0) * vartheta)
     thr = np.where(low, lam / vartheta, gam * lam * shrink)

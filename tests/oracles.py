@@ -210,6 +210,19 @@ def dense_fused_gram(m: int, p: int) -> np.ndarray:
     return np.kron(D.T @ D, np.eye(p))
 
 
+def dense_update_matrix(data: w.Dataset, scale: float) -> np.ndarray:
+    """Dense coefficient update matrix ``X'QX + scale D'D (x) I_p``.
+
+    X'QX is the Schur complement of the Z block in the weighted Gram matrix of
+    the full design (Z, then one column block per location), solved densely.
+    """
+    q = data.q
+    C, wt, _ = collapsed_design(data, np.arange(data.m))
+    G = C.T @ (wt[:, None] * C)
+    XtQX = G[q:, q:] - G[q:, :q] @ np.linalg.solve(G[:q, :q], G[:q, q:]) if q else G
+    return XtQX + scale * dense_fused_gram(data.m, data.p)
+
+
 def connected_labels(m: int, edges) -> np.ndarray:
     """Component label of each node by breadth-first search over undirected edges."""
     neighbours = [[] for _ in range(m)]

@@ -29,13 +29,13 @@ class TestPairIndex:
         for l, (i, j) in enumerate(zip(idx.i_idx, idx.j_idx)):
             assert idx.column_of(int(i), int(j)) == l
 
-    def test_fused_gram_matches_dense_oracle(self, rng):
-        m, p = 4, 2
-        K = admm.fused_gram(m, p)
-        dense = oracles.dense_fused_gram(m, p)
-        assert np.allclose(K, dense, atol=1e-12)
-        vec = rng.standard_normal(m * p)
-        assert np.allclose(K @ vec, dense @ vec, atol=1e-12)
+    def test_one_read_only_index_per_m(self, rng):
+        # the solver and partition extraction share one index per m
+        ds, _ = random_dataset(rng, m=5, p=1)
+        idx = w.build_pair_index(5)
+        assert admm.prepared(ds).pairs is idx is w.build_pair_index(5)
+        with pytest.raises(ValueError):
+            idx.i_idx[0] = 1
 
     @pytest.mark.parametrize("m", [2, 3, 7])
     @pytest.mark.parametrize("p", [1, 3])
@@ -58,6 +58,77 @@ class TestPairIndex:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestStructuredSolve:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("sigma2", [False, True])
+    def test_matches_dense_solve(self, rng, p, q, sigma2):
+        # the blockwise Woodbury solve against np.linalg.solve on the dense
+        # X'QX + s D'D (x) I_p, at the start's scale 0 and an augmented weight
+        for m in (1, 2, 7):
+            ds, _ = random_dataset(rng, m=m, p=p, q=q, sigma2=sigma2)
+            bundle = admm.prepared(ds)
+            for scale in (0.0, 1.5):
+                rhs = rng.standard_normal(m * p)
+                ref = np.linalg.solve(oracles.dense_update_matrix(ds, scale), rhs)
+                x = bundle.solve_beta(scale, rhs)
+                assert x.shape == (m, p)
+                np.testing.assert_allclose(x.reshape(-1), ref, rtol=0, atol=1e-10,
+                                           err_msg=f"m={m}, scale={scale}")
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_singular_block_solves_the_jittered_system(self, rng, q):
+        # a location with n_i = 1 < p = 2 has a singular block, so at scale 0
+        # the matrix M is singular and the factor retries with
+        # tau = 1e-10 tr(M) added to the diagonal
+        ds, _ = random_dataset(rng, m=4, p=2, q=q)
+        b = ds.locations[0]
+        single = w.LocationBlock(b.location_id, b.N, y=b.y[:1], X=[[1.0, 0.0]], Z=b.Z[:1],
+                                 pi=b.pi[:1])
+        ds = w.make_dataset((single,) + ds.locations[1:])
+        M = oracles.dense_update_matrix(ds, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(M)
+        jittered = M + 1e-10 * np.trace(M) * np.eye(M.shape[0])
+        rhs = rng.standard_normal(M.shape[0])
+        x = admm.prepared(ds).solve_beta(0.0, rhs).reshape(-1)
+        assert np.linalg.norm(jittered @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+    def test_all_zero_design_is_fatal_and_named(self, rng):
+        ds, _ = random_dataset(rng, m=3, p=2)
+        ds = w.make_dataset([w.LocationBlock(b.location_id, b.N, y=b.y, X=np.zeros_like(b.X),
+                                             Z=b.Z, pi=b.pi) for b in ds.locations])
+        with pytest.raises(w.SingularSystemError, match="coefficient update matrix"):
+            w.fit(ds, w.ScadSpec(lam=0.1))
+        part = oracles.partition_from_groups([[0, 1], [2]], 3, 2)
+        with pytest.raises(w.SingularSystemError, match="collapsed normal matrix"):
+            w.refit_oracle(ds, part)
+        # with an augmented weight s, M = s (m I - J) (x) I_p is singular too,
+        # but its trace is positive: M + tau I has eigenvalue tau on the
+        # location means and s m + tau off them, so the solve is known exactly
+        s, m = 1.5, ds.m
+        tau = 1e-10 * s * ds.p * m * (m - 1)
+        rhs = rng.standard_normal((m, ds.p))
+        mean = rhs.mean(axis=0)
+        exact = (rhs - mean) / (s * m + tau) + mean / tau
+        x = admm.prepared(ds).solve_beta(s, rhs.reshape(-1))
+        assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
+
+    def test_factor_and_solve_build_no_quadratic_array(self, rng):
+        # one dense (mp)^2 float array is 2.88 MB at m = 300, p = 2
+        ds, _ = random_dataset(rng, m=300, p=2, q=1, n_range=(4, 8))
+        bundle = admm.prepared(ds)
+        rhs = rng.standard_normal(bundle.m * bundle.p)
+        tracemalloc.start()
+        try:
+            bundle.factor(1.0)
+            bundle.solve_beta(1.0, rhs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (bundle.m * bundle.p) ** 2 * 8
 
 
 class TestCompositeWeights:
@@ -210,17 +281,21 @@ class TestPrecomputation:
     def test_factorizations_do_not_grow_with_grid(self, rng, monkeypatch):
         ds, _ = random_dataset(rng, m=5, p=2, q=1)
         calls = []
-        real = admm.cho_factor
-        monkeypatch.setattr(admm, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+        real_dense, real_structured = admm.cho_factor, admm._structured_factor
+        monkeypatch.setattr(admm, "cho_factor",
+                            lambda *a, **k: calls.append("dense") or real_dense(*a, **k))
+        monkeypatch.setattr(admm, "_structured_factor",
+                            lambda *a, **k: calls.append("structured") or real_structured(*a, **k))
         counts = []
         for num in (2, 6):
             fresh = w.make_dataset(ds.locations)
             calls.clear()
             grid = w.default_lambda_grid(fresh, num=num)
             w.select_lambda(fresh, grid, w.ScadSpec(lam=1.0))
-            counts.append(len(calls))
-        # Z'WZ, the start (ridge 0) and the augmented weight, once each
-        assert counts == [3, 3]
+            counts.append(sorted(calls))
+        # Z'WZ densely; the start (ridge 0) and the augmented weight
+        # structured; once each
+        assert counts[0] == counts[1] == ["dense", "structured", "structured"]
 
     def test_dataset_freed_without_cyclic_gc(self, rng):
         ds, _ = random_dataset(rng, m=4, p=1)
@@ -375,8 +450,8 @@ class TestFit:
             assert res.final_dual_residual > 0
 
     def test_eta_computed_once_per_fit(self, rng, monkeypatch):
-        # the coefficient update does not read eta, so the number of eta
-        # updates in one fit must not grow with the iterations
+        # neither the start nor the coefficient update reads eta, so one fit
+        # makes exactly one eta update, after the loop
         ds, _ = random_dataset(rng, m=6, p=2, q=1, noise=1.0)
         start = admm.initialize(ds, w.AdmmConfig())
         spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=0).min()))
@@ -391,7 +466,7 @@ class TestFit:
             iterations.append(res.iterations)
             counts.append(len(calls))
         assert iterations[0] == 2 < iterations[1]
-        assert counts[0] == counts[1] <= 2
+        assert counts == [1, 1]
         assert np.array_equal(res.eta, real(admm.prepared(ds), res.beta))
 
     def test_gamma_vartheta_incompatibility_fatal(self, rng):
