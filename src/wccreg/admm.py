@@ -58,7 +58,7 @@ class PairIndex:
         return i * self.m - i * (i + 1) // 2 + (j - i - 1)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def build_pair_index(m: int) -> PairIndex:
     """The pair index of m locations, built once per m and shared read-only."""
     if m < 1:
@@ -115,12 +115,21 @@ class _Bundle:
         self._pos_i = (self.pairs.i_idx * p + cols).ravel()
         self._pos_j = (self.pairs.j_idx * p + cols).ravel()
 
+        slices = []
+        start = 0
+        for b in data.locations:
+            slices.append(slice(start, start + b.n))
+            start += b.n
+        self.slices = slices
+        self.n_total = start
+
         weights = [composite_weights(b) for b in data.locations]
         self.y = np.concatenate([b.y for b in data.locations])
         self.w = np.concatenate(weights)
-        self.X = np.concatenate([b.X for b in data.locations], axis=0)   # (n_total, p)
+        self.X_blocks = [b.X for b in data.locations]
+        self.X = np.concatenate(self.X_blocks, axis=0)                   # (n_total, p)
         self.Z = np.concatenate([b.Z for b in data.locations], axis=0)   # (n_total, q)
-        # each row's location, and the BIC's normalized residual weights
+        # the BIC's residual weights: each row's location and its normalized weight
         self.row_location = np.repeat(np.arange(m), [b.n for b in data.locations])
         self.w_norm = np.concatenate([normalized_weights(b) for b in data.locations])
 
@@ -129,15 +138,20 @@ class _Bundle:
         self.XtWy = np.stack([b.X.T @ (w * b.y) for b, w in zip(data.locations, weights)])
         self.XtWZ = np.stack([b.X.T @ (w[:, None] * b.Z) for b, w in zip(data.locations, weights)])
         wZ = self.w[:, None] * self.Z
-        self.ZtWZ = self.Z.T @ wZ
+        ZtWZ = self.Z.T @ wZ
         self.ZtWy = self.Z.T @ (self.w * self.y)
         self.ZtW = wZ.T                         # (q, n_total)
 
         # X'Qy = X'Wy - B (Z'WZ)^{-1} Z'Wy with B = X'WZ stacked
         self.XtQy = self.XtWy.reshape(-1)
+        self.ZtWZ, self.gz_factor = ZtWZ, None
         if q > 0:
-            self.gz_factor = _factor_spd(lambda tau: cho_factor(self.ZtWZ + tau * np.eye(q), lower=True),
-                                         lambda: np.trace(self.ZtWZ), "Z'WZ")
+            def factor_z(tau):
+                G = ZtWZ + tau * np.eye(q)
+                return G, cho_factor(G, lower=True)
+            # Z'WZ is kept as factored, with its jitter if it needed one, so
+            # the coefficient update, X'Qy and eta all read the same matrix
+            self.ZtWZ, self.gz_factor = _factor_spd(factor_z, lambda: np.trace(ZtWZ), "Z'WZ")
             self.XtQy = self.XtQy - self.XtWZ.reshape(m * p, q) @ cho_solve(self.gz_factor, self.ZtWy)
         self._factors: dict[float, tuple] = {}
 
@@ -146,7 +160,8 @@ class _Bundle:
         key = float(scale)
         if key not in self._factors:
             scale = key if self.m > 1 else 0.0
-            self._factors[key] = _structured_factor(self.XtWX, self.XtWZ, self.ZtWZ, scale, "coefficient update matrix")
+            self._factors[key] = _structured_factor(self.XtWX, self.XtWZ, self.ZtWZ, self.gz_factor, scale,
+                                                    "coefficient update matrix")
         return self._factors[key]
 
     def solve_beta(self, scale: float, rhs: np.ndarray) -> np.ndarray:
@@ -154,7 +169,10 @@ class _Bundle:
 
     def fitted_local(self, beta: np.ndarray) -> np.ndarray:
         """Stacked ``X_i beta_i`` over all rows."""
-        return np.sum(self.X * beta[self.row_location], axis=1)
+        out = np.empty(self.n_total)
+        for i, sl in enumerate(self.slices):
+            out[sl] = self.X_blocks[i] @ beta[i]
+        return out
 
     def eta_update(self, beta: np.ndarray) -> np.ndarray:
         if self.q == 0:
@@ -199,9 +217,10 @@ def _factor_spd(factor, trace, what: str):
         raise SingularSystemError(f"{what} is singular even after diagonal jitter; {hint}") from None
 
 
-def _structured_factor(A: np.ndarray, B: np.ndarray, G: np.ndarray, scale: float, what: str) -> tuple:
+def _structured_factor(A: np.ndarray, B: np.ndarray, G: np.ndarray, G_factor, scale: float, what: str) -> tuple:
     """Factor of ``M = blockdiag(A_i) - B G^{-1} B' + scale (k I - J) (x) I_p`` for
-    A (k, p, p), B (k, p, q), G (q, q), by :func:`_factor_spd`.  ``M + tau I = D - U C U'``
+    A (k, p, p), B (k, p, q), G (q, q) positive definite with Cholesky factor
+    G_factor (None when q = 0), by :func:`_factor_spd`.  ``M + tau I = D - U C U'``
     with ``D = blockdiag(A_i + (scale k + tau) I)``, ``U = [B, sqrt(scale) 1_k (x) I_p]``
     (B at scale 0) and ``C = blockdiag(G^{-1}, I_p)``; its inverse is ``D^{-1} + V V'``
     (Woodbury), ``V = D^{-1} U L_K^{-T}``, L_K the Cholesky factor of ``K = C^{-1} - U'D^{-1}U``.
@@ -225,8 +244,12 @@ def _structured_factor(A: np.ndarray, B: np.ndarray, G: np.ndarray, scale: float
         Vt = solve_triangular(np.linalg.cholesky(0.5 * (K + K.T)), DinvU.reshape(k * p, -1).T, lower=True)
         return (Linv[:, 0, 0].copy() if p == 1 else Linv), Vt
 
-    return _factor_spd(factor, lambda: (np.einsum("kii->", A) + scale * p * k * (k - 1)
-                                        - np.einsum("kpa,kpb,ab->", B, B, np.linalg.inv(G))), what)
+    def trace():
+        Bf = B.reshape(k * p, q)
+        return (np.einsum("kii->", A) + scale * p * k * (k - 1)
+                - (np.sum(Bf.T * cho_solve(G_factor, Bf.T)) if q else 0.0))
+
+    return _factor_spd(factor, trace, what)
 
 
 def _structured_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:

@@ -241,7 +241,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SingularSystemError as exc:

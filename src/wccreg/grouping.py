@@ -29,9 +29,11 @@ def extract_partition(fit: FitResult, zero_tol: float = 1e-6) -> Partition:
     graph = coo_matrix((np.ones(int(fused.sum())), (pairs.i_idx[fused], pairs.j_idx[fused])),
                        shape=(m, m))
     K, components = connected_components(graph, directed=False)
-    # relabel by the rank of each component's first appearance
+    # relabel so that labels follow the first appearance of each component
     _, first = np.unique(components, return_index=True)
-    labels = np.argsort(np.argsort(first))[components]
+    rank = np.empty(K, dtype=int)
+    rank[np.argsort(first)] = np.arange(K)
+    labels = rank[components]
     sizes = np.bincount(labels, minlength=K)
     alpha = group_estimates(fit.beta, labels, K)
     return Partition(assignment=labels, K_hat=K, alpha=alpha, group_sizes=sizes)
@@ -69,12 +71,16 @@ def refit_oracle(data: Dataset, partition: Partition) -> tuple[np.ndarray, np.nd
     K, p, q = partition.K_hat, data.p, data.q
     labels = partition.assignment
     # the collapsed normal equations: per-location blocks summed within groups
-    XtWX, XtWy, XtWZ = [np.zeros((K,) + a.shape[1:]) for a in (bundle.XtWX, bundle.XtWy, bundle.XtWZ)]
-    for total, a in ((XtWX, bundle.XtWX), (XtWy, bundle.XtWy), (XtWZ, bundle.XtWZ)):
-        np.add.at(total, labels, a)
+    XtWX = np.zeros((K, p, p))
+    XtWy = np.zeros((K, p))
+    XtWZ = np.zeros((K, p, q))
+    np.add.at(XtWX, labels, bundle.XtWX)
+    np.add.at(XtWy, labels, bundle.XtWy)
+    np.add.at(XtWZ, labels, bundle.XtWZ)
     rhs = XtWy.reshape(-1)
     if q > 0:
         rhs = rhs - XtWZ.reshape(K * p, q) @ admm.cho_solve(bundle.gz_factor, bundle.ZtWy)
-    factor = admm._structured_factor(XtWX, XtWZ, bundle.ZtWZ, 0.0, "collapsed normal matrix")
+    factor = admm._structured_factor(XtWX, XtWZ, bundle.ZtWZ, bundle.gz_factor, 0.0,
+                                     "collapsed normal matrix")
     alpha = admm._structured_solve(factor, rhs)
     return bundle.eta_update(alpha[labels]), alpha

@@ -88,7 +88,7 @@ def modified_bic(data: Dataset, fit: FitResult, partition: Partition,
     """
     m = data.m
     bundle = admm.prepared(data)
-    resid = bundle.y - bundle.fitted_local(fit.beta)
+    resid = bundle.y - np.sum(bundle.X * fit.beta[bundle.row_location], axis=1)
     if data.q > 0:
         resid = resid - bundle.Z @ fit.eta
     avg = float(np.sum(bundle.w_norm * resid * resid)) / m
@@ -109,8 +109,14 @@ def default_lambda_grid(data: Dataset, cfg: AdmmConfig = AdmmConfig(), num: int 
     """
     if num < 1:
         raise ValidationError("grid size must be at least 1")
-    zeta0 = admm.initialize(data, replace(cfg, init_ridge=0.0)).zeta
-    anchor = float(np.linalg.norm(zeta0, axis=0).max(initial=0.0)) or 1.0
+    bundle = admm.prepared(data)
+    beta0 = admm.initialize(data, replace(cfg, init_ridge=0.0)).beta
+    if data.m > 1:
+        anchor = float(np.linalg.norm(bundle.differences(beta0), axis=0).max())
+    else:
+        anchor = 0.0
+    if anchor <= 0:
+        anchor = 1.0
     if num == 1:
         return np.array([hi_frac * anchor])
     return np.geomspace(lo_frac * anchor, hi_frac * anchor, num)

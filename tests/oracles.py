@@ -210,16 +210,19 @@ def dense_fused_gram(m: int, p: int) -> np.ndarray:
     return np.kron(D.T @ D, np.eye(p))
 
 
-def dense_update_matrix(data: w.Dataset, scale: float) -> np.ndarray:
+def dense_update_matrix(data: w.Dataset, scale: float, z_jitter: float = 0.0) -> np.ndarray:
     """Dense coefficient update matrix ``X'QX + scale D'D (x) I_p``.
 
     X'QX is the Schur complement of the Z block in the weighted Gram matrix of
-    the full design (Z, then one column block per location), solved densely.
+    the full design (Z, then one column block per location), solved densely;
+    ``z_jitter`` is added to the Z block's diagonal first, as the solver does
+    when Z'WZ is singular.
     """
     q = data.q
     C, wt, _ = collapsed_design(data, np.arange(data.m))
     G = C.T @ (wt[:, None] * C)
-    XtQX = G[q:, q:] - G[q:, :q] @ np.linalg.solve(G[:q, :q], G[:q, q:]) if q else G
+    Gz = G[:q, :q] + z_jitter * np.eye(q)
+    XtQX = G[q:, q:] - G[q:, :q] @ np.linalg.solve(Gz, G[:q, q:]) if q else G
     return XtQX + scale * dense_fused_gram(data.m, data.p)
 
 

@@ -51,6 +51,7 @@ class TestPairIndex:
     def test_bundle_memory_is_not_quadratic_in_pairs(self, rng):
         # a dense n_pairs x m incidence matrix alone is ~107 MB at m = 300
         ds, _ = random_dataset(rng, m=300, p=1)
+        w.build_pair_index.cache_clear()     # so the pair index is built, and counted, here
         tracemalloc.start()
         try:
             admm.prepared(ds)
@@ -115,6 +116,42 @@ class TestStructuredSolve:
         exact = (rhs - mean) / (s * m + tau) + mean / tau
         x = admm.prepared(ds).solve_beta(s, rhs.reshape(-1))
         assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
+
+    def test_singular_shared_covariate_gram_is_jittered(self, rng):
+        # with q = 2 and an all-zero Z column, Z'WZ is singular but has a
+        # positive trace: it is factored with tau = 1e-10 tr(Z'WZ) on its
+        # diagonal, and the update matrix, eta and the group refit all read
+        # that jittered Z'WZ
+        ds1, _ = random_dataset(rng, m=5, p=2, q=1, noise=1.0)
+        ds = w.make_dataset([w.LocationBlock(b.location_id, b.N, y=b.y, X=b.X, pi=b.pi,
+                                             Z=np.column_stack([b.Z, np.zeros(b.n)]))
+                             for b in ds1.locations])
+        bundle = admm.prepared(ds)
+        ZtWZ = sum(b.Z.T @ (w.composite_weights(b)[:, None] * b.Z) for b in ds.locations)
+        tau = 1e-10 * np.trace(ZtWZ)
+        for scale in (0.0, 1.5):
+            rhs = rng.standard_normal(ds.m * ds.p)
+            ref = np.linalg.solve(oracles.dense_update_matrix(ds, scale, z_jitter=tau), rhs)
+            np.testing.assert_allclose(bundle.solve_beta(scale, rhs).reshape(-1), ref, rtol=0, atol=1e-10,
+                                       err_msg=f"scale={scale}")
+        # the zero column's eta is exactly 0; the rest is the q = 1 fit up to tau
+        start = admm.initialize(ds1, w.AdmmConfig())
+        spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=0).min()))
+        cfg = w.AdmmConfig(max_iter=5, vartheta=1.5)
+        res, ref = w.fit(ds, spec, cfg), oracles.dense_admm(ds1, spec, cfg)
+        assert res.iterations == ref["iterations"] == 5
+        assert res.eta[1] == 0.0
+        np.testing.assert_allclose(res.eta[:1], ref["eta"], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(res.beta, ref["beta"], rtol=0, atol=1e-9)
+        # the group refit against the dense solve of the whole collapsed
+        # system, jittered by 1e-10 of its trace
+        part = oracles.partition_from_groups([[0, 1], [2, 3, 4]], 5, 2)
+        eta, alpha = w.refit_oracle(ds, part)
+        C, wt, y = oracles.collapsed_design(ds, part.assignment)
+        G = C.T @ (wt[:, None] * C)
+        sol = np.linalg.solve(G + 1e-10 * np.trace(G) * np.eye(len(G)), C.T @ (wt * y))
+        assert eta[1] == sol[1] == 0.0
+        np.testing.assert_allclose(np.concatenate([eta, alpha.reshape(-1)]), sol, rtol=0, atol=1e-8)
 
     def test_factor_and_solve_build_no_quadratic_array(self, rng):
         # one dense (mp)^2 float array is 2.88 MB at m = 300, p = 2
