@@ -9,6 +9,7 @@ from .admm import (
     composite_weights,
     fit,
     initialize,
+    normalized_weights,
     objective,
     primal_residual,
     update_beta,
@@ -19,7 +20,7 @@ from .admm import (
 from .grouping import extract_partition, group_estimates, location_estimates, refit_oracle
 from .metrics import adjusted_rand_index, rand_index_counts, rmse_beta, rmse_mu
 from .penalty import ScadSpec, group_soft_threshold, scad_derivative, scad_value, zeta_proximal
-from .selection import BicVariant, LambdaPath, default_lambda_grid, modified_bic, normalized_weights, select_lambda
+from .selection import BicVariant, LambdaPath, default_lambda_grid, modified_bic, select_lambda
 from .simulation import (
     McSummary,
     Population,

@@ -7,17 +7,20 @@ vectors carry the differences, a proximal map handles the penalty, and the
 coefficient update is a solve whose matrix depends only on the sample and on
 the augmented weight.  Those pieces are built once per dataset by
 :func:`prepared` and shared by every fit on it (the whole lambda path), the
-starting point, the loss, the BIC and the group refit; each factor is
-computed once per dataset and weight.  The pair structure is kept only as the
-index arrays (i, j) of each pair: differences gather over them and their
-adjoint scatter-adds over them, so the n_pairs x m incidence matrix is never
-formed.  Every pair block (differences, slacks, multipliers) is pair-major,
-one column per pair: a contiguous (p, n_pairs) array, the layout
-:class:`FitResult` stores.  The shared-covariate coefficient eta is not read
-by the coefficient update, so the loop leaves it out and it is computed once,
-from the final coefficients.  The update matrix is block diagonal minus a
-term of rank q + p and is solved in that form (:func:`_structured_factor`),
-so no (mp)^2 array is built and a solve is a few O(m p (p + q)) numpy passes.
+starting point, the loss, the BIC and the group refit; each factor is computed
+once per dataset and weight.  The sample is held once, as stacked rows, and
+the residual ``y - x'beta_i - z'eta`` has one implementation
+(:meth:`_Bundle.residuals`) that eta, the loss and the BIC all read.  The pair
+structure is kept only as the index arrays (i, j) of each pair: differences
+gather over them and their adjoint scatter-adds over them, so the n_pairs x m
+incidence matrix is never formed.  Every pair block (differences, slacks,
+multipliers) is pair-major, one column per pair: a contiguous (p, n_pairs)
+array, the layout :class:`FitResult` stores.  The shared-covariate coefficient
+eta is not read by the coefficient update, so the loop leaves it out and it is
+computed once, from the final coefficients.  The update matrix is block
+diagonal minus a term of rank q + p and is solved in that form
+(:func:`_structured_factor`), so no (mp)^2 array is built and a solve is a few
+O(m p (p + q)) numpy passes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
-from .penalty import ScadSpec, check_prox_compatible, prox_columns, scad_value
+from .penalty import ScadSpec, check_prox_compatible, column_norms, prox_columns, scad_value
 from .types import AdmmConfig, Dataset, FitResult, LocationBlock, SingularSystemError, validate
 
 logger = logging.getLogger(__name__)
@@ -92,17 +95,20 @@ def normalized_weights(block: LocationBlock) -> np.ndarray:
 
 
 class _Bundle:
-    """Per-dataset precomputations: the blocks of the weighted normal equations
-    and the stacked rows that the BIC's residual term reads.
+    """Per-dataset precomputations: one stacked copy of the sample and the
+    blocks of the weighted normal equations.
 
-    Built once per dataset by :func:`prepared` and kept with it; it holds
-    arrays only, never the dataset itself, so the dataset is freed as soon as
-    its last reference goes.  The pairwise difference operator D (row l is
-    ``e_i - e_j`` for pair l) acts only through the pair index:
-    :meth:`differences` gathers ``D beta`` and :meth:`difference_adjoint`
-    scatter-adds ``D'S``.  Both work pair-major, one column per pair: their
-    pair blocks are contiguous (p, n_pairs) arrays.  The normal equations are
-    kept as per-location blocks plus Z'WZ; no (mp)^2 array is built.
+    Every residual (eta's update, the weighted loss, the BIC) comes from
+    :meth:`residuals` on the stacked rows.  Built once per dataset by
+    :func:`prepared` and kept with it; it holds arrays only, never the dataset
+    itself, so the dataset is freed as soon as its last reference goes.  The
+    pairwise difference operator D (row l is ``e_i - e_j`` for pair l) acts
+    only through the pair index: :meth:`differences` gathers ``D beta`` and
+    :meth:`difference_adjoint` scatter-adds ``D'S``.  Both work pair-major,
+    one column per pair: their pair blocks are contiguous (p, n_pairs) arrays.
+    The normal equations are kept as per-location blocks plus Z'WZ, with eta
+    already profiled out of the right-hand side (``XtQy``); no (mp)^2 array
+    is built.
     """
 
     def __init__(self, data: Dataset):
@@ -110,40 +116,33 @@ class _Bundle:
         self.m, self.p, self.q = m, p, q
         self.pairs = build_pair_index(m)
         # flat position in an (m, p) block of entry (column k, pair l) of a
-        # (p, n_pairs) pair block, stored in that block's order
+        # (p, n_pairs) pair block, stored in that block's order.  They stay
+        # private and writeable even at p = 1, where they equal the pair
+        # index: np.take and np.bincount copy a read-only index on every call
         cols = np.arange(p)[:, None]
         self._pos_i = (self.pairs.i_idx * p + cols).ravel()
         self._pos_j = (self.pairs.j_idx * p + cols).ravel()
 
-        slices = []
-        start = 0
-        for b in data.locations:
-            slices.append(slice(start, start + b.n))
-            start += b.n
-        self.slices = slices
-        self.n_total = start
-
+        # the sample, once, as stacked rows: each row's location, response,
+        # loss weight, design rows and BIC weight (normalized within its location)
         weights = [composite_weights(b) for b in data.locations]
+        self.row_location = np.repeat(np.arange(m), [b.n for b in data.locations])
         self.y = np.concatenate([b.y for b in data.locations])
         self.w = np.concatenate(weights)
-        self.X_blocks = [b.X for b in data.locations]
-        self.X = np.concatenate(self.X_blocks, axis=0)                   # (n_total, p)
+        self.X = np.concatenate([b.X for b in data.locations], axis=0)   # (n_total, p)
         self.Z = np.concatenate([b.Z for b in data.locations], axis=0)   # (n_total, q)
-        # the BIC's residual weights: each row's location and its normalized weight
-        self.row_location = np.repeat(np.arange(m), [b.n for b in data.locations])
         self.w_norm = np.concatenate([normalized_weights(b) for b in data.locations])
 
         # block pieces of the weighted normal equations (q may be 0)
         self.XtWX = np.stack([b.X.T @ (w[:, None] * b.X) for b, w in zip(data.locations, weights)])
-        self.XtWy = np.stack([b.X.T @ (w * b.y) for b, w in zip(data.locations, weights)])
+        XtWy = np.stack([b.X.T @ (w * b.y) for b, w in zip(data.locations, weights)])
         self.XtWZ = np.stack([b.X.T @ (w[:, None] * b.Z) for b, w in zip(data.locations, weights)])
         wZ = self.w[:, None] * self.Z
         ZtWZ = self.Z.T @ wZ
-        self.ZtWy = self.Z.T @ (self.w * self.y)
         self.ZtW = wZ.T                         # (q, n_total)
 
         # X'Qy = X'Wy - B (Z'WZ)^{-1} Z'Wy with B = X'WZ stacked
-        self.XtQy = self.XtWy.reshape(-1)
+        self.XtQy = XtWy.reshape(-1)
         self.ZtWZ, self.gz_factor = ZtWZ, None
         if q > 0:
             def factor_z(tau):
@@ -152,7 +151,8 @@ class _Bundle:
             # Z'WZ is kept as factored, with its jitter if it needed one, so
             # the coefficient update, X'Qy and eta all read the same matrix
             self.ZtWZ, self.gz_factor = _factor_spd(factor_z, lambda: np.trace(ZtWZ), "Z'WZ")
-            self.XtQy = self.XtQy - self.XtWZ.reshape(m * p, q) @ cho_solve(self.gz_factor, self.ZtWy)
+            ZtWy = self.Z.T @ (self.w * self.y)
+            self.XtQy = self.XtQy - self.XtWZ.reshape(m * p, q) @ cho_solve(self.gz_factor, ZtWy)
         self._factors: dict[float, tuple] = {}
 
     def factor(self, scale: float) -> tuple:
@@ -167,18 +167,18 @@ class _Bundle:
     def solve_beta(self, scale: float, rhs: np.ndarray) -> np.ndarray:
         return _structured_solve(self.factor(scale), rhs)
 
-    def fitted_local(self, beta: np.ndarray) -> np.ndarray:
-        """Stacked ``X_i beta_i`` over all rows."""
-        out = np.empty(self.n_total)
-        for i, sl in enumerate(self.slices):
-            out[sl] = self.X_blocks[i] @ beta[i]
-        return out
+    def residuals(self, beta: np.ndarray, eta: np.ndarray | None = None) -> np.ndarray:
+        """Stacked residuals ``y - x'beta_i - z'eta`` over all rows; the eta
+        term is left out when eta is None or q = 0."""
+        resid = self.y - np.sum(self.X * beta[self.row_location], axis=1)
+        if self.q > 0 and eta is not None:
+            resid = resid - self.Z @ eta
+        return resid
 
     def eta_update(self, beta: np.ndarray) -> np.ndarray:
         if self.q == 0:
             return np.zeros(0)
-        resid = self.y - self.fitted_local(beta)
-        return cho_solve(self.gz_factor, self.ZtW @ resid)
+        return cho_solve(self.gz_factor, self.ZtW @ self.residuals(beta))
 
     def beta_rhs(self, zeta: np.ndarray, v: np.ndarray, vartheta: float) -> np.ndarray:
         return self.XtQy + self.difference_adjoint(vartheta * zeta - v).reshape(-1)
@@ -318,9 +318,7 @@ def primal_residual(diffs: np.ndarray, zeta: np.ndarray) -> float:
 def weighted_loss(data: Dataset, beta: np.ndarray, eta: np.ndarray) -> float:
     """Half the weighted residual sum of squares (no penalty)."""
     bundle = prepared(data)
-    resid = bundle.y - bundle.fitted_local(np.atleast_2d(beta))
-    if bundle.q > 0:
-        resid = resid - bundle.Z @ np.atleast_1d(eta)
+    resid = bundle.residuals(np.atleast_2d(beta), np.atleast_1d(eta))
     return 0.5 * float(np.sum(bundle.w * resid * resid))
 
 
@@ -331,7 +329,7 @@ def objective(data: Dataset, beta: np.ndarray, eta: np.ndarray, spec: ScadSpec) 
     loss = weighted_loss(data, beta, eta)
     if bundle.m == 1:
         return loss
-    norms = np.linalg.norm(bundle.differences(beta), axis=0)
+    norms = column_norms(bundle.differences(beta))
     return loss + float(np.sum(scad_value(norms, spec)))
 
 

@@ -70,17 +70,16 @@ def refit_oracle(data: Dataset, partition: Partition) -> tuple[np.ndarray, np.nd
     bundle = admm.prepared(data)
     K, p, q = partition.K_hat, data.p, data.q
     labels = partition.assignment
-    # the collapsed normal equations: per-location blocks summed within groups
+    # the collapsed normal equations: per-location blocks summed within groups;
+    # the right side X'Qy is linear in the blocks, so its group sums are the
+    # collapsed system's, with eta already profiled out
     XtWX = np.zeros((K, p, p))
-    XtWy = np.zeros((K, p))
+    XtQy = np.zeros((K, p))
     XtWZ = np.zeros((K, p, q))
     np.add.at(XtWX, labels, bundle.XtWX)
-    np.add.at(XtWy, labels, bundle.XtWy)
+    np.add.at(XtQy, labels, bundle.XtQy.reshape(-1, p))
     np.add.at(XtWZ, labels, bundle.XtWZ)
-    rhs = XtWy.reshape(-1)
-    if q > 0:
-        rhs = rhs - XtWZ.reshape(K * p, q) @ admm.cho_solve(bundle.gz_factor, bundle.ZtWy)
     factor = admm._structured_factor(XtWX, XtWZ, bundle.ZtWZ, bundle.gz_factor, 0.0,
                                      "collapsed normal matrix")
-    alpha = admm._structured_solve(factor, rhs)
+    alpha = admm._structured_solve(factor, XtQy.reshape(-1))
     return bundle.eta_update(alpha[labels]), alpha

@@ -15,17 +15,6 @@ def _labels(p) -> np.ndarray:
     return np.asarray(p, dtype=int)
 
 
-def _canonical(labels: np.ndarray) -> np.ndarray:
-    """Relabel groups by first appearance so label choice is immaterial."""
-    out = np.empty_like(labels)
-    seen: dict[int, int] = {}
-    for k, lab in enumerate(labels):
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out[k] = seen[lab]
-    return out
-
-
 def rand_index_counts(p1, p2) -> tuple[int, int, int, int]:
     """Pair-decision counts (TP, TN, FP, FN) by direct pair enumeration.
 
@@ -53,8 +42,8 @@ def adjusted_rand_index(p1, p2) -> float:
 
     1 for identical partitions; 0 in expectation under random labelings; may
     be negative in general (not clamped).  When the chance correction is
-    degenerate (both partitions all-singletons or both one-group), returns 1
-    for identical partitions and 0 otherwise, with a warning.
+    degenerate (both partitions all-singletons or both one-group) the
+    partitions are identical, so it returns 1, with a warning.
     """
     a, b = _labels(p1), _labels(p2)
     if a.shape != b.shape:
@@ -78,8 +67,11 @@ def adjusted_rand_index(p1, p2) -> float:
     maximum = 0.5 * (sum_a + sum_b)
     denom = maximum - expected
     if denom == 0.0:
+        # with a = sum_a/total and b = sum_b/total in [0, 1], denom = 0 means
+        # a + b = 2ab, i.e. a(1 - b) + b(1 - a) = 0: a = b = 0 (both all
+        # singletons) or a = b = 1 (both one group), so the partitions match
         warnings.warn("degenerate chance correction; reporting exact-match indicator")
-        return 1.0 if np.array_equal(_canonical(a), _canonical(b)) else 0.0
+        return 1.0
     return float((index - expected) / denom)
 
 

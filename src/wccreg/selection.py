@@ -10,9 +10,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 import wccreg.admm as admm
-from .admm import normalized_weights  # noqa: F401  (re-exported)
 from .grouping import extract_partition
-from .penalty import ScadSpec
+from .penalty import ScadSpec, column_norms
 from .types import AdmmConfig, Dataset, FitResult, Partition, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -88,9 +87,7 @@ def modified_bic(data: Dataset, fit: FitResult, partition: Partition,
     """
     m = data.m
     bundle = admm.prepared(data)
-    resid = bundle.y - np.sum(bundle.X * fit.beta[bundle.row_location], axis=1)
-    if data.q > 0:
-        resid = resid - bundle.Z @ fit.eta
+    resid = bundle.residuals(fit.beta, fit.eta)
     avg = float(np.sum(bundle.w_norm * resid * resid)) / m
     if avg < _RESIDUAL_FLOOR:
         logger.warning("BIC residual term clamped at %g (perfect interpolation?)", _RESIDUAL_FLOOR)
@@ -112,7 +109,7 @@ def default_lambda_grid(data: Dataset, cfg: AdmmConfig = AdmmConfig(), num: int 
     bundle = admm.prepared(data)
     beta0 = admm.initialize(data, replace(cfg, init_ridge=0.0)).beta
     if data.m > 1:
-        anchor = float(np.linalg.norm(bundle.differences(beta0), axis=0).max())
+        anchor = float(column_norms(bundle.differences(beta0)).max())
     else:
         anchor = 0.0
     if anchor <= 0:

@@ -60,6 +60,16 @@ class TestPairIndex:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_flat_positions_are_private_and_writeable(self, rng):
+        # np.take and np.bincount copy a read-only index on every call, so the
+        # bundle keeps writeable positions even at p = 1, where they equal the
+        # shared read-only pair index
+        ds, _ = random_dataset(rng, m=6, p=1)
+        bundle = admm.prepared(ds)
+        assert np.array_equal(bundle._pos_i, bundle.pairs.i_idx)
+        assert np.array_equal(bundle._pos_j, bundle.pairs.j_idx)
+        assert bundle._pos_i.flags.writeable and bundle._pos_j.flags.writeable
+
 
 class TestStructuredSolve:
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -220,6 +230,18 @@ class TestUpdates:
         wt = w.composite_weights(ds.locations[0])
         expected = np.sum(wt * (y - X @ truth)) / np.sum(wt)
         assert eta[0] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_residuals_match_per_location_loop(self, rng, p, q):
+        ds, _ = random_dataset(rng, m=5, p=p, q=q)
+        bundle = admm.prepared(ds)
+        beta = rng.standard_normal((5, p))
+        eta = rng.standard_normal(q)
+        no_eta = np.concatenate([b.y - b.X @ beta[i] for i, b in enumerate(ds.locations)])
+        full = np.concatenate([b.y - b.X @ beta[i] - b.Z @ eta for i, b in enumerate(ds.locations)])
+        assert np.abs(bundle.residuals(beta) - no_eta).max() < 1e-12
+        assert np.abs(bundle.residuals(beta, eta) - full).max() < 1e-12
 
     def test_update_beta_eta_zeroes_augmented_gradient(self, rng):
         # (beta, eta) minimize the weighted loss plus

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,31 @@ class TestAdjustedRandIndex:
         part = w.Partition(assignment=np.array([0, 0, 1]), K_hat=2,
                            alpha=np.zeros((2, 1)), group_sizes=np.array([2, 1]))
         assert w.adjusted_rand_index(part, np.array([0, 0, 1])) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_every_partition_pair_against_pair_counts(self, m):
+        # every pair of set partitions of m items: the degenerate-correction
+        # warning fires only for identical ones (both all singletons or both
+        # one group), and every value is the brute-force pair-count ARI
+        groupings = list(oracles.set_partitions(range(m)))
+        labels = []
+        for groups in groupings:
+            lab = np.empty(m, dtype=int)
+            for k, g in enumerate(groups):
+                lab[g] = k
+            labels.append(lab)
+        keys = [frozenset(frozenset(g) for g in groups) for groups in groupings]
+        for a, ka in zip(labels, keys):
+            for b, kb in zip(labels, keys):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = w.adjusted_rand_index(a, b)
+                degenerate = m > 1 and ka == kb and len(ka) in (1, m)
+                assert [c.category for c in caught] == ([UserWarning] if degenerate else [])
+                if m == 1:
+                    assert got == 1.0
+                else:
+                    assert got == oracles.ari_pair_counts(a, b)
 
 
 class TestRmse:

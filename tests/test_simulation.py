@@ -1,7 +1,12 @@
+import csv
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import wccreg as w
+from wccreg import io as wio
 from wccreg import simulation
 
 
@@ -48,3 +53,30 @@ def test_monte_carlo_records_do_not_depend_on_jobs():
     assert not any(r.failed for r in serial.records)
     assert serial.records == pooled.records
     assert serial.to_dict() == pooled.to_dict()
+
+
+def test_table_generator_smoke(tmp_path):
+    spec = w.ScenarioSpec(kind="mean_model", expected_n=6, seed=3, reps=2, m=10, H=30)
+    summary = w.run_monte_carlo(spec, grid_kw={"num": 4})
+    path = tmp_path / "reps.csv"
+    simulation.write_rep_csv(summary, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["rep", "method", "K_hat", "ARI", "RMSE", "lambda_star", "converged"]
+    assert [(r[0], r[1]) for r in rows[1:]] == [("0", "WCC"), ("0", "CC"), ("1", "WCC"), ("1", "CC")]
+    report = summary.to_dict()
+    assert json.loads(wio.dumps(report)) == report
+    assert report["methods"]["wcc"]["n_reps"] == 2 and report["methods"]["wcc"]["k_sd"] is not None
+    lines = simulation.format_summary_table(summary).splitlines()
+    assert len(lines) == 2 + len(summary.methods)
+    assert [ln.split()[0] for ln in lines[2:]] == ["WCC", "CC"]
+    assert "n/a" not in "\n".join(lines)
+
+    single = w.run_monte_carlo(replace(spec, reps=1), grid_kw={"num": 4})
+    for meth in single.methods:
+        s = single.summary(meth)
+        assert s["n_reps"] == 1
+        assert s["k_sd"] is None and s["ari_sd"] is None and s["rmse_sd"] is None
+    lines = simulation.format_summary_table(single).splitlines()
+    assert len(lines) == 2 + len(single.methods)
+    assert all(ln.count("(n/a)") == 2 for ln in lines[2:])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wccreg as w
+from wccreg import admm
 from wccreg import io as wio
 
 
@@ -146,3 +147,10 @@ class TestSerializationRoundTrip:
         assert np.array_equal(back.assignment, part.assignment)
         assert back.K_hat == part.K_hat
         assert np.array_equal(back.alpha, part.alpha)
+
+
+def test_public_names_are_unique_and_resolve():
+    assert len(w.__all__) == len(set(w.__all__))
+    for name in w.__all__:
+        assert getattr(w, name) is not None, name
+    assert w.normalized_weights is admm.normalized_weights
