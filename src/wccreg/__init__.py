@@ -4,22 +4,17 @@ __version__ = "0.1.0"
 
 from .admm import (
     PairIndex,
-    SolverState,
     build_pair_index,
     composite_weights,
     fit,
     initialize,
     normalized_weights,
     objective,
-    primal_residual,
-    update_beta,
-    update_v,
-    update_zeta,
     weighted_loss,
 )
 from .grouping import extract_partition, group_estimates, location_estimates, refit_oracle
 from .metrics import adjusted_rand_index, rand_index_counts, rmse_beta, rmse_mu
-from .penalty import ScadSpec, group_soft_threshold, scad_derivative, scad_value, zeta_proximal
+from .penalty import ScadSpec, group_soft_threshold, scad_value, zeta_proximal
 from .selection import BicVariant, LambdaPath, default_lambda_grid, modified_bic, select_lambda
 from .simulation import (
     McSummary,
@@ -46,13 +41,12 @@ from .types import (
 __all__ = [
     "AdmmConfig", "BicVariant", "Dataset", "FitResult", "LambdaPath", "LocationBlock",
     "McSummary", "PairIndex", "Partition", "Population", "ScadSpec", "ScenarioSpec",
-    "SingularSystemError", "SolverState", "ValidationError",
+    "SingularSystemError", "ValidationError",
     "adjusted_rand_index", "build_pair_index", "composite_weights", "default_lambda_grid",
     "extract_partition", "fit", "generate_mean_population", "generate_regression_population",
     "group_estimates", "group_soft_threshold", "informative_probabilities", "initialize",
     "location_estimates", "make_dataset", "modified_bic", "normalized_weights", "objective",
-    "poisson_sample", "primal_residual", "rand_index_counts",
-    "refit_oracle", "rmse_beta", "rmse_mu", "run_monte_carlo", "scad_derivative",
-    "scad_value", "select_lambda", "update_beta", "update_v",
-    "update_zeta", "validate", "weighted_loss", "zeta_proximal",
+    "poisson_sample", "rand_index_counts",
+    "refit_oracle", "rmse_beta", "rmse_mu", "run_monte_carlo",
+    "scad_value", "select_lambda", "validate", "weighted_loss", "zeta_proximal",
 ]

@@ -21,6 +21,13 @@ computed once, from the final coefficients.  The update matrix is block
 diagonal minus a term of rank q + p and is solved in that form
 (:func:`_structured_factor`), so no (mp)^2 array is built and a solve is a few
 O(m p (p + q)) numpy passes.
+
+:func:`fit` is the one ADMM loop: each iteration is a coefficient solve, the
+proximal map on every pair (:func:`penalty.prox_columns`) and a multiplier
+step, written inline against the bundle.  It starts from the coefficients of
+:func:`initialize`, with slacks at their differences and multipliers at zero.
+A single location has no pairs: its pair blocks are (p, 0), the first
+iteration already has a zero primal residual, and the loop stops there.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ logger = logging.getLogger(__name__)
 class PairIndex:
     """Lexicographic index of the location pairs (i, j), i < j.
 
-    ``i_idx``/``j_idx`` give the row pair of column l; ``column_of`` maps a
-    pair back to its column in the slack/multiplier blocks.
+    ``i_idx``/``j_idx`` give the row pair of column l of the slack/multiplier
+    blocks.
     """
 
     m: int
@@ -54,12 +61,6 @@ class PairIndex:
     def n_pairs(self) -> int:
         return self.i_idx.size
 
-    def column_of(self, i: int, j: int) -> int:
-        if not 0 <= i < j < self.m:
-            raise ValueError(f"need 0 <= i < j < m, got ({i}, {j})")
-        # pairs (0,1),(0,2),...,(0,m-1),(1,2),... in row-major order
-        return i * self.m - i * (i + 1) // 2 + (j - i - 1)
-
 
 @functools.lru_cache(maxsize=1)
 def build_pair_index(m: int) -> PairIndex:
@@ -69,15 +70,6 @@ def build_pair_index(m: int) -> PairIndex:
     i_idx, j_idx = np.triu_indices(m, k=1)
     i_idx.flags.writeable = j_idx.flags.writeable = False
     return PairIndex(m=m, i_idx=i_idx, j_idx=j_idx)
-
-
-@dataclass
-class SolverState:
-    """Mutable iterate: coefficients, slacks and multipliers (one column per pair)."""
-
-    beta: np.ndarray          # (m, p)
-    zeta: np.ndarray          # (p, n_pairs)
-    v: np.ndarray             # (p, n_pairs)
 
 
 def composite_weights(block: LocationBlock) -> np.ndarray:
@@ -156,11 +148,12 @@ class _Bundle:
         self._factors: dict[float, tuple] = {}
 
     def factor(self, scale: float) -> tuple:
-        """Structured factor of X'QX + scale * A'A (A'A = 0 for m = 1), cached per scale."""
-        key = float(scale)
+        """Structured factor of X'QX + scale * A'A, cached per scale.  A'A = 0 for
+        m = 1, so there every scale is taken as 0: the loop's solve is then the
+        start's, bit for bit, and factored once."""
+        key = float(scale) if self.m > 1 else 0.0
         if key not in self._factors:
-            scale = key if self.m > 1 else 0.0
-            self._factors[key] = _structured_factor(self.XtWX, self.XtWZ, self.ZtWZ, self.gz_factor, scale,
+            self._factors[key] = _structured_factor(self.XtWX, self.XtWZ, self.ZtWZ, self.gz_factor, key,
                                                     "coefficient update matrix")
         return self._factors[key]
 
@@ -179,9 +172,6 @@ class _Bundle:
         if self.q == 0:
             return np.zeros(0)
         return cho_solve(self.gz_factor, self.ZtW @ self.residuals(beta))
-
-    def beta_rhs(self, zeta: np.ndarray, v: np.ndarray, vartheta: float) -> np.ndarray:
-        return self.XtQy + self.difference_adjoint(vartheta * zeta - v).reshape(-1)
 
     def differences(self, beta: np.ndarray) -> np.ndarray:
         """``(D beta)'`` as a (p, n_pairs) block: column l is ``beta_i - beta_j`` for pair l."""
@@ -281,38 +271,14 @@ def prepared(data: Dataset) -> _Bundle:
     return bundle
 
 
-def initialize(data: Dataset, cfg: AdmmConfig) -> SolverState:
-    """Starting point: squared-difference fusion of strength ``init_ridge``.
+def initialize(data: Dataset, cfg: AdmmConfig) -> np.ndarray:
+    """Starting coefficients, (m, p): squared-difference fusion of strength ``init_ridge``.
 
     The normal matrix is the coefficient-update matrix with the augmented
-    weight replaced by ``2 * init_ridge``; slacks start at the implied
-    pairwise differences and multipliers at zero.
+    weight replaced by ``2 * init_ridge``.
     """
     bundle = prepared(data)
-    beta = bundle.solve_beta(2.0 * cfg.init_ridge, bundle.XtQy)
-    zeta = bundle.differences(beta)
-    return SolverState(beta=beta, zeta=zeta, v=np.zeros_like(zeta))
-
-
-def update_beta(bundle: _Bundle, zeta: np.ndarray, v: np.ndarray, vartheta: float) -> np.ndarray:
-    """One coefficient update given the current slacks and multipliers; eta is
-    profiled out, so only beta is returned (its eta is ``bundle.eta_update(beta)``)."""
-    return bundle.solve_beta(vartheta, bundle.beta_rhs(zeta, v, vartheta))
-
-
-def update_zeta(diffs: np.ndarray, v: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarray:
-    """Proximal step on every pair: ``kappa = (beta_i - beta_j) + v/vartheta``."""
-    return prox_columns(diffs + v / vartheta, spec, vartheta)
-
-
-def update_v(v: np.ndarray, diffs: np.ndarray, zeta: np.ndarray, vartheta: float) -> np.ndarray:
-    """Multiplier ascent on the constraint residuals."""
-    return v + vartheta * (diffs - zeta)
-
-
-def primal_residual(diffs: np.ndarray, zeta: np.ndarray) -> float:
-    """Norm of the stacked constraint violations ``beta_i - beta_j - zeta_ij``."""
-    return float(np.linalg.norm(diffs - zeta))
+    return bundle.solve_beta(2.0 * cfg.init_ridge, bundle.XtQy)
 
 
 def weighted_loss(data: Dataset, beta: np.ndarray, eta: np.ndarray) -> float:
@@ -327,15 +293,18 @@ def objective(data: Dataset, beta: np.ndarray, eta: np.ndarray, spec: ScadSpec) 
     bundle = prepared(data)
     beta = np.atleast_2d(beta)
     loss = weighted_loss(data, beta, eta)
-    if bundle.m == 1:
-        return loss
     norms = column_norms(bundle.differences(beta))
     return loss + float(np.sum(scad_value(norms, spec)))
 
 
 def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitResult:
-    """Run the full solver: initialize, iterate, stop on the primal residual.
+    """Run the ADMM loop from :func:`initialize`'s coefficients, with slacks
+    ``zeta_0 = D beta_0`` and multipliers ``v_0 = 0``; stop on the primal residual.
 
+    Each iteration solves for beta against ``X'Qy + D'(vartheta zeta - v)``,
+    applies the proximal map to ``D beta + v/vartheta`` and takes a multiplier
+    step on ``D beta - zeta``.  At m = 1 there are no pairs, so the first
+    iteration returns the weighted least-squares fit with a zero residual.
     Hitting ``max_iter`` is reported through ``converged=False`` but still
     returns the final iterate; only singular normal systems raise.
     """
@@ -343,22 +312,19 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
     bundle = prepared(data)
     vt = cfg.vartheta
 
-    state = initialize(data, cfg)
-    beta, zeta, v = state.beta, state.zeta, state.v
-
-    if bundle.m == 1:
-        return FitResult(beta=beta, eta=bundle.eta_update(beta), zeta=np.zeros((bundle.p, 0)),
-                         v=np.zeros((bundle.p, 0)), iterations=0,
-                         final_residual=0.0, converged=True, final_dual_residual=0.0)
+    beta = initialize(data, cfg)
+    zeta = bundle.differences(beta)
+    v = np.zeros_like(zeta)
 
     primal = np.inf
     iterations = 0
     for r in range(cfg.max_iter):
-        beta = update_beta(bundle, zeta, v, vt)
+        beta = bundle.solve_beta(vt, bundle.XtQy + bundle.difference_adjoint(vt * zeta - v).reshape(-1))
         diffs = bundle.differences(beta)
-        zeta_prev, zeta = zeta, update_zeta(diffs, v, spec, vt)
-        v = update_v(v, diffs, zeta, vt)
-        primal = primal_residual(diffs, zeta)
+        zeta_prev, zeta = zeta, prox_columns(diffs + v / vt, spec, vt)
+        v = v + vt * (diffs - zeta)
+        # norm of the stacked constraint violations beta_i - beta_j - zeta_ij
+        primal = float(np.linalg.norm(diffs - zeta))
         iterations = r + 1
         if primal < cfg.tol:
             break

@@ -126,7 +126,7 @@ def cmd_fit(args) -> int:
             grid = selection.default_lambda_grid(data, cfg)
         lam_star, fit, part, path = selection.select_lambda(
             data, grid, ScadSpec(lam=1.0, gamma=args.gamma), cfg, variant, args.zero_tol)
-        bic = selection.modified_bic(data, fit, part, variant)
+        bic = next(r.bic for r in path.records if r.fit is fit)
 
     report["selection"] = {"lambda_star": float(lam_star), "bic": float(bic)}
     report["fit"] = wio.fit_result_to_dict(fit)

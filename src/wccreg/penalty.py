@@ -1,4 +1,4 @@
-"""Concave fusion penalty: closed-form evaluation, derivative and proximal map.
+"""Concave fusion penalty: closed-form evaluation and proximal map.
 
 The penalty on a pairwise difference of norm t is the integral of
 ``lam * min(1, (gamma - x/lam)_+ / (gamma - 1))`` from 0 to t, which is linear
@@ -76,26 +76,6 @@ def scad_value(t, spec: ScadSpec):
             (gam * lam * t - 0.5 * (t * t + lam * lam)) / (gam - 1.0),
             0.5 * lam * lam * (gam + 1.0),
         ),
-    )
-    return out if t.ndim else float(out)
-
-
-def scad_derivative(t, spec: ScadSpec):
-    """Right derivative of :func:`scad_value` at nonnegative ``t``.
-
-    Equals ``lam`` on [0, lam], decays linearly as ``(gamma*lam - t)/(gamma-1)``
-    on (lam, gamma*lam], and is 0 beyond; kink points take the right limit.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("t must be nonnegative")
-    lam, gam = spec.lam, spec.gamma
-    if lam == 0:
-        return np.zeros_like(t) if t.ndim else 0.0
-    out = np.where(
-        t <= lam,
-        lam,
-        np.where(t <= gam * lam, (gam * lam - t) / (gam - 1.0), 0.0),
     )
     return out if t.ndim else float(out)
 

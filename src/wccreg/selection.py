@@ -55,7 +55,10 @@ class LambdaRecord:
     fit: FitResult
     partition: Partition
     bic: float
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        return self.fit.converged
 
 
 @dataclass(frozen=True)
@@ -96,27 +99,24 @@ def modified_bic(data: Dataset, fit: FitResult, partition: Partition,
     return math.log(avg) + variant.resolve_cm(data) * (math.log(m) / m) * units
 
 
-def default_lambda_grid(data: Dataset, cfg: AdmmConfig = AdmmConfig(), num: int = 30,
-                        lo_frac: float = 0.01, hi_frac: float = 1.0) -> np.ndarray:
+def default_lambda_grid(data: Dataset, cfg: AdmmConfig = AdmmConfig(), num: int = 30) -> np.ndarray:
     """Log-spaced grid anchored to the unpenalized fit's coefficient spread.
 
     The anchor is the largest pairwise distance between the per-location
-    coefficients of the unpenalized (ridge-free) fit; the grid spans
-    ``[lo_frac * anchor, hi_frac * anchor]``.
+    coefficients of the unpenalized (ridge-free) fit, or 1 when there is no
+    positive distance (as at m = 1); the grid spans ``[0.01 * anchor, anchor]``
+    (:data:`GRID_RULE`), and a one-value grid is the anchor.
     """
     if num < 1:
         raise ValidationError("grid size must be at least 1")
     bundle = admm.prepared(data)
-    beta0 = admm.initialize(data, replace(cfg, init_ridge=0.0)).beta
-    if data.m > 1:
-        anchor = float(column_norms(bundle.differences(beta0)).max())
-    else:
-        anchor = 0.0
+    beta0 = admm.initialize(data, replace(cfg, init_ridge=0.0))
+    anchor = float(column_norms(bundle.differences(beta0)).max(initial=0.0))
     if anchor <= 0:
         anchor = 1.0
     if num == 1:
-        return np.array([hi_frac * anchor])
-    return np.geomspace(lo_frac * anchor, hi_frac * anchor, num)
+        return np.array([anchor])
+    return np.geomspace(0.01 * anchor, anchor, num)
 
 
 def select_lambda(data: Dataset, grid: Sequence[float], spec_base: ScadSpec,
@@ -136,8 +136,7 @@ def select_lambda(data: Dataset, grid: Sequence[float], spec_base: ScadSpec,
         fit = admm.fit(data, spec, cfg)
         part = extract_partition(fit, zero_tol)
         bic = modified_bic(data, fit, part, variant)
-        records.append(LambdaRecord(lam=float(lam), fit=fit, partition=part,
-                                    bic=bic, converged=fit.converged))
+        records.append(LambdaRecord(lam=float(lam), fit=fit, partition=part, bic=bic))
 
     path = LambdaPath(grid=tuple(float(x) for x in grid), records=tuple(records))
     candidates = [r for r in records if r.converged]

@@ -295,9 +295,9 @@ class McSummary:
 
 def _run_rep(args) -> list:
     """Run one replicate for every requested method (worker-safe)."""
-    spec, solver_cfg, grid, methods, gamma, grid_kw, rep = args
+    spec, solver_cfg, methods, grid_kw, rep = args
     variant = selection.BicVariant(kind=spec.kind)
-    base = ScadSpec(lam=1.0, gamma=gamma)
+    base = ScadSpec(lam=1.0)
     try:
         pop = generate_population(spec, rep)
         data_wcc = poisson_sample(pop, spec.seed, rep)
@@ -317,8 +317,7 @@ def _run_rep(args) -> list:
         else:
             raise ValidationError(f"unknown method {meth!r}")
         try:
-            lam_grid = grid if grid is not None else selection.default_lambda_grid(
-                data, solver_cfg, **grid_kw)
+            lam_grid = selection.default_lambda_grid(data, solver_cfg, **grid_kw)
             lam, fit, part, _ = selection.select_lambda(
                 data, lam_grid, base, solver_cfg, variant)
             est = location_estimates(part)
@@ -339,21 +338,19 @@ def _run_rep(args) -> list:
 
 
 def run_monte_carlo(spec: ScenarioSpec, solver_cfg: AdmmConfig = AdmmConfig(),
-                    grid: Optional[Sequence[float]] = None,
-                    methods: Sequence[str] = ("wcc", "cc"),
-                    gamma: float = 3.0, jobs: int = 1,
+                    methods: Sequence[str] = ("wcc", "cc"), jobs: int = 1,
                     grid_kw: Optional[dict] = None) -> McSummary:
     """Full study: generate, sample, select per method, aggregate.
 
-    ``grid=None`` uses the data-driven default grid per replicate and method.
-    ``jobs > 1`` distributes replicates over processes; results are identical
-    to the sequential run because all streams are keyed by replicate.
+    Each replicate and method selects over the data-driven default grid
+    (``grid_kw`` is passed to :func:`selection.default_lambda_grid`) with the
+    default penalty shape.  ``jobs > 1`` distributes replicates over
+    processes; results are identical to the sequential run because all
+    streams are keyed by replicate.
     """
     methods = tuple(methods)
     grid_kw = dict(grid_kw or {})
-    grid_arg = None if grid is None else tuple(float(x) for x in grid)
-    tasks = [(spec, solver_cfg, grid_arg, methods, gamma, grid_kw, rep)
-             for rep in range(spec.reps)]
+    tasks = [(spec, solver_cfg, methods, grid_kw, rep) for rep in range(spec.reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_rep = list(pool.map(_run_rep, tasks, chunksize=1))

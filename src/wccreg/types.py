@@ -209,7 +209,9 @@ class FitResult:
 
     ``zeta`` and ``v`` are (p, n_pairs), pair-major, one column per pair,
     ordered like the lexicographic pair index; the solver iterates in this
-    layout, so they are stored as it leaves them.  ``final_dual_residual`` is
+    layout, so they are stored as it leaves them.  A single location has no
+    pairs: they are (p, 0), and its fit stops after one iteration with zero
+    residuals.  ``final_dual_residual`` is
     ``vartheta ||D'(zeta_k - zeta_{k-1})||`` of the last iteration, computed
     once after the loop from the last two slack iterates; it is logged for
     diagnostics only and never used for stopping.
@@ -232,15 +234,9 @@ class FitResult:
         m, p = self.beta.shape
         npairs = m * (m - 1) // 2
         if self.zeta.shape != (p, npairs) or self.v.shape != (p, npairs):
-            # m == 1 gives empty pair blocks whose 2-d shape is ambiguous
-            if npairs == 0 and self.zeta.size == 0 and self.v.size == 0:
-                empty = np.zeros((p, 0))
-                object.__setattr__(self, "zeta", _readonly(empty))
-                object.__setattr__(self, "v", _readonly(empty))
-            else:
-                raise ValidationError(
-                    f"slack/multiplier shape {self.zeta.shape} inconsistent with beta {self.beta.shape}"
-                )
+            raise ValidationError(
+                f"slack/multiplier shape {self.zeta.shape} inconsistent with beta {self.beta.shape}"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import gc
 import logging
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -13,6 +14,18 @@ import oracles
 from conftest import random_dataset
 
 
+def _start_distances(ds):
+    """Pairwise distances ||beta_i - beta_j|| of the default start."""
+    return np.linalg.norm(admm.prepared(ds).differences(admm.initialize(ds, w.AdmmConfig())), axis=0)
+
+
+def _first_iterations(ds, spec, vt):
+    """The fits capped at one and at two iterations; the second continues the first."""
+    fits = [w.fit(ds, spec, w.AdmmConfig(vartheta=vt, max_iter=k)) for k in (1, 2)]
+    assert [res.iterations for res in fits] == [1, 2]
+    return fits
+
+
 class TestPairIndex:
     def test_m2(self):
         idx = w.build_pair_index(2)
@@ -23,11 +36,6 @@ class TestPairIndex:
     def test_m3_lexicographic(self):
         idx = w.build_pair_index(3)
         assert list(zip(idx.i_idx, idx.j_idx)) == [(0, 1), (0, 2), (1, 2)]
-
-    def test_column_of_matches_enumeration(self):
-        idx = w.build_pair_index(6)
-        for l, (i, j) in enumerate(zip(idx.i_idx, idx.j_idx)):
-            assert idx.column_of(int(i), int(j)) == l
 
     def test_one_read_only_index_per_m(self, rng):
         # the solver and partition extraction share one index per m
@@ -145,8 +153,7 @@ class TestStructuredSolve:
             np.testing.assert_allclose(bundle.solve_beta(scale, rhs).reshape(-1), ref, rtol=0, atol=1e-10,
                                        err_msg=f"scale={scale}")
         # the zero column's eta is exactly 0; the rest is the q = 1 fit up to tau
-        start = admm.initialize(ds1, w.AdmmConfig())
-        spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=0).min()))
+        spec = w.ScadSpec(lam=float(_start_distances(ds1).min()))
         cfg = w.AdmmConfig(max_iter=5, vartheta=1.5)
         res, ref = w.fit(ds, spec, cfg), oracles.dense_admm(ds1, spec, cfg)
         assert res.iterations == ref["iterations"] == 5
@@ -196,11 +203,31 @@ class TestCompositeWeights:
 
 
 class TestUpdates:
-    def test_single_location_is_wls(self, rng):
-        ds, _ = random_dataset(rng, m=1, p=2)
-        res = w.fit(ds, w.ScadSpec(lam=0.7))
-        assert res.converged
-        assert res.beta[0] == pytest.approx(oracles.weighted_ls(ds.locations[0]), abs=1e-10)
+    def test_single_location_is_wls(self, rng, monkeypatch):
+        # m = 1 has no pairs: the general loop makes one iteration on (p, 0)
+        # pair blocks, and (beta, eta) is the weighted least-squares fit on [X, Z]
+        scales = []
+        real = admm._structured_factor
+        monkeypatch.setattr(admm, "_structured_factor", lambda *a: scales.append(a[4]) or real(*a))
+        for p in (1, 2):
+            for q in (0, 1):
+                ds, _ = random_dataset(rng, m=1, p=p, q=q)
+                scales.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    res = w.fit(ds, w.ScadSpec(lam=0.7))
+                # the start and the augmented weight share the one scale-0 factor
+                assert scales == [0.0]
+                assert res.converged and res.iterations == 1
+                assert res.final_residual == 0.0 and res.final_dual_residual == 0.0
+                assert res.zeta.shape == res.v.shape == (p, 0)
+                b = ds.locations[0]
+                joint = oracles.weighted_ls(w.LocationBlock(b.location_id, b.N, y=b.y, X=np.hstack([b.X, b.Z]),
+                                                            Z=np.zeros((b.n, 0)), pi=b.pi))
+                assert res.beta[0] == pytest.approx(joint[:p], abs=1e-10), (p, q)
+                assert res.eta == pytest.approx(joint[p:], abs=1e-10), (p, q)
+                # the scale is 0 at m = 1, so beta is the start, bit for bit
+                assert np.array_equal(res.beta, admm.initialize(ds, w.AdmmConfig()))
 
     def test_unpenalized_matches_ols_with_flat_weights(self, rng):
         # equal pi, equal N, lam=0: per-location ordinary least squares
@@ -244,81 +271,60 @@ class TestUpdates:
         assert np.abs(bundle.residuals(beta, eta) - full).max() < 1e-12
 
     def test_update_beta_eta_zeroes_augmented_gradient(self, rng):
-        # (beta, eta) minimize the weighted loss plus
-        # vartheta/2 ||D beta - zeta + v/vartheta||^2, so both gradients vanish
-        ds, _ = random_dataset(rng, m=4, p=2, q=1)
-        bundle = admm.prepared(ds)
+        # iteration k's (beta, eta) minimize the weighted loss plus
+        # vartheta/2 ||D beta - zeta + v/vartheta||^2 at the previous slacks
+        # and multipliers, so both gradients vanish: from zeta_0 = D beta_0,
+        # v_0 = 0 at k = 1, and from the first iteration's zeta, v at k = 2
+        ds, _ = random_dataset(rng, m=4, p=2, q=1, noise=1.0)
         D = oracles.difference_matrix(ds.m)
-        zeta = rng.standard_normal((D.shape[0], ds.p)).T
-        v = rng.standard_normal((D.shape[0], ds.p)).T
         vt = 1.3
-        beta = w.update_beta(bundle, zeta, v, vt)
-        eta = bundle.eta_update(beta)
-        grad_beta = vt * D.T @ (D @ beta - zeta.T + v.T / vt)
-        grad_eta = np.zeros(ds.q)
-        for i, b in enumerate(ds.locations):
-            wr = w.composite_weights(b) * (b.X @ beta[i] + b.Z @ eta - b.y)
-            grad_beta[i] += b.X.T @ wr
-            grad_eta += b.Z.T @ wr
-        assert np.abs(grad_beta).max() < 1e-10
-        assert np.abs(grad_eta).max() < 1e-10
+        spec = w.ScadSpec(lam=float(_start_distances(ds).min()))
+        first, second = _first_iterations(ds, spec, vt)
+        zeta0 = D @ admm.initialize(ds, w.AdmmConfig(vartheta=vt))
+        for res, zeta, v in [(first, zeta0, np.zeros_like(zeta0)), (second, first.zeta.T, first.v.T)]:
+            grad_beta = vt * D.T @ (D @ res.beta - zeta + v / vt)
+            grad_eta = np.zeros(ds.q)
+            for i, b in enumerate(ds.locations):
+                wr = w.composite_weights(b) * (b.X @ res.beta[i] + b.Z @ res.eta - b.y)
+                grad_beta[i] += b.X.T @ wr
+                grad_eta += b.Z.T @ wr
+            assert np.abs(grad_beta).max() < 1e-10
+            assert np.abs(grad_eta).max() < 1e-10
 
     def test_update_zeta_matches_elementwise_prox(self, rng):
-        m, p = 5, 2
-        pairs = w.build_pair_index(m)
-        beta = rng.standard_normal((m, p))
-        diffs = (beta[pairs.i_idx] - beta[pairs.j_idx]).T
-        v = rng.standard_normal((pairs.n_pairs, p)).T
-        spec = w.ScadSpec(lam=0.3)
-        out = w.update_zeta(diffs, v, spec, vartheta=1.2)
-        for l in range(pairs.n_pairs):
-            kappa = beta[pairs.i_idx[l]] - beta[pairs.j_idx[l]] + v[:, l] / 1.2
-            assert out[:, l] == pytest.approx(w.zeta_proximal(kappa, spec, 1.2), abs=1e-12)
+        # the second iteration's slacks are the scalar prox, pair by pair, of
+        # beta_i - beta_j + v/vartheta with the first iteration's multipliers
+        ds, _ = random_dataset(rng, m=5, p=2, noise=1.0)
+        vt = 1.2
+        spec = w.ScadSpec(lam=float(_start_distances(ds).min()))
+        first, second = _first_iterations(ds, spec, vt)
+        pairs = w.build_pair_index(ds.m)
+        for l, (i, j) in enumerate(zip(pairs.i_idx, pairs.j_idx)):
+            kappa = second.beta[i] - second.beta[j] + first.v[:, l] / vt
+            assert second.zeta[:, l] == pytest.approx(w.zeta_proximal(kappa, spec, vt), abs=1e-12)
 
-    def test_update_zeta_zero_difference(self):
-        out = w.update_zeta(np.zeros((2, 1)), np.zeros((2, 1)), w.ScadSpec(lam=0.5), 1.0)
-        assert np.array_equal(out, np.zeros((2, 1)))
-
-    def test_update_zeta_identity_beyond_flat(self):
-        out = w.update_zeta(np.array([[5.0], [0.0]]), np.zeros((2, 1)), w.ScadSpec(lam=0.5), 1.0)
-        assert out[:, 0] == pytest.approx([5.0, 0.0])
-
-    def test_update_v_affine(self):
-        diffs = np.array([[1.0], [-1.0]])
-        zeta = np.zeros((2, 1))
-        v1 = w.update_v(np.zeros((2, 1)), diffs, zeta, vartheta=1.0)
-        assert v1[:, 0] == pytest.approx([1.0, -1.0])
-        # frozen differences/zeta: two applications double the increment
-        v2 = w.update_v(v1, diffs, zeta, vartheta=1.0)
-        assert v2[:, 0] == pytest.approx([2.0, -2.0])
-
-    def test_update_v_no_change_at_consensus(self, rng):
-        beta = rng.standard_normal((3, 2))
-        pairs = w.build_pair_index(3)
-        zeta = (beta[pairs.i_idx] - beta[pairs.j_idx]).T
-        v = rng.standard_normal((3, 2)).T
-        assert w.update_v(v, zeta.copy(), zeta, 2.0) == pytest.approx(v)
+    def test_update_v_affine(self, rng):
+        # multiplier ascent from v_0 = 0: v_k = v_{k-1} + vartheta (D beta_k - zeta_k)
+        ds, _ = random_dataset(rng, m=5, p=2, noise=1.0)
+        vt = 1.2
+        spec = w.ScadSpec(lam=float(_start_distances(ds).min()))
+        D = oracles.difference_matrix(ds.m)
+        v = np.zeros((ds.p, D.shape[0]))
+        for res in _first_iterations(ds, spec, vt):
+            v = v + vt * ((D @ res.beta).T - res.zeta)
+            np.testing.assert_allclose(res.v, v, rtol=0, atol=1e-12)
 
 
 class TestPrimalResidual:
-    def test_zero_when_slacks_track(self, rng):
-        beta = rng.standard_normal((4, 2))
-        pairs = w.build_pair_index(4)
-        diffs = (beta[pairs.i_idx] - beta[pairs.j_idx]).T
-        assert w.primal_residual(diffs, diffs.copy()) == 0.0
-
-    def test_single_pair_unit(self):
-        assert w.primal_residual(np.array([[1.0]]), np.zeros((1, 1))) == pytest.approx(1.0)
-
     def test_matches_dense_frobenius(self, rng):
+        # the reported primal residual is ||D beta - zeta'||_F of the last iterate
         m, p = 6, 3
-        ds, _ = random_dataset(rng, m=m, p=p)
-        bundle = admm.prepared(ds)
-        beta = rng.standard_normal((m, p))
-        zeta = rng.standard_normal((bundle.pairs.n_pairs, p)).T
+        ds, _ = random_dataset(rng, m=m, p=p, noise=1.0)
+        spec = w.ScadSpec(lam=float(_start_distances(ds).min()))
         D = oracles.difference_matrix(m)
-        ref = np.linalg.norm(D @ beta - zeta.T)
-        assert w.primal_residual(bundle.differences(beta), zeta) == pytest.approx(ref, abs=1e-12)
+        for res in _first_iterations(ds, spec, 1.0):
+            ref = np.linalg.norm(D @ res.beta - res.zeta.T)
+            assert res.final_residual == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 class TestPrecomputation:
@@ -371,23 +377,28 @@ class TestPrecomputation:
 class TestInitialize:
     def test_zero_ridge_is_wls(self, rng):
         ds, _ = random_dataset(rng, m=5, p=2)
-        state = w.initialize(ds, w.AdmmConfig(init_ridge=0.0))
+        beta = w.initialize(ds, w.AdmmConfig(init_ridge=0.0))
+        assert beta.shape == (5, 2)
         for i, b in enumerate(ds.locations):
-            assert state.beta[i] == pytest.approx(oracles.weighted_ls(b), abs=1e-9)
+            assert beta[i] == pytest.approx(oracles.weighted_ls(b), abs=1e-9)
 
     def test_huge_ridge_pools(self, rng):
         ds, _ = random_dataset(rng, m=4, p=2)
-        state = w.initialize(ds, w.AdmmConfig(init_ridge=1e8))
-        center = state.beta.mean(axis=0)
-        assert np.abs(state.beta - center).max() < 1e-3
+        beta = w.initialize(ds, w.AdmmConfig(init_ridge=1e8))
+        center = beta.mean(axis=0)
+        assert np.abs(beta - center).max() < 1e-3
 
     def test_multipliers_start_at_zero(self, rng):
-        ds, _ = random_dataset(rng, m=3, p=1)
-        state = w.initialize(ds, w.AdmmConfig(init_ridge=0.01))
-        assert np.all(state.v == 0)
+        # fit starts at zeta_0 = D beta_0 and v_0 = 0, so after one iteration
+        # v_1 = vartheta (D beta_1 - zeta_1) exactly, whatever beta_0 is
+        ds, _ = random_dataset(rng, m=3, p=1, noise=1.0)
+        cfg = w.AdmmConfig(init_ridge=0.01, vartheta=1.5, max_iter=1)
+        spec = w.ScadSpec(lam=float(_start_distances(ds).min()))
+        res = w.fit(ds, spec, cfg)
         pairs = w.build_pair_index(3)
-        assert state.zeta.shape == (1, pairs.n_pairs)
-        assert state.zeta == pytest.approx((state.beta[pairs.i_idx] - state.beta[pairs.j_idx]).T)
+        assert res.iterations == 1 and res.v.shape == (1, pairs.n_pairs)
+        diffs = admm.prepared(ds).differences(res.beta)
+        assert np.array_equal(res.v, 1.5 * (diffs - res.zeta))
 
 
 class TestObjective:
@@ -408,6 +419,13 @@ class TestObjective:
             r = b.y - b.X @ beta[i]
             direct += 0.5 * np.sum(wt * r * r)
         assert w.objective(ds, beta, np.zeros(0), w.ScadSpec(lam=0.0)) == pytest.approx(direct)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_single_location_is_the_loss(self, rng, p):
+        ds, _ = random_dataset(rng, m=1, p=p)
+        beta = rng.standard_normal((1, p))
+        spec = w.ScadSpec(lam=0.8)
+        assert w.objective(ds, beta, np.zeros(0), spec) == w.weighted_loss(ds, beta, np.zeros(0))
 
     def test_identical_rows_only_loss(self, rng):
         ds, _ = random_dataset(rng, m=3, p=2)
@@ -457,20 +475,20 @@ class TestFit:
         # fixed point: one iteration, zero residual
         ds, _ = random_dataset(rng, m=5, p=2, noise=0.5)
         spec = w.ScadSpec(lam=0.08)
-        start = admm.initialize(ds, w.AdmmConfig())
-        assert spec.gamma * spec.lam < np.linalg.norm(start.zeta, axis=0).min()
+        assert spec.gamma * spec.lam < _start_distances(ds).min()
         res = w.fit(ds, spec)
         assert res.converged
         assert res.iterations == 1
         assert res.final_residual == 0.0
+        # the slacks track the differences exactly, so the multipliers stay at 0
+        assert np.all(res.v == 0.0)
 
     def test_max_iter_cap_not_fatal(self, rng, caplog):
         ds, _ = random_dataset(rng, m=5, p=2, noise=0.5)
         # lam at the smallest starting distance puts gamma*lam above it, so the
         # closest pair starts inside the shrinkage region and the start is not
         # a fixed point
-        start = admm.initialize(ds, w.AdmmConfig())
-        spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=0).min()))
+        spec = w.ScadSpec(lam=float(_start_distances(ds).min()))
         assert w.fit(ds, spec).iterations > 2
 
         cfg = w.AdmmConfig(max_iter=2)
@@ -493,8 +511,7 @@ class TestFit:
         # lam at the smallest starting distance, so the start is not a fixed
         # point and every capped run does its k iterations
         ds, _ = random_dataset(rng, m=8, p=p, q=q, noise=1.0, sigma2=bool(q))
-        start = admm.initialize(ds, w.AdmmConfig())
-        spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=0).min()))
+        spec = w.ScadSpec(lam=float(_start_distances(ds).min()))
         assert w.fit(ds, spec, w.AdmmConfig(vartheta=1.5)).iterations > 5
         for k in (1, 2, 5):
             cfg = w.AdmmConfig(max_iter=k, vartheta=1.5)
@@ -512,8 +529,7 @@ class TestFit:
         # neither the start nor the coefficient update reads eta, so one fit
         # makes exactly one eta update, after the loop
         ds, _ = random_dataset(rng, m=6, p=2, q=1, noise=1.0)
-        start = admm.initialize(ds, w.AdmmConfig())
-        spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=0).min()))
+        spec = w.ScadSpec(lam=float(_start_distances(ds).min()))
         calls = []
         real = admm._Bundle.eta_update
         monkeypatch.setattr(admm._Bundle, "eta_update",

@@ -41,12 +41,26 @@ def test_bound_parameter_names_exist():
         assert name in params, name
 
 
+def test_initialize_layer_is_called_once_per_fit_and_grid(rng, monkeypatch):
+    # admm.initialize_s times calls to admm.initialize: fit and
+    # default_lambda_grid each make exactly one, and it returns the (m, p) start
+    ds, _ = random_dataset(rng, m=5, p=2, q=1)
+    shapes = []
+    real = admm.initialize
+    monkeypatch.setattr(admm, "initialize",
+                        lambda *a, **k: shapes.append(np.shape(real(*a, **k))) or real(*a, **k))
+    selection.default_lambda_grid(ds, num=3)
+    assert shapes == [(5, 2)]
+    w.fit(ds, w.ScadSpec(lam=0.1))
+    assert shapes == [(5, 2)] * 2
+
+
 def test_prox_layer_is_called_once_per_iteration_on_a_pair_block(rng, monkeypatch):
     # penalty.prox_calls counts the calls to admm.prox_columns, so one fit
     # must make exactly one per iteration, each on the whole (p, n_pairs) block
     ds, _ = random_dataset(rng, m=6, p=2, noise=1.0)
-    start = admm.initialize(ds, w.AdmmConfig())
-    spec = w.ScadSpec(lam=float(np.linalg.norm(start.zeta, axis=0).min()))
+    start = admm.prepared(ds).differences(admm.initialize(ds, w.AdmmConfig()))
+    spec = w.ScadSpec(lam=float(np.linalg.norm(start, axis=0).min()))
     shapes = []
     real = admm.prox_columns
     monkeypatch.setattr(admm, "prox_columns",

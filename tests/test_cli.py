@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from wccreg import cli
+from wccreg import cli, selection
+from wccreg import io as wio
+from wccreg.penalty import ScadSpec
+from wccreg.types import AdmmConfig
 
 from conftest import random_dataset
 
@@ -60,6 +63,25 @@ class TestFit:
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run_fit(csv_path) == cli.EXIT_VALIDATION
         assert "line 4" in capsys.readouterr().err
+
+    def test_selected_bic_is_scored_once_per_candidate(self, rng, tmp_path, monkeypatch):
+        # the reported BIC is the selected candidate's path record, the same
+        # number modified_bic gives for that fit, with no second scoring
+        csv_path = tmp_path / "d.csv"
+        write_csv(csv_path, rng)
+        out = tmp_path / "r.json"
+        scores = []
+        real = selection.modified_bic
+        monkeypatch.setattr(selection, "modified_bic",
+                            lambda *a: scores.append(real(*a)) or scores[-1])
+        assert cli.main(["fit", str(csv_path), "--p", "1", "--q", "1", "--lambda-grid", "0.01:1:4",
+                         "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert len(scores) == 4
+        data = wio.load_dataset_csv(csv_path, p=1, q=1)
+        lam, fit, part, _ = selection.select_lambda(data, np.geomspace(0.01, 1.0, 4),
+                                                    ScadSpec(lam=1.0), AdmmConfig())
+        assert report["selection"] == {"lambda_star": lam, "bic": real(data, fit, part)}
 
     def test_singular_shared_design_exits_solver_error(self, rng, tmp_path, capsys):
         # an all-zero z1 column makes Z'WZ singular

@@ -50,34 +50,6 @@ class TestScadValue:
         assert np.all(np.diff(diffs) <= 1e-9)
 
 
-class TestScadDerivative:
-    def test_flat_region_zero(self):
-        assert w.scad_derivative(2.0, SPEC) == 0.0
-
-    def test_near_origin_slope_is_lam(self):
-        # scaled penalty has unit slope at 0+, so the raw slope is lam
-        assert w.scad_derivative(0.2, SPEC) == pytest.approx(0.5)
-
-    def test_middle_matches_finite_difference(self):
-        h = 1e-6
-        fd = (w.scad_value(1.0 + h, SPEC) - w.scad_value(1.0 - h, SPEC)) / (2 * h)
-        assert w.scad_derivative(1.0, SPEC) == pytest.approx(0.25, abs=1e-9)
-        assert w.scad_derivative(1.0, SPEC) == pytest.approx(fd, abs=1e-6)
-
-    def test_derivative_matches_value_slope(self, rng):
-        for _ in range(200):
-            lam = rng.uniform(0.05, 2.0)
-            gam = rng.uniform(2.05, 6.0)
-            spec = w.ScadSpec(lam=lam, gamma=gam)
-            t = rng.uniform(0.0, 1.5 * gam * lam)
-            if min(abs(t - lam), abs(t - gam * lam)) < 1e-4:
-                continue
-            h = 1e-7 * max(1.0, t)
-            fd = (w.scad_value(t + h, spec) - w.scad_value(max(t - h, 0.0), spec)) / (
-                h + min(h, t))
-            assert w.scad_derivative(t, spec) == pytest.approx(fd, abs=1e-5)
-
-
 class TestGroupSoftThreshold:
     def test_collapses_small_vectors(self):
         assert np.array_equal(w.group_soft_threshold(np.array([0.3, 0.4]), 1.0), np.zeros(2))
@@ -171,10 +143,11 @@ class TestZetaProximal:
 
     def test_prox_columns_at_branch_boundaries(self):
         # lam/vartheta = 0.5 (zero below), lam + lam/vartheta = 1.0 (end of the
-        # soft-threshold branch) and gamma*lam = 1.5 (start of the identity)
+        # soft-threshold branch) and gamma*lam = 1.5 (start of the identity);
+        # a zero column stays zero and 5.0 is far inside the identity branch
         spec, vt = w.ScadSpec(lam=0.5, gamma=3.0), 1.0
         edges = [0.5, 1.0, 1.5]
-        norms = [0.0, -0.0, 2.0] + [x for e in edges for x in
+        norms = [0.0, -0.0, 2.0, 5.0] + [x for e in edges for x in
                                     (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
         for rows in ([[t] for t in norms], [[t, 0.0] for t in norms], [[0.0, -t] for t in norms]):
             kappa = np.array(rows).T

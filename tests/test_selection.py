@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wccreg as w
-from wccreg import selection
+from wccreg import admm, selection
 
 from conftest import random_dataset
 
@@ -69,8 +69,23 @@ class TestModifiedBic:
 
 
 def _start_distances(ds):
-    start = w.initialize(ds, w.AdmmConfig())
-    return np.linalg.norm(start.zeta, axis=0)
+    bundle = admm.prepared(ds)
+    return np.linalg.norm(bundle.differences(w.initialize(ds, w.AdmmConfig())), axis=0)
+
+
+class TestDefaultLambdaGrid:
+    def test_spans_one_percent_of_the_widest_start_distance_to_it(self, rng):
+        ds, _ = random_dataset(rng, m=5, p=2)
+        anchor = float(_start_distances(ds).max())
+        assert np.array_equal(w.default_lambda_grid(ds, num=6), np.geomspace(0.01 * anchor, anchor, 6))
+        assert np.array_equal(w.default_lambda_grid(ds, num=1), [anchor])
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_single_location_anchors_at_one(self, rng, p):
+        # m = 1 has no pairwise distance, so the anchor falls back to 1
+        ds, _ = random_dataset(rng, m=1, p=p)
+        assert np.array_equal(w.default_lambda_grid(ds, num=5), np.geomspace(0.01, 1.0, 5))
+        assert np.array_equal(w.default_lambda_grid(ds, num=1), [1.0])
 
 
 class TestSelectLambda:

@@ -120,6 +120,19 @@ class TestSerializationRoundTrip:
         assert back.final_residual == fit.final_residual
         assert back.iterations == fit.iterations
 
+    def test_single_location_fit_round_trip(self, rng):
+        # m = 1, p = 2: the pair blocks are (2, 0) and come back with that shape
+        b = w.LocationBlock("a", 40, y=rng.standard_normal(12), X=rng.standard_normal((12, 2)),
+                            Z=rng.standard_normal((12, 1)), pi=rng.uniform(0.2, 1.0, 12))
+        fit = w.fit(w.make_dataset([b]), w.ScadSpec(lam=0.5))
+        import json
+        back = wio.fit_result_from_dict(json.loads(wio.dumps(wio.fit_result_to_dict(fit))))
+        assert back.zeta.shape == back.v.shape == (2, 0)
+        for name in ("beta", "eta", "zeta", "v"):
+            assert np.array_equal(getattr(back, name), getattr(fit, name)), name
+        assert (back.iterations, back.final_residual, back.converged, back.final_dual_residual) == (
+            fit.iterations, fit.final_residual, fit.converged, fit.final_dual_residual)
+
     def test_dumps_is_byte_deterministic_and_keeps_nan(self, rng):
         import json
         fit = w.FitResult(beta=rng.standard_normal((3, 1)), eta=np.zeros(0),
