@@ -34,7 +34,6 @@ from .types import (
     Partition,
     SingularSystemError,
     ValidationError,
-    make_dataset,
     validate,
 )
 
@@ -45,7 +44,7 @@ __all__ = [
     "adjusted_rand_index", "build_pair_index", "composite_weights", "default_lambda_grid",
     "extract_partition", "fit", "generate_mean_population", "generate_regression_population",
     "group_estimates", "group_soft_threshold", "informative_probabilities", "initialize",
-    "location_estimates", "make_dataset", "modified_bic", "normalized_weights", "objective",
+    "location_estimates", "modified_bic", "normalized_weights", "objective",
     "poisson_sample", "rand_index_counts",
     "refit_oracle", "rmse_beta", "rmse_mu", "run_monte_carlo",
     "scad_value", "select_lambda", "validate", "weighted_loss", "zeta_proximal",

@@ -16,7 +16,7 @@ from . import __version__
 from . import io as wio
 from . import selection, simulation
 from .admm import fit as admm_fit
-from .grouping import extract_partition, refit_oracle
+from .grouping import ZERO_TOL, extract_partition, refit_oracle
 from .penalty import ScadSpec
 from .types import AdmmConfig, Dataset, LocationBlock, SingularSystemError, ValidationError
 
@@ -50,6 +50,7 @@ def _unweighted_copy(data: Dataset) -> Dataset:
 def _standardize(data: Dataset):
     """Center/scale y and the non-constant X columns, pooled over all rows.
 
+    The one constant, nonzero X column is kept and carries the intercept.
     Returns the transformed dataset plus the scales needed to report
     coefficients on the original scale.
     """
@@ -58,33 +59,33 @@ def _standardize(data: Dataset):
     y_mean, y_sd = float(ys.mean()), float(ys.std())
     if y_sd == 0:
         y_sd = 1.0
-    x_mean = Xs.mean(axis=0)
-    x_sd = Xs.std(axis=0)
-    constant = x_sd == 0
-    x_mean = np.where(constant, 0.0, x_mean)
-    x_sd = np.where(constant, 1.0, x_sd)
+    constant = np.ptp(Xs, axis=0) == 0
+    if constant.sum() != 1 or not Xs[0, constant].all():
+        raise ValidationError(f"--standardize needs exactly one constant, nonzero X column "
+                              f"(the intercept); found {int(constant.sum())} constant columns")
+    x_mean = np.where(constant, 0.0, Xs.mean(axis=0))
+    x_sd = np.where(constant, 1.0, Xs.std(axis=0))
     blocks = tuple(
         replace(b, y=(b.y - y_mean) / y_sd, X=(b.X - x_mean) / x_sd)
         for b in data.locations
     )
     info = {"y_mean": y_mean, "y_sd": y_sd, "x_mean": x_mean.tolist(),
-            "x_sd": x_sd.tolist(), "constant_columns": constant.tolist()}
-    return Dataset(locations=blocks, p=data.p, q=data.q), info
+            "x_sd": x_sd.tolist(), "constant_columns": constant.tolist(),
+            "constant_value": float(Xs[0, constant][0])}
+    return Dataset(blocks), info
 
 
 def _alpha_original_scale(alpha: np.ndarray, info: dict) -> list:
-    """Back-transform group coefficients after --standardize."""
+    """Back-transform group coefficients after --standardize, keeping predictions."""
     y_sd, y_mean = info["y_sd"], info["y_mean"]
     x_mean = np.asarray(info["x_mean"])
     x_sd = np.asarray(info["x_sd"])
-    constant = np.asarray(info["constant_columns"], dtype=bool)
+    j0 = info["constant_columns"].index(True)
     out = []
     for row in np.atleast_2d(alpha):
         raw = y_sd * row / x_sd
-        if constant.sum() == 1:
-            j0 = int(np.nonzero(constant)[0][0])
-            shift = y_mean - y_sd * float(np.sum(row[~constant] * x_mean[~constant] / x_sd[~constant]))
-            raw[j0] = y_sd * row[j0] + shift
+        shift = y_mean - float(np.sum(raw * x_mean))
+        raw[j0] += shift / info["constant_value"]
         out.append(raw.tolist())
     return out
 
@@ -125,7 +126,7 @@ def cmd_fit(args) -> int:
         else:
             grid = selection.default_lambda_grid(data, cfg)
         lam_star, fit, part, path = selection.select_lambda(
-            data, grid, ScadSpec(lam=1.0, gamma=args.gamma), cfg, variant, args.zero_tol)
+            data, grid, args.gamma, cfg, variant, args.zero_tol)
         bic = next(r.bic for r in path.records if r.fit is fit)
 
     report["selection"] = {"lambda_star": float(lam_star), "bic": float(bic)}
@@ -183,7 +184,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_version(_args) -> int:
     print(f"wccreg {__version__}")
-    print("defaults: gamma=3, vartheta=1, tol=1e-06, max_iter=2000, zero_tol=1e-06, init_ridge=0")
+    print(f"defaults: gamma={ScadSpec.gamma:g}, vartheta={AdmmConfig.vartheta:g}, "
+          f"tol={AdmmConfig.tol:g}, max_iter={AdmmConfig.max_iter}, zero_tol={ZERO_TOL:g}, "
+          f"init_ridge={AdmmConfig.init_ridge:g}")
     print("BIC: C_m = log(m*p+q), complexity C_m*(log m/m)*(K_hat*p + q); "
           "mean_model variant drops q")
     print(f"lambda grid: {selection.GRID_RULE}")
@@ -204,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="single fusion strength (skips selection)")
     fp.add_argument("--lambda-grid", default=None, metavar="LO:HI:COUNT",
                     help="log-spaced selection grid")
-    fp.add_argument("--gamma", type=float, default=3.0)
-    fp.add_argument("--vartheta", type=float, default=1.0)
-    fp.add_argument("--tol", type=float, default=1e-6)
-    fp.add_argument("--max-iter", type=int, default=2000)
-    fp.add_argument("--zero-tol", type=float, default=1e-6)
-    fp.add_argument("--init-ridge", type=float, default=0.0)
+    fp.add_argument("--gamma", type=float, default=ScadSpec.gamma)
+    fp.add_argument("--vartheta", type=float, default=AdmmConfig.vartheta)
+    fp.add_argument("--tol", type=float, default=AdmmConfig.tol)
+    fp.add_argument("--max-iter", type=int, default=AdmmConfig.max_iter)
+    fp.add_argument("--zero-tol", type=float, default=ZERO_TOL)
+    fp.add_argument("--init-ridge", type=float, default=AdmmConfig.init_ridge)
     fp.add_argument("--bic-variant", choices=[selection.MEAN_MODEL, selection.REGRESSION],
                     default=selection.REGRESSION)
     fp.add_argument("--unweighted", action="store_true",

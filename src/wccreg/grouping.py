@@ -12,8 +12,11 @@ import wccreg.admm as admm
 from .penalty import column_norms
 from .types import Dataset, FitResult, Partition
 
+# default slack norm at or below which a pair counts as fused
+ZERO_TOL = 1e-6
 
-def extract_partition(fit: FitResult, zero_tol: float = 1e-6) -> Partition:
+
+def extract_partition(fit: FitResult, zero_tol: float = ZERO_TOL) -> Partition:
     """Group locations whose pairwise slack vanished, closing transitively.
 
     Every pair with ``||zeta_ij|| <= zero_tol`` is an edge; groups are the

@@ -93,7 +93,7 @@ def load_dataset_csv(path, p: int, q: int = 0) -> Dataset:
             pi=np.array([r["pi"] for r in recs]),
             sigma2=np.array([r["sigma2"] for r in recs]) if has_sigma2 else None,
         ))
-    return Dataset(locations=tuple(blocks), p=p, q=q)
+    return Dataset(blocks)
 
 
 def fit_result_to_dict(fit: FitResult) -> dict:

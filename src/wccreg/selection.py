@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 import wccreg.admm as admm
-from .grouping import extract_partition
+from .grouping import ZERO_TOL, extract_partition
 from .penalty import ScadSpec, column_norms
 from .types import AdmmConfig, Dataset, FitResult, Partition, ValidationError
 
@@ -119,20 +119,21 @@ def default_lambda_grid(data: Dataset, cfg: AdmmConfig = AdmmConfig(), num: int 
     return np.geomspace(0.01 * anchor, anchor, num)
 
 
-def select_lambda(data: Dataset, grid: Sequence[float], spec_base: ScadSpec,
+def select_lambda(data: Dataset, grid: Sequence[float], gamma: float = ScadSpec.gamma,
                   cfg: AdmmConfig = AdmmConfig(),
                   variant: BicVariant = BicVariant(),
-                  zero_tol: float = 1e-6) -> tuple[float, FitResult, Partition, LambdaPath]:
+                  zero_tol: float = ZERO_TOL) -> tuple[float, FitResult, Partition, LambdaPath]:
     """Fit every candidate, score with the modified BIC, return the argmin.
 
-    Ties break toward the smaller candidate.  Candidates whose solver hit the
-    iteration cap are skipped (with a warning) as long as at least one
-    converged; fatal solver errors propagate.
+    Every candidate has penalty shape ``gamma``; ties break toward the smaller
+    candidate.  Candidates whose solver hit the iteration cap are skipped
+    (with a warning) as long as at least one converged; fatal solver errors
+    propagate.
     """
     grid = np.sort(np.asarray(list(grid), dtype=float))
     records = []
     for lam in grid:
-        spec = ScadSpec(lam=float(lam), gamma=spec_base.gamma)
+        spec = ScadSpec(lam=float(lam), gamma=gamma)
         fit = admm.fit(data, spec, cfg)
         part = extract_partition(fit, zero_tol)
         bic = modified_bic(data, fit, part, variant)

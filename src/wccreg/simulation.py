@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 import wccreg.selection as selection
 from .grouping import location_estimates
 from .metrics import adjusted_rand_index, rmse_beta, rmse_mu
-from .penalty import ScadSpec
 from .selection import MEAN_MODEL, REGRESSION
 from .types import AdmmConfig, Dataset, LocationBlock, SingularSystemError, ValidationError
 
@@ -41,10 +39,14 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Design of one Monte Carlo study.
+    """One Monte Carlo study of the fixed informative Poisson design.
 
-    ``expected_n`` is the per-location expected sample size of the Poisson
-    design; truths and noise follow the scenario kind.
+    Settable are the scenario ``kind``, the per-location expected sample size
+    ``expected_n``, the seed, the replicate count and the number of locations
+    ``m``.  The design is the class constants: ``H`` units per location, three
+    groups of probability 1/3 with truths ``mean_values`` (noise sd
+    ``mean_noise_sd``) or ``beta_values`` (noise sd ``sigma_scale *
+    exp(sigma_rate * x'beta)``); the generators give each group's scores.
     """
 
     kind: str
@@ -52,19 +54,17 @@ class ScenarioSpec:
     seed: int = 0
     reps: int = 100
     m: int = 49
-    H: int = 120
-    group_probs: tuple = (1 / 3, 1 / 3, 1 / 3)
-    mean_values: tuple = (1.2, 1.5, 1.8)
-    mean_noise_sd: float = 0.25
-    beta_values: tuple = ((1.0, 1.0), (1.5, 1.5), (2.0, 2.0))
-    sigma_scale: float = 0.1
-    sigma_rate: float = 0.8
+    H: ClassVar[int] = 120
+    group_probs: ClassVar[tuple] = (1 / 3, 1 / 3, 1 / 3)
+    mean_values: ClassVar[tuple] = (1.2, 1.5, 1.8)
+    mean_noise_sd: ClassVar[float] = 0.25
+    beta_values: ClassVar[tuple] = ((1.0, 1.0), (1.5, 1.5), (2.0, 2.0))
+    sigma_scale: ClassVar[float] = 0.1
+    sigma_rate: ClassVar[float] = 0.8
 
     def __post_init__(self):
         if self.kind not in (MEAN_MODEL, REGRESSION):
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
-        if abs(sum(self.group_probs) - 1.0) > 1e-12:
-            raise ValidationError("group probabilities must sum to 1")
         if self.expected_n < 1:
             raise ValidationError(f"expected sample size n={self.expected_n} must be at least 1")
         if self.H < self.expected_n:
@@ -82,9 +82,6 @@ class ScenarioSpec:
 class Population:
     """One realized finite population: truths plus per-unit design quantities."""
 
-    kind: str
-    H: int
-    expected_n: int
     labels: np.ndarray        # (m,) true group of each location
     truth: np.ndarray         # (m, p) true per-location coefficients
     y: np.ndarray             # (m, H)
@@ -95,6 +92,10 @@ class Population:
     @property
     def m(self) -> int:
         return self.labels.size
+
+    @property
+    def H(self) -> int:
+        return self.y.shape[1]
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -145,8 +146,7 @@ def generate_mean_population(spec: ScenarioSpec, rep: int = 0) -> Population:
                 scores = np.log(y[i])
         _, pis[i] = informative_probabilities(scores, spec.expected_n)
     X = np.ones((m, H, 1))
-    return Population(kind=spec.kind, H=H, expected_n=spec.expected_n, labels=labels,
-                      truth=truth, y=y, X=X, pi=pis)
+    return Population(labels=labels, truth=truth, y=y, X=X, pi=pis)
 
 
 def generate_regression_population(spec: ScenarioSpec, rep: int = 0) -> Population:
@@ -185,8 +185,7 @@ def generate_regression_population(spec: ScenarioSpec, rep: int = 0) -> Populati
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 scores = np.exp(-eps ** (-0.5))
         _, pis[i] = informative_probabilities(scores, spec.expected_n)
-    return Population(kind=spec.kind, H=H, expected_n=spec.expected_n, labels=labels,
-                      truth=truth, y=y, X=X, pi=pis, sigma=sigma)
+    return Population(labels=labels, truth=truth, y=y, X=X, pi=pis, sigma=sigma)
 
 
 def generate_population(spec: ScenarioSpec, rep: int = 0) -> Population:
@@ -221,13 +220,13 @@ def poisson_sample(pop: Population, seed: int, rep: int = 0) -> Dataset:
             Z=np.zeros((int(mask.sum()), 0)),
             pi=pop.pi[i, mask],
         ))
-    return Dataset(locations=tuple(blocks), p=pop.X.shape[2], q=0)
+    return Dataset(blocks)
 
 
 def unweighted_copy(data: Dataset, constant_pi: float) -> Dataset:
     """Same rows with every inclusion probability replaced by one constant."""
     blocks = tuple(replace(b, pi=np.full(b.n, constant_pi)) for b in data.locations)
-    return Dataset(locations=blocks, p=data.p, q=data.q)
+    return Dataset(blocks)
 
 
 @dataclass(frozen=True)
@@ -250,15 +249,13 @@ class McSummary:
     scenario: ScenarioSpec
     methods: tuple
     records: tuple                  # RepRecord, ordered by (rep, method)
-    failures: dict
-
-    def method_records(self, method: str) -> list:
-        return [r for r in self.records if r.method == method and not r.failed]
 
     def summary(self, method: str) -> dict:
-        recs = self.method_records(method)
+        mine = [r for r in self.records if r.method == method]
+        recs = [r for r in mine if not r.failed]
+        failures = len(mine) - len(recs)
         if not recs:
-            return {"n_reps": 0}
+            return {"n_reps": 0, "failures": failures}
         k = np.array([r.K_hat for r in recs], dtype=float)
         ari = np.array([r.ari for r in recs])
         rmse = np.array([r.rmse for r in recs])
@@ -276,7 +273,7 @@ class McSummary:
             "rmse_median": float(np.median(rmse)),
             "rmse_q25": float(np.quantile(rmse, 0.25)),
             "rmse_q75": float(np.quantile(rmse, 0.75)),
-            "failures": int(self.failures.get(method, 0)),
+            "failures": failures,
         }
 
     def to_dict(self) -> dict:
@@ -295,9 +292,8 @@ class McSummary:
 
 def _run_rep(args) -> list:
     """Run one replicate for every requested method (worker-safe)."""
-    spec, solver_cfg, methods, grid_kw, rep = args
+    spec, solver_cfg, methods, rep = args
     variant = selection.BicVariant(kind=spec.kind)
-    base = ScadSpec(lam=1.0)
     try:
         pop = generate_population(spec, rep)
         data_wcc = poisson_sample(pop, spec.seed, rep)
@@ -317,9 +313,9 @@ def _run_rep(args) -> list:
         else:
             raise ValidationError(f"unknown method {meth!r}")
         try:
-            lam_grid = selection.default_lambda_grid(data, solver_cfg, **grid_kw)
+            lam_grid = selection.default_lambda_grid(data, solver_cfg)
             lam, fit, part, _ = selection.select_lambda(
-                data, lam_grid, base, solver_cfg, variant)
+                data, lam_grid, cfg=solver_cfg, variant=variant)
             est = location_estimates(part)
             if spec.kind == MEAN_MODEL:
                 rmse = rmse_mu(est[:, 0], pop.truth[:, 0])
@@ -338,19 +334,16 @@ def _run_rep(args) -> list:
 
 
 def run_monte_carlo(spec: ScenarioSpec, solver_cfg: AdmmConfig = AdmmConfig(),
-                    methods: Sequence[str] = ("wcc", "cc"), jobs: int = 1,
-                    grid_kw: Optional[dict] = None) -> McSummary:
+                    methods: Sequence[str] = ("wcc", "cc"), jobs: int = 1) -> McSummary:
     """Full study: generate, sample, select per method, aggregate.
 
     Each replicate and method selects over the data-driven default grid
-    (``grid_kw`` is passed to :func:`selection.default_lambda_grid`) with the
-    default penalty shape.  ``jobs > 1`` distributes replicates over
-    processes; results are identical to the sequential run because all
-    streams are keyed by replicate.
+    (:func:`selection.default_lambda_grid`) with the default penalty shape.
+    ``jobs > 1`` distributes replicates over processes; results are identical
+    to the sequential run because all streams are keyed by replicate.
     """
     methods = tuple(methods)
-    grid_kw = dict(grid_kw or {})
-    tasks = [(spec, solver_cfg, methods, grid_kw, rep) for rep in range(spec.reps)]
+    tasks = [(spec, solver_cfg, methods, rep) for rep in range(spec.reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_rep = list(pool.map(_run_rep, tasks, chunksize=1))
@@ -358,9 +351,7 @@ def run_monte_carlo(spec: ScenarioSpec, solver_cfg: AdmmConfig = AdmmConfig(),
         per_rep = [_run_rep(t) for t in tasks]
 
     records = tuple(rec for group in per_rep for rec in group)
-    failures = {meth: sum(1 for r in records if r.method == meth and r.failed)
-                for meth in methods}
-    return McSummary(scenario=spec, methods=methods, records=records, failures=failures)
+    return McSummary(scenario=spec, methods=methods, records=records)
 
 
 def write_rep_csv(summary: McSummary, path) -> None:
@@ -384,8 +375,8 @@ def format_summary_table(summary: McSummary) -> str:
     lines.append(header)
     for meth in summary.methods:
         s = summary.summary(meth)
-        if s.get("n_reps", 0) == 0:
-            lines.append(f"{meth.upper():>8} {'-':>16} {'-':>6} {'-':>16} {'-':>12} {s.get('failures', 0):>5}")
+        if s["n_reps"] == 0:
+            lines.append(f"{meth.upper():>8} {'-':>16} {'-':>6} {'-':>16} {'-':>12} {s['failures']:>5}")
             continue
         ksd = "n/a" if s["k_sd"] is None else f"{s['k_sd']:.3f}"
         asd = "n/a" if s["ari_sd"] is None else f"{s['ari_sd']:.3f}"

@@ -12,8 +12,8 @@ twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -116,11 +116,9 @@ def _check_block(block: LocationBlock) -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """All sampled observations, grouped by location, plus the design sizes."""
+    """All sampled observations, grouped by location; ``p`` and ``q`` are the blocks'."""
 
     locations: tuple
-    p: int
-    q: int
 
     def __post_init__(self):
         object.__setattr__(self, "locations", tuple(self.locations))
@@ -129,6 +127,14 @@ class Dataset:
     @property
     def m(self) -> int:
         return len(self.locations)
+
+    @property
+    def p(self) -> int:
+        return self.locations[0].p
+
+    @property
+    def q(self) -> int:
+        return self.locations[0].q
 
     @property
     def n_total(self) -> int:
@@ -156,14 +162,6 @@ def _check_dataset(data: Dataset) -> None:
             raise ValidationError(
                 f"location {block.location_id!r}: q={block.q} does not match dataset q={data.q}"
             )
-
-
-def make_dataset(blocks: Sequence[LocationBlock]) -> Dataset:
-    """Assemble a Dataset, inferring p and q from the first block."""
-    blocks = tuple(blocks)
-    if not blocks:
-        raise ValidationError("dataset has no locations")
-    return Dataset(locations=blocks, p=blocks[0].p, q=blocks[0].q)
 
 
 def validate(data: Dataset) -> None:

@@ -31,7 +31,7 @@ def random_dataset(rng, m=None, p=None, q=0, n_range=(8, 25), spread=1.0,
         pi = rng.uniform(0.15, 1.0, n)
         blocks.append(w.LocationBlock(f"loc{i}", N=n + int(rng.integers(5, 50)), y=y, X=X,
                                       Z=Z, pi=pi, sigma2=s2))
-    return w.make_dataset(blocks), np.vstack(truths)
+    return w.Dataset(blocks), np.vstack(truths)
 
 
 @pytest.fixture

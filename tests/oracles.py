@@ -303,3 +303,48 @@ def dense_admm(data: w.Dataset, spec: w.ScadSpec, cfg: w.AdmmConfig) -> dict:
     return {"beta": beta.reshape(m, p), "eta": eta, "zeta": zeta.reshape(-1, p).T,
             "v": v.reshape(-1, p).T, "iterations": k + 1, "final_residual": primal,
             "final_dual_residual": dual}
+
+
+def keyed_rng(seed: int, *key: int) -> np.random.Generator:
+    """The substream the simulation documents for ``(seed, rep, purpose, location, ...)``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def clamped_probabilities(scores, expected_n: float) -> np.ndarray:
+    """The documented clamp, unit by unit: invalid scores take the smallest
+    valid one (1e-12 if none), scale to sum ``expected_n``, clip to [1e-6, 1]."""
+    valid = [s for s in scores if math.isfinite(s) and s > 0]
+    fill = min(valid) if valid else 1e-12
+    fixed = [s if math.isfinite(s) and s > 0 else fill for s in scores]
+    total = math.fsum(fixed)
+    return np.array([min(1.0, max(1e-6, expected_n * s / total)) for s in fixed])
+
+
+def population_location(kind: str, seed: int, rep: int, i: int, expected_n: float,
+                        H: int = 120) -> dict:
+    """Location ``i`` of the fixed study design, redrawn from its own substream.
+
+    Three equally likely groups.  Mean model: y = mu_k + 0.25 e with mu in
+    (1.2, 1.5, 1.8), scores exp(y) / 1 / log(y).  Regression: x ~ N(0, 1),
+    y = b_k0 + b_k1 x + eps with b_k in ((1, 1), (1.5, 1.5), (2, 2)),
+    eps = sigma e with sigma = 0.1 exp(0.8 (b_k0 + b_k1 x)), scores
+    eps^3 / 1 / exp(-eps^(-1/2)).
+    """
+    rng = keyed_rng(seed, rep, 0, i)
+    k = int(rng.choice(3, p=[1 / 3] * 3))
+    if kind == "mean_model":
+        mu = (1.2, 1.5, 1.8)[k]
+        y = mu + 0.25 * rng.standard_normal(H)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scores = (np.exp(y), np.ones(H), np.log(y))[k]
+        return {"label": k, "truth": np.array([mu]), "y": y, "X": np.ones((H, 1)),
+                "sigma": None, "pi": clamped_probabilities(scores, expected_n)}
+    b0, b1 = ((1.0, 1.0), (1.5, 1.5), (2.0, 2.0))[k]
+    x = rng.standard_normal(H)
+    sigma = 0.1 * np.exp(0.8 * (b0 + b1 * x))
+    eps = sigma * rng.standard_normal(H)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        scores = (eps ** 3, np.ones(H), np.exp(-eps ** (-0.5)))[k]
+    return {"label": k, "truth": np.array([b0, b1]), "y": b0 + b1 * x + eps,
+            "X": np.column_stack([np.ones(H), x]), "sigma": sigma,
+            "pi": clamped_probabilities(scores, expected_n)}

@@ -106,7 +106,7 @@ class TestStructuredSolve:
         b = ds.locations[0]
         single = w.LocationBlock(b.location_id, b.N, y=b.y[:1], X=[[1.0, 0.0]], Z=b.Z[:1],
                                  pi=b.pi[:1])
-        ds = w.make_dataset((single,) + ds.locations[1:])
+        ds = w.Dataset((single,) + ds.locations[1:])
         M = oracles.dense_update_matrix(ds, 0.0)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(M)
@@ -117,8 +117,8 @@ class TestStructuredSolve:
 
     def test_all_zero_design_is_fatal_and_named(self, rng):
         ds, _ = random_dataset(rng, m=3, p=2)
-        ds = w.make_dataset([w.LocationBlock(b.location_id, b.N, y=b.y, X=np.zeros_like(b.X),
-                                             Z=b.Z, pi=b.pi) for b in ds.locations])
+        ds = w.Dataset([w.LocationBlock(b.location_id, b.N, y=b.y, X=np.zeros_like(b.X),
+                                        Z=b.Z, pi=b.pi) for b in ds.locations])
         with pytest.raises(w.SingularSystemError, match="coefficient update matrix"):
             w.fit(ds, w.ScadSpec(lam=0.1))
         part = oracles.partition_from_groups([[0, 1], [2]], 3, 2)
@@ -141,9 +141,9 @@ class TestStructuredSolve:
         # diagonal, and the update matrix, eta and the group refit all read
         # that jittered Z'WZ
         ds1, _ = random_dataset(rng, m=5, p=2, q=1, noise=1.0)
-        ds = w.make_dataset([w.LocationBlock(b.location_id, b.N, y=b.y, X=b.X, pi=b.pi,
-                                             Z=np.column_stack([b.Z, np.zeros(b.n)]))
-                             for b in ds1.locations])
+        ds = w.Dataset([w.LocationBlock(b.location_id, b.N, y=b.y, X=b.X, pi=b.pi,
+                                        Z=np.column_stack([b.Z, np.zeros(b.n)]))
+                        for b in ds1.locations])
         bundle = admm.prepared(ds)
         ZtWZ = sum(b.Z.T @ (w.composite_weights(b)[:, None] * b.Z) for b in ds.locations)
         tau = 1e-10 * np.trace(ZtWZ)
@@ -237,7 +237,7 @@ class TestUpdates:
             y = rng.standard_normal(12)
             blocks.append(w.LocationBlock(f"l{i}", 20, y=y, X=X,
                                           Z=np.zeros((12, 0)), pi=np.full(12, 0.6)))
-        ds = w.make_dataset(blocks)
+        ds = w.Dataset(blocks)
         res = w.fit(ds, w.ScadSpec(lam=0.0))
         for i, b in enumerate(blocks):
             ols, *_ = np.linalg.lstsq(b.X, b.y, rcond=None)
@@ -251,7 +251,7 @@ class TestUpdates:
         Z = np.ones((n, 1))
         y = X @ truth + 0.5 + 0.01 * rng.standard_normal(n)
         pi = rng.uniform(0.3, 1.0, n)
-        ds = w.make_dataset([w.LocationBlock("a", 60, y=y, X=X, Z=Z, pi=pi)])
+        ds = w.Dataset([w.LocationBlock("a", 60, y=y, X=X, Z=Z, pi=pi)])
         bundle = admm.prepared(ds)
         eta = bundle.eta_update(truth[None, :])
         wt = w.composite_weights(ds.locations[0])
@@ -341,7 +341,7 @@ class TestPrecomputation:
         assert admm.prepared(ds) is bundle
         assert checked == [ds]
         assert repr(ds) == text
-        assert admm.prepared(w.make_dataset(ds.locations)) is not bundle
+        assert admm.prepared(w.Dataset(ds.locations)) is not bundle
 
     def test_factorizations_do_not_grow_with_grid(self, rng, monkeypatch):
         ds, _ = random_dataset(rng, m=5, p=2, q=1)
@@ -353,10 +353,10 @@ class TestPrecomputation:
                             lambda *a, **k: calls.append("structured") or real_structured(*a, **k))
         counts = []
         for num in (2, 6):
-            fresh = w.make_dataset(ds.locations)
+            fresh = w.Dataset(ds.locations)
             calls.clear()
             grid = w.default_lambda_grid(fresh, num=num)
-            w.select_lambda(fresh, grid, w.ScadSpec(lam=1.0))
+            w.select_lambda(fresh, grid)
             counts.append(sorted(calls))
         # Z'WZ densely; the start (ridge 0) and the augmented weight
         # structured; once each
@@ -407,7 +407,7 @@ class TestObjective:
         truth = np.array([1.0, -2.0])
         b = w.LocationBlock("a", 20, y=X @ truth, X=X, Z=np.zeros((10, 0)),
                             pi=np.full(10, 0.5))
-        ds = w.make_dataset([b])
+        ds = w.Dataset([b])
         assert w.objective(ds, truth[None, :], np.zeros(0), w.ScadSpec(lam=0.0)) == pytest.approx(0.0)
 
     def test_lam_zero_equals_half_wrss(self, rng):
@@ -552,7 +552,7 @@ class TestFit:
     def test_location_permutation_equivariance(self, rng):
         ds, _ = random_dataset(rng, m=5, p=2, noise=0.2)
         perm = np.array([3, 0, 4, 2, 1])
-        ds_perm = w.make_dataset([ds.locations[i] for i in perm])
+        ds_perm = w.Dataset([ds.locations[i] for i in perm])
         spec = w.ScadSpec(lam=0.15)
         res = w.fit(ds, spec)
         res_perm = w.fit(ds_perm, spec)
@@ -573,7 +573,7 @@ class TestFit:
             blocks.append(w.LocationBlock(b.location_id, int(np.ceil(b.N / c)),
                                           y=b.y, X=b.X, Z=b.Z, pi=np.minimum(b.pi * c, 1.0)))
         # integer N rounding would break exactness; rebuild weights directly instead
-        scaled = w.make_dataset(blocks)
+        scaled = w.Dataset(blocks)
         res = w.fit(ds, w.ScadSpec(lam=0.0))
         res_scaled = w.fit(scaled, w.ScadSpec(lam=0.0))
         ref = np.vstack([oracles.weighted_ls(b) for b in scaled.locations])
@@ -608,7 +608,7 @@ class TestFit:
 
     def test_sigma2_weighting_changes_fit(self, rng):
         ds, _ = random_dataset(rng, m=3, p=1, sigma2=True)
-        stripped = w.make_dataset([
+        stripped = w.Dataset([
             w.LocationBlock(b.location_id, b.N, y=b.y, X=b.X, Z=b.Z, pi=b.pi)
             for b in ds.locations])
         res_sigma = w.fit(ds, w.ScadSpec(lam=0.0))

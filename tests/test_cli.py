@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from wccreg import cli, selection
 from wccreg import io as wio
+from wccreg.grouping import extract_partition
 from wccreg.penalty import ScadSpec
 from wccreg.types import AdmmConfig
 
@@ -79,8 +81,7 @@ class TestFit:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert len(scores) == 4
         data = wio.load_dataset_csv(csv_path, p=1, q=1)
-        lam, fit, part, _ = selection.select_lambda(data, np.geomspace(0.01, 1.0, 4),
-                                                    ScadSpec(lam=1.0), AdmmConfig())
+        lam, fit, part, _ = selection.select_lambda(data, np.geomspace(0.01, 1.0, 4))
         assert report["selection"] == {"lambda_star": lam, "bic": real(data, fit, part)}
 
     def test_singular_shared_design_exits_solver_error(self, rng, tmp_path, capsys):
@@ -89,6 +90,68 @@ class TestFit:
         write_csv(csv_path, rng, zero_z=True)
         assert run_fit(csv_path) == cli.EXIT_SOLVER
         assert "Z'WZ" in capsys.readouterr().err
+
+
+def write_intercept_csv(path, rng, columns):
+    """A p = len(columns) CSV: a float column is that constant, None is N(0, 1)."""
+    lines = ["location_id,N,y,pi," + ",".join(f"x{j + 1}" for j in range(len(columns)))]
+    for i, mu in enumerate((4.0, 4.0, 9.0, 9.0)):
+        for _ in range(8):
+            x = [rng.standard_normal() if c is None else c for c in columns]
+            y = mu + 0.7 * x[-1] + 0.2 * rng.standard_normal()
+            lines.append(",".join([f"loc{i}", "40", repr(float(y)), repr(float(rng.uniform(0.2, 1)))]
+                                  + [repr(float(v)) for v in x]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestStandardize:
+    @pytest.mark.parametrize("const", [1.0, 2.0])
+    def test_original_scale_coefficients_keep_the_predictions(self, rng, tmp_path, const):
+        # the standardized fit predicts y_sd * (x_std @ a) + y_mean; the
+        # back-transformed coefficients must give the same value as x @ alpha
+        csv_path = tmp_path / "d.csv"
+        write_intercept_csv(csv_path, rng, [const, None])
+        out = tmp_path / "r.json"
+        assert cli.main(["fit", str(csv_path), "--p", "2", "--lambda", "0.05", "--standardize",
+                         "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"))
+        info = report["standardization"]
+        assert info["constant_columns"] == [True, False] and info["constant_value"] == const
+        alpha_std = np.array(report["partition"]["alpha"])
+        alpha_orig = np.array(report["partition"]["alpha_original_scale"])
+        x = np.column_stack([np.full(50, const), 3.0 * rng.standard_normal(50)])
+        x_std = (x - np.array(info["x_mean"])) / np.array(info["x_sd"])
+        for a_std, a_orig in zip(alpha_std, alpha_orig):
+            assert x @ a_orig == pytest.approx(info["y_sd"] * (x_std @ a_std) + info["y_mean"],
+                                               rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("columns, found", [([None, None], 0), ([1.0, 2.0, None], 2),
+                                                ([0.0, None], 1)])
+    def test_needs_exactly_one_nonzero_constant_column(self, rng, tmp_path, capsys, columns, found):
+        csv_path = tmp_path / "d.csv"
+        write_intercept_csv(csv_path, rng, columns)
+        code = cli.main(["fit", str(csv_path), "--p", str(len(columns)), "--lambda", "0.05",
+                         "--standardize", "--out", str(tmp_path / "r.json")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"found {found} constant columns" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
+class TestDefaults:
+    def test_parser_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["fit", "d.csv", "--p", "1"])
+        cfg = AdmmConfig()
+        assert args.gamma == ScadSpec(lam=1.0).gamma
+        assert (args.vartheta, args.tol, args.max_iter, args.init_ridge) == \
+            (cfg.vartheta, cfg.tol, cfg.max_iter, cfg.init_ridge)
+        for fn in (extract_partition, selection.select_lambda):
+            assert args.zero_tol == inspect.signature(fn).parameters["zero_tol"].default
+
+    def test_version_prints_the_defaults(self, capsys):
+        assert cli.main(["version"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == ("defaults: gamma=3, vartheta=1, tol=1e-06, max_iter=2000, "
+                            "zero_tol=1e-06, init_ridge=0")
 
 
 class TestSimulate:

@@ -104,7 +104,7 @@ def _with_responses(ds, beta_rows):
     for i, b in enumerate(ds.locations):
         blocks.append(w.LocationBlock(b.location_id, b.N, y=b.X @ beta_rows[i],
                                       X=b.X, Z=b.Z, pi=b.pi))
-    return w.make_dataset(blocks)
+    return w.Dataset(blocks)
 
 
 class TestRefitOracle:
@@ -112,8 +112,8 @@ class TestRefitOracle:
         n = 20
         y = rng.standard_normal(n) + 3.0
         pi = rng.uniform(0.2, 1.0, n)
-        ds = w.make_dataset([w.LocationBlock("a", 40, y=y, X=np.ones((n, 1)),
-                                             Z=np.zeros((n, 0)), pi=pi)])
+        ds = w.Dataset([w.LocationBlock("a", 40, y=y, X=np.ones((n, 1)),
+                                        Z=np.zeros((n, 0)), pi=pi)])
         part = w.extract_partition(w.fit(ds, w.ScadSpec(lam=0.0)))
         eta, alpha = w.refit_oracle(ds, part)
         wt = w.composite_weights(ds.locations[0])

@@ -28,7 +28,7 @@ class TestModifiedBic:
                             pi=[0.5, 0.25])
         b = w.LocationBlock("b", 10, y=[1.0, 0.0, 3.0], X=[[1.0], [2.0], [1.0]],
                             Z=[[0.0], [0.0], [1.0]], pi=[1.0, 1.0, 0.5])
-        ds = w.make_dataset([a, b])
+        ds = w.Dataset([a, b])
         fit, part = _fit_and_partition(np.array([[1.0], [0.5]]), np.array([2.0]), [0, 1])
         # a: residuals 4-1-2 = 1 and 2-1 = 1; weights 2, 4 normalized to 1/3, 2/3 -> 1
         # b: residuals 1-0.5 = 0.5, 0-1 = -1, 3-0.5-2 = 0.5; weights 1, 1, 2 -> 1/4, 1/4, 1/2
@@ -93,7 +93,7 @@ class TestSelectLambda:
         ds, _ = random_dataset(rng, m=4, p=1)
         monkeypatch.setattr(selection, "modified_bic", lambda *args: 0.5)
         grid = [0.4, 0.2, 0.1, 0.05]
-        lam, _, _, path = w.select_lambda(ds, grid, w.ScadSpec(lam=1.0))
+        lam, _, _, path = w.select_lambda(ds, grid)
         assert all(r.converged for r in path.records)
         assert path.grid == (0.05, 0.1, 0.2, 0.4)
         assert lam == 0.05
@@ -110,7 +110,7 @@ class TestSelectLambda:
                             lambda data, fit, part, variant: 0.0 if fit.converged else -1.0)
         cfg = w.AdmmConfig(max_iter=2)
         with caplog.at_level(logging.WARNING, logger="wccreg.selection"):
-            lam, fit, _, path = w.select_lambda(ds, [small] + large, w.ScadSpec(lam=1.0), cfg)
+            lam, fit, _, path = w.select_lambda(ds, [small] + large, cfg=cfg)
         assert [r.converged for r in path.records] == [True, False, False]
         assert lam == small and fit.converged and fit.iterations == 1
         assert "skipping 2 non-converged candidates" in caplog.text
@@ -124,7 +124,7 @@ class TestSelectLambda:
         monkeypatch.setattr(selection, "modified_bic", lambda *args: next(scores))
         cfg = w.AdmmConfig(max_iter=2)
         with caplog.at_level(logging.WARNING, logger="wccreg.selection"):
-            lam, fit, _, path = w.select_lambda(ds, grid, w.ScadSpec(lam=1.0), cfg)
+            lam, fit, _, path = w.select_lambda(ds, grid, cfg=cfg)
         assert not any(r.converged for r in path.records)
         assert lam == grid[1] and not fit.converged and fit.iterations == 2
         assert "no candidate converged" in caplog.text

@@ -20,7 +20,7 @@ def block(n=5, p=2, q=0, pi=None, N=50, lid="a", sigma2=None):
 
 class TestInvariants:
     def test_wellformed_two_location_dataset(self):
-        ds = w.make_dataset([block(lid="a"), block(lid="b")])
+        ds = w.Dataset([block(lid="a"), block(lid="b")])
         w.validate(ds)
         assert ds.m == 2 and ds.p == 2 and ds.q == 0
 
@@ -33,7 +33,7 @@ class TestInvariants:
             block(pi=np.array([0.5, 1.2, 0.5, 0.5, 0.5]))
 
     def test_empty_z_blocks_ok(self):
-        ds = w.make_dataset([block(q=0)])
+        ds = w.Dataset([block(q=0)])
         assert ds.q == 0
         w.validate(ds)
 
@@ -47,8 +47,18 @@ class TestInvariants:
                             Z=np.zeros((4, 0)), pi=np.full(4, 0.5))
 
     def test_p_mismatch_across_blocks_rejected(self):
-        with pytest.raises(w.ValidationError, match="does not match dataset p"):
-            w.Dataset(locations=(block(p=2, lid="a"), block(p=3, lid="b")), p=2, q=0)
+        with pytest.raises(w.ValidationError, match="location 'b': p=3 does not match dataset p=2"):
+            w.Dataset((block(p=2, lid="a"), block(p=3, lid="b")))
+
+    def test_q_mismatch_across_blocks_rejected(self):
+        with pytest.raises(w.ValidationError, match="location 'c': q=0 does not match dataset q=1"):
+            w.Dataset((block(q=1, lid="a"), block(q=1, lid="b"), block(q=0, lid="c")))
+
+    def test_shape_is_read_off_the_blocks(self):
+        ds = w.Dataset((block(p=3, q=2, lid="a"), block(p=3, q=2, lid="b")))
+        assert (ds.m, ds.p, ds.q) == (2, 3, 2)
+        with pytest.raises(w.ValidationError, match="no locations"):
+            w.Dataset(())
 
     def test_nonpositive_sigma2_rejected(self):
         with pytest.raises(w.ValidationError, match="sigma2"):
@@ -61,7 +71,7 @@ class TestInvariants:
 
     def test_duplicate_location_ids_rejected(self):
         with pytest.raises(w.ValidationError, match="duplicate"):
-            w.make_dataset([block(lid="a"), block(lid="a")])
+            w.Dataset([block(lid="a"), block(lid="a")])
 
     def test_arrays_read_only(self):
         b = block()
@@ -124,7 +134,7 @@ class TestSerializationRoundTrip:
         # m = 1, p = 2: the pair blocks are (2, 0) and come back with that shape
         b = w.LocationBlock("a", 40, y=rng.standard_normal(12), X=rng.standard_normal((12, 2)),
                             Z=rng.standard_normal((12, 1)), pi=rng.uniform(0.2, 1.0, 12))
-        fit = w.fit(w.make_dataset([b]), w.ScadSpec(lam=0.5))
+        fit = w.fit(w.Dataset([b]), w.ScadSpec(lam=0.5))
         import json
         back = wio.fit_result_from_dict(json.loads(wio.dumps(wio.fit_result_to_dict(fit))))
         assert back.zeta.shape == back.v.shape == (2, 0)
