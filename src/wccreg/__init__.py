@@ -9,8 +9,6 @@ from .admm import (
     fit,
     initialize,
     normalized_weights,
-    objective,
-    weighted_loss,
 )
 from .grouping import extract_partition, group_estimates, location_estimates, refit_oracle
 from .metrics import adjusted_rand_index, rand_index_counts, rmse_beta, rmse_mu
@@ -44,8 +42,8 @@ __all__ = [
     "adjusted_rand_index", "build_pair_index", "composite_weights", "default_lambda_grid",
     "extract_partition", "fit", "generate_mean_population", "generate_regression_population",
     "group_estimates", "group_soft_threshold", "informative_probabilities", "initialize",
-    "location_estimates", "modified_bic", "normalized_weights", "objective",
+    "location_estimates", "modified_bic", "normalized_weights",
     "poisson_sample", "rand_index_counts",
     "refit_oracle", "rmse_beta", "rmse_mu", "run_monte_carlo",
-    "scad_value", "select_lambda", "validate", "weighted_loss", "zeta_proximal",
+    "scad_value", "select_lambda", "validate", "zeta_proximal",
 ]

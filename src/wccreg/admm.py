@@ -7,10 +7,10 @@ vectors carry the differences, a proximal map handles the penalty, and the
 coefficient update is a solve whose matrix depends only on the sample and on
 the augmented weight.  Those pieces are built once per dataset by
 :func:`prepared` and shared by every fit on it (the whole lambda path), the
-starting point, the loss, the BIC and the group refit; each factor is computed
-once per dataset and weight.  The sample is held once, as stacked rows, and
-the residual ``y - x'beta_i - z'eta`` has one implementation
-(:meth:`_Bundle.residuals`) that eta, the loss and the BIC all read.  The pair
+starting point, the BIC and the group refit; each factor is computed once per
+dataset and weight.  The sample is held once, as stacked rows, and the
+residual ``y - x'beta_i - z'eta`` has one implementation
+(:meth:`_Bundle.residuals`) that eta and the BIC read.  The pair
 structure is kept only as the index arrays (i, j) of each pair: differences
 gather over them and their adjoint scatter-adds over them, so the n_pairs x m
 incidence matrix is never formed.  Every pair block (differences, slacks,
@@ -24,7 +24,13 @@ O(m p (p + q)) numpy passes.
 
 :func:`fit` is the one ADMM loop: each iteration is a coefficient solve, the
 proximal map on every pair (:func:`penalty.prox_columns`) and a multiplier
-step, written inline against the bundle.  It starts from the coefficients of
+step, written inline against the bundle.  It runs in the scaled form (Boyd et
+al. 2011, section 3.1.1): the loop carries the scaled multiplier
+``u = v / vartheta``, which takes the products and quotients by vartheta off
+the pair blocks (one product on the (m, p) right-hand side is left) and, at
+``vartheta = 1`` (or any power of two), makes the same float operations as
+the unscaled form.  ``FitResult.v`` is still the unscaled multiplier, formed
+once after the loop.  The loop starts from the coefficients of
 :func:`initialize`, with slacks at their differences and multipliers at zero.
 A single location has no pairs: its pair blocks are (p, 0), the first
 iteration already has a zero primal residual, and the loop stops there.
@@ -34,12 +40,13 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
-from .penalty import ScadSpec, check_prox_compatible, column_norms, prox_columns, scad_value
+from .penalty import ScadSpec, check_prox_compatible, prox_columns
 from .types import AdmmConfig, Dataset, FitResult, LocationBlock, SingularSystemError, validate
 
 logger = logging.getLogger(__name__)
@@ -90,8 +97,8 @@ class _Bundle:
     """Per-dataset precomputations: one stacked copy of the sample and the
     blocks of the weighted normal equations.
 
-    Every residual (eta's update, the weighted loss, the BIC) comes from
-    :meth:`residuals` on the stacked rows.  Built once per dataset by
+    Every residual (eta's update, the BIC) comes from :meth:`residuals` on
+    the stacked rows.  Built once per dataset by
     :func:`prepared` and kept with it; it holds arrays only, never the dataset
     itself, so the dataset is freed as soon as its last reference goes.  The
     pairwise difference operator D (row l is ``e_i - e_j`` for pair l) acts
@@ -108,9 +115,9 @@ class _Bundle:
         self.m, self.p, self.q = m, p, q
         self.pairs = build_pair_index(m)
         # flat position in an (m, p) block of entry (column k, pair l) of a
-        # (p, n_pairs) pair block, stored in that block's order.  They stay
-        # private and writeable even at p = 1, where they equal the pair
-        # index: np.take and np.bincount copy a read-only index on every call
+        # (p, n_pairs) pair block, stored in that block's order.  They are
+        # private, writeable copies even at p = 1, where they equal the pair
+        # index
         cols = np.arange(p)[:, None]
         self._pos_i = (self.pairs.i_idx * p + cols).ravel()
         self._pos_j = (self.pairs.j_idx * p + cols).ravel()
@@ -176,7 +183,9 @@ class _Bundle:
     def differences(self, beta: np.ndarray) -> np.ndarray:
         """``(D beta)'`` as a (p, n_pairs) block: column l is ``beta_i - beta_j`` for pair l."""
         flat = beta.reshape(-1)
-        return (np.take(flat, self._pos_i) - np.take(flat, self._pos_j)).reshape(self.p, -1)
+        out = flat[self._pos_i]
+        out -= flat[self._pos_j]
+        return out.reshape(self.p, -1)
 
     def difference_adjoint(self, S: np.ndarray) -> np.ndarray:
         """``D'S'`` for a (p, n_pairs) block: +S_l added at row i, -S_l at row j.
@@ -281,51 +290,41 @@ def initialize(data: Dataset, cfg: AdmmConfig) -> np.ndarray:
     return bundle.solve_beta(2.0 * cfg.init_ridge, bundle.XtQy)
 
 
-def weighted_loss(data: Dataset, beta: np.ndarray, eta: np.ndarray) -> float:
-    """Half the weighted residual sum of squares (no penalty)."""
-    bundle = prepared(data)
-    resid = bundle.residuals(np.atleast_2d(beta), np.atleast_1d(eta))
-    return 0.5 * float(np.sum(bundle.w * resid * resid))
-
-
-def objective(data: Dataset, beta: np.ndarray, eta: np.ndarray, spec: ScadSpec) -> float:
-    """Weighted loss plus the fusion penalty over all pairwise differences."""
-    bundle = prepared(data)
-    beta = np.atleast_2d(beta)
-    loss = weighted_loss(data, beta, eta)
-    norms = column_norms(bundle.differences(beta))
-    return loss + float(np.sum(scad_value(norms, spec)))
-
-
 def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitResult:
     """Run the ADMM loop from :func:`initialize`'s coefficients, with slacks
     ``zeta_0 = D beta_0`` and multipliers ``v_0 = 0``; stop on the primal residual.
 
-    Each iteration solves for beta against ``X'Qy + D'(vartheta zeta - v)``,
-    applies the proximal map to ``D beta + v/vartheta`` and takes a multiplier
-    step on ``D beta - zeta``.  At m = 1 there are no pairs, so the first
-    iteration returns the weighted least-squares fit with a zero residual.
-    Hitting ``max_iter`` is reported through ``converged=False`` but still
-    returns the final iterate; only singular normal systems raise.
+    The loop carries the scaled multiplier ``u = v / vartheta``.  Each
+    iteration solves for beta against ``X'Qy + vartheta D'(zeta - u)``,
+    applies the proximal map to ``kappa = D beta + u``, forms the residual
+    ``r = D beta - zeta`` once and steps ``u += r``; the primal residual is
+    ``sqrt(r . r)``.  ``FitResult.v`` is the unscaled ``vartheta u``.  At
+    m = 1 there are no pairs, so the first iteration returns the weighted
+    least-squares fit with a zero residual.  Hitting ``max_iter`` is reported
+    through ``converged=False`` but still returns the final iterate; only
+    singular normal systems raise.
     """
     check_prox_compatible(spec, cfg.vartheta)
     bundle = prepared(data)
     vt = cfg.vartheta
+    factor = bundle.factor(vt)
 
     beta = initialize(data, cfg)
     zeta = bundle.differences(beta)
-    v = np.zeros_like(zeta)
+    u = np.zeros_like(zeta)
 
     primal = np.inf
     iterations = 0
-    for r in range(cfg.max_iter):
-        beta = bundle.solve_beta(vt, bundle.XtQy + bundle.difference_adjoint(vt * zeta - v).reshape(-1))
-        diffs = bundle.differences(beta)
-        zeta_prev, zeta = zeta, prox_columns(diffs + v / vt, spec, vt)
-        v = v + vt * (diffs - zeta)
+    for it in range(cfg.max_iter):
+        beta = _structured_solve(factor, bundle.XtQy + vt * bundle.difference_adjoint(zeta - u).reshape(-1))
+        r = bundle.differences(beta)
+        zeta_prev, zeta = zeta, prox_columns(r + u, spec, vt)
+        r -= zeta
+        u += r
         # norm of the stacked constraint violations beta_i - beta_j - zeta_ij
-        primal = float(np.linalg.norm(diffs - zeta))
-        iterations = r + 1
+        flat = r.reshape(-1)
+        primal = math.sqrt(flat.dot(flat))
+        iterations = it + 1
         if primal < cfg.tol:
             break
 
@@ -337,6 +336,6 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
         logger.warning("solver hit max_iter=%d with primal residual %.3e (tol %.1e)",
                        cfg.max_iter, primal, cfg.tol)
     logger.debug("fit finished: %d iterations, primal %.3e, dual %.3e", iterations, primal, dual)
-    return FitResult(beta=beta, eta=eta, zeta=zeta, v=v,
+    return FitResult(beta=beta, eta=eta, zeta=zeta, v=vt * u,
                      iterations=iterations, final_residual=primal,
                      converged=converged, final_dual_residual=dual)

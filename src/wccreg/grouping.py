@@ -5,8 +5,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 import wccreg.admm as admm
 from .penalty import column_norms
@@ -23,21 +21,36 @@ def extract_partition(fit: FitResult, zero_tol: float = ZERO_TOL) -> Partition:
     connected components, labelled 0..K-1 in order of first appearance.  The
     proximal map produces exact zeros, so the tolerance only absorbs float
     noise.
+
+    Components are found by min-label propagation: each location points to a
+    root, at first itself, and each edge joins two roots.  Every round hooks
+    the larger root of each edge to the smaller (``np.minimum.at`` both ways),
+    jumps pointers (``root = root[root]``) until every location points
+    straight at its root, then moves each edge to its ends' roots and drops
+    the edges inside one root.  Rounds repeat until no edge is left.  The root
+    of a component is then its smallest location index, so sorting the
+    distinct roots orders the groups by first appearance.
     """
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
     m = fit.beta.shape[0]
     pairs = admm.build_pair_index(m)
     fused = column_norms(fit.zeta) <= zero_tol
-    graph = coo_matrix((np.ones(int(fused.sum())), (pairs.i_idx[fused], pairs.j_idx[fused])),
-                       shape=(m, m))
-    K, components = connected_components(graph, directed=False)
-    # relabel so that labels follow the first appearance of each component
-    _, first = np.unique(components, return_index=True)
-    rank = np.empty(K, dtype=int)
-    rank[np.argsort(first)] = np.arange(K)
-    labels = rank[components]
-    sizes = np.bincount(labels, minlength=K)
+    # edges between roots; at first every location is its own root
+    a, b = pairs.i_idx[fused], pairs.j_idx[fused]
+    root = np.arange(m)
+    while a.size:
+        np.minimum.at(root, a, b)
+        np.minimum.at(root, b, a)
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+        a = root[a]
+        b = root[b]
+        apart = a != b
+        a, b = a[apart], b[apart]
+    _, labels, sizes = np.unique(root, return_inverse=True, return_counts=True)
+    K = sizes.size
     alpha = group_estimates(fit.beta, labels, K)
     return Partition(assignment=labels, K_hat=K, alpha=alpha, group_sizes=sizes)
 

@@ -43,13 +43,14 @@ def check_prox_compatible(spec: ScadSpec, vartheta: float) -> None:
 
     ``vartheta`` must be positive, and ``gamma > 1 + 1/vartheta`` must hold
     strictly: the middle branch rescales by ``1/(1 - 1/((gamma - 1) vartheta))``,
-    which divides by zero at equality and changes sign below it.  For
-    ``vartheta >= 1`` the bound is at most 2, so every valid
-    :class:`ScadSpec` (``gamma > 2``) passes.
+    which divides by zero at equality and changes sign below it.  That
+    divisor is checked as computed too: just above the bound it can round to
+    0 (gamma one ulp above ``1 + 1/0.53``).  For ``vartheta >= 1`` the bound
+    is at most 2, so every valid :class:`ScadSpec` (``gamma > 2``) passes.
     """
     if not vartheta > 0:
         raise ValidationError(f"vartheta must be positive, got {vartheta}")
-    if not spec.gamma > 1.0 + 1.0 / vartheta:
+    if not (spec.gamma > 1.0 + 1.0 / vartheta and 1.0 - 1.0 / ((spec.gamma - 1.0) * vartheta) > 0):
         raise ValidationError(
             f"gamma={spec.gamma} must exceed 1 + 1/vartheta = {1.0 + 1.0 / vartheta}"
         )
@@ -125,11 +126,14 @@ def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
     Each column is multiplied by one scale: ``max(0, 1 - t/||kappa||)`` with
     ``t = lam/vartheta`` on the soft-threshold branch, the same with
     ``t = gamma*lam*shrink`` and divided by ``1 - shrink`` on the middle
-    branch, and 1 beyond ``gamma*lam``.  The soft-threshold branch divides by
-    1 and the identity branch multiplies by 1, both exact, so every element
-    gets the float operations of the branchwise form, bit for bit.  For p = 1
-    the norm is ``abs``, which does not underflow; for p > 1 a column whose
-    norm underflows to 0 is zeroed, like a zero column.
+    branch, and exactly 1 on the identity branch: the columns with
+    ``||kappa|| > max(lam + lam/vartheta, gamma*lam)``, which for every norm
+    that is not NaN are those past ``gamma*lam`` and off the soft-threshold
+    branch.  One ``np.where`` picks the threshold and every later step writes
+    into the scale in place; every element gets the float operations of the
+    branchwise form, bit for bit.  For p = 1 the norm is ``abs``, which does
+    not underflow; for p > 1 a column whose norm underflows to 0 is zeroed,
+    like a zero column.
     """
     check_prox_compatible(spec, vartheta)
     kappa = np.asarray(kappa, dtype=float)
@@ -138,13 +142,16 @@ def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
         return kappa.copy()
 
     norms = column_norms(kappa)
-    low = norms <= lam + lam / vartheta
+    soft_top = lam + lam / vartheta
+    beyond_soft = norms > soft_top
     shrink = 1.0 / ((gam - 1.0) * vartheta)
-    thr = np.where(low, lam / vartheta, gam * lam * shrink)
-    # a zero norm (also one that underflowed) gives 1 - thr/0 = -inf, or nan
-    # where thr underflowed too; fmax takes both to the soft-threshold zero
+    scale = np.where(beyond_soft, gam * lam * shrink, lam / vartheta)     # the threshold t
+    # a zero norm (also one that underflowed) gives 1 - t/0 = -inf, or nan
+    # where t underflowed too; fmax takes both to the soft-threshold zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.fmax(0.0, 1.0 - thr / norms) / np.where(low, 1.0, 1.0 - shrink)
-    # the soft-threshold branch wins even where rounding puts it past gamma*lam
-    scale = np.where(low | (norms <= gam * lam), scale, 1.0)
+        np.divide(scale, norms, out=scale)
+    np.subtract(1.0, scale, out=scale)
+    np.fmax(0.0, scale, out=scale)
+    np.divide(scale, 1.0 - shrink, out=scale, where=beyond_soft)
+    np.putmask(scale, norms > max(soft_top, gam * lam), 1.0)
     return kappa * scale

@@ -72,7 +72,7 @@ class LambdaPath:
         g = tuple(float(x) for x in self.grid)
         if not g:
             raise ValidationError("lambda grid must be nonempty")
-        if any(x <= 0 for x in g):
+        if not all(x > 0 for x in g):
             raise ValidationError("lambda grid values must be positive")
         if any(b <= a for a, b in zip(g, g[1:])):
             raise ValidationError("lambda grid must be strictly increasing")
@@ -130,16 +130,16 @@ def select_lambda(data: Dataset, grid: Sequence[float], gamma: float = ScadSpec.
     (with a warning) as long as at least one converged; fatal solver errors
     propagate.
     """
-    grid = np.sort(np.asarray(list(grid), dtype=float))
+    # the grid is validated before the first fit
+    path = LambdaPath(grid=np.sort(np.asarray(list(grid), dtype=float)))
     records = []
-    for lam in grid:
-        spec = ScadSpec(lam=float(lam), gamma=gamma)
-        fit = admm.fit(data, spec, cfg)
+    for lam in path.grid:
+        fit = admm.fit(data, ScadSpec(lam=lam, gamma=gamma), cfg)
         part = extract_partition(fit, zero_tol)
         bic = modified_bic(data, fit, part, variant)
-        records.append(LambdaRecord(lam=float(lam), fit=fit, partition=part, bic=bic))
+        records.append(LambdaRecord(lam=lam, fit=fit, partition=part, bic=bic))
 
-    path = LambdaPath(grid=tuple(float(x) for x in grid), records=tuple(records))
+    path = replace(path, records=tuple(records))
     candidates = [r for r in records if r.converged]
     if not candidates:
         logger.warning("no candidate converged; selecting among capped fits")

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 import wccreg as w
+from wccreg import admm
 
 
 def scad_quadrature(t: float, spec: w.ScadSpec) -> float:
@@ -125,6 +126,30 @@ def partition_from_groups(groups, m: int, p: int, data=None) -> w.Partition:
     return w.Partition(assignment=out, K_hat=K, alpha=alpha, group_sizes=sizes)
 
 
+def weighted_loss(data: w.Dataset, beta, eta) -> float:
+    """Half the weighted residual sum of squares, location by location (no penalty)."""
+    beta = np.atleast_2d(beta)
+    eta = np.atleast_1d(eta)
+    total = 0.0
+    for i, block in enumerate(data.locations):
+        wt = 1.0 / (block.N * block.pi)
+        if block.sigma2 is not None:
+            wt = wt / block.sigma2
+        resid = block.y - block.X @ beta[i]
+        if data.q:
+            resid = resid - block.Z @ eta
+        total += 0.5 * float(np.sum(wt * resid * resid))
+    return total
+
+
+def objective(data: w.Dataset, beta, eta, spec: w.ScadSpec) -> float:
+    """Weighted loss plus the penalty on every pairwise difference, pair by pair."""
+    beta = np.atleast_2d(beta)
+    penalty = sum(w.scad_value(float(np.linalg.norm(beta[i] - beta[j])), spec)
+                  for i, j in itertools.combinations(range(data.m), 2))
+    return weighted_loss(data, beta, eta) + penalty
+
+
 def brute_force_partition(data: w.Dataset, spec: w.ScadSpec):
     """Exhaustive search over all groupings of the locations.
 
@@ -142,7 +167,7 @@ def brute_force_partition(data: w.Dataset, spec: w.ScadSpec):
         part = w.Partition(assignment=part.assignment, K_hat=part.K_hat,
                            alpha=alpha, group_sizes=part.group_sizes)
         beta = alpha[part.assignment]
-        obj = w.objective(data, beta, eta, spec)
+        obj = objective(data, beta, eta, spec)
         if best is None or obj < best[1]:
             best = (part, obj)
     return best
@@ -303,6 +328,61 @@ def dense_admm(data: w.Dataset, spec: w.ScadSpec, cfg: w.AdmmConfig) -> dict:
     return {"beta": beta.reshape(m, p), "eta": eta, "zeta": zeta.reshape(-1, p).T,
             "v": v.reshape(-1, p).T, "iterations": k + 1, "final_residual": primal,
             "final_dual_residual": dual}
+
+
+def prox_columns_branchwise(kappa: np.ndarray, spec: w.ScadSpec, vartheta: float) -> np.ndarray:
+    """The column proximal map with one full-length pass per branch decision.
+
+    Same float operations per element as :func:`wccreg.penalty.prox_columns`:
+    the threshold and the divisor each picked by ``np.where`` on the
+    soft-threshold test, and the identity branch wherever a column is past
+    both ``lam + lam/vartheta`` and ``gamma*lam``.
+    """
+    lam, gam = spec.lam, spec.gamma
+    if lam == 0:
+        return kappa.copy()
+    norms = np.abs(kappa[0]) if kappa.shape[0] == 1 else np.sqrt(np.einsum("kl,kl->l", kappa, kappa))
+    low = norms <= lam + lam / vartheta
+    shrink = 1.0 / ((gam - 1.0) * vartheta)
+    thr = np.where(low, lam / vartheta, gam * lam * shrink)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.fmax(0.0, 1.0 - thr / norms) / np.where(low, 1.0, 1.0 - shrink)
+    scale = np.where(low | (norms <= gam * lam), scale, 1.0)
+    return kappa * scale
+
+
+def unscaled_admm(data: w.Dataset, spec: w.ScadSpec, cfg: w.AdmmConfig) -> w.FitResult:
+    """The solver's ADMM loop in unscaled form, on the solver's own bundle.
+
+    It carries the multiplier v itself: the coefficient step solves against
+    ``X'Qy + D'(vartheta zeta - v)``, the slack step maps ``D beta + v/vartheta``
+    with :func:`prox_columns_branchwise`, the multiplier steps by
+    ``vartheta (D beta - zeta)``, differences gather with ``np.take`` and the
+    residuals are ``np.linalg.norm``.  Same start, stopping rule and reported
+    fields as :func:`wccreg.fit`.
+    """
+    bundle = admm.prepared(data)
+    vt = cfg.vartheta
+
+    def differences(beta):
+        flat = beta.reshape(-1)
+        return (np.take(flat, bundle._pos_i) - np.take(flat, bundle._pos_j)).reshape(data.p, -1)
+
+    beta = w.initialize(data, cfg)
+    zeta = differences(beta)
+    v = np.zeros_like(zeta)
+    for k in range(cfg.max_iter):
+        beta = bundle.solve_beta(vt, bundle.XtQy + bundle.difference_adjoint(vt * zeta - v).reshape(-1))
+        diffs = differences(beta)
+        zeta_prev, zeta = zeta, prox_columns_branchwise(diffs + v / vt, spec, vt)
+        v = v + vt * (diffs - zeta)
+        primal = float(np.linalg.norm(diffs - zeta))
+        if primal < cfg.tol:
+            break
+    dual = vt * float(np.linalg.norm(bundle.difference_adjoint(zeta - zeta_prev)))
+    return w.FitResult(beta=beta, eta=bundle.eta_update(beta), zeta=zeta, v=v,
+                       iterations=k + 1, final_residual=primal,
+                       converged=primal < cfg.tol, final_dual_residual=dual)
 
 
 def keyed_rng(seed: int, *key: int) -> np.random.Generator:

@@ -69,9 +69,8 @@ class TestPairIndex:
         assert peak < 16e6
 
     def test_flat_positions_are_private_and_writeable(self, rng):
-        # np.take and np.bincount copy a read-only index on every call, so the
-        # bundle keeps writeable positions even at p = 1, where they equal the
-        # shared read-only pair index
+        # the bundle keeps its own writeable positions even at p = 1, where
+        # they equal the shared read-only pair index
         ds, _ = random_dataset(rng, m=6, p=1)
         bundle = admm.prepared(ds)
         assert np.array_equal(bundle._pos_i, bundle.pairs.i_idx)
@@ -335,9 +334,9 @@ class TestPrecomputation:
         real = admm.validate
         monkeypatch.setattr(admm, "validate", lambda d: checked.append(d) or real(d))
         bundle = admm.prepared(ds)
-        w.fit(ds, w.ScadSpec(lam=0.1))
+        res = w.fit(ds, w.ScadSpec(lam=0.1))
         w.default_lambda_grid(ds)
-        w.objective(ds, np.zeros((3, 2)), np.zeros(0), w.ScadSpec(lam=0.1))
+        w.modified_bic(ds, res, w.extract_partition(res))
         assert admm.prepared(ds) is bundle
         assert checked == [ds]
         assert repr(ds) == text
@@ -408,7 +407,7 @@ class TestObjective:
         b = w.LocationBlock("a", 20, y=X @ truth, X=X, Z=np.zeros((10, 0)),
                             pi=np.full(10, 0.5))
         ds = w.Dataset([b])
-        assert w.objective(ds, truth[None, :], np.zeros(0), w.ScadSpec(lam=0.0)) == pytest.approx(0.0)
+        assert oracles.objective(ds, truth[None, :], np.zeros(0), w.ScadSpec(lam=0.0)) == pytest.approx(0.0)
 
     def test_lam_zero_equals_half_wrss(self, rng):
         ds, _ = random_dataset(rng, m=3, p=2)
@@ -418,21 +417,21 @@ class TestObjective:
             wt = w.composite_weights(b)
             r = b.y - b.X @ beta[i]
             direct += 0.5 * np.sum(wt * r * r)
-        assert w.objective(ds, beta, np.zeros(0), w.ScadSpec(lam=0.0)) == pytest.approx(direct)
+        assert oracles.objective(ds, beta, np.zeros(0), w.ScadSpec(lam=0.0)) == pytest.approx(direct)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_single_location_is_the_loss(self, rng, p):
         ds, _ = random_dataset(rng, m=1, p=p)
         beta = rng.standard_normal((1, p))
         spec = w.ScadSpec(lam=0.8)
-        assert w.objective(ds, beta, np.zeros(0), spec) == w.weighted_loss(ds, beta, np.zeros(0))
+        assert oracles.objective(ds, beta, np.zeros(0), spec) == oracles.weighted_loss(ds, beta, np.zeros(0))
 
     def test_identical_rows_only_loss(self, rng):
         ds, _ = random_dataset(rng, m=3, p=2)
         beta = np.tile(rng.standard_normal(2), (3, 1))
         spec = w.ScadSpec(lam=0.8)
-        assert w.objective(ds, beta, np.zeros(0), spec) == pytest.approx(
-            w.weighted_loss(ds, beta, np.zeros(0)))
+        assert oracles.objective(ds, beta, np.zeros(0), spec) == pytest.approx(
+            oracles.weighted_loss(ds, beta, np.zeros(0)))
 
 
 class TestFit:
@@ -524,6 +523,39 @@ class TestFit:
             for name in ("final_residual", "final_dual_residual"):
                 assert getattr(res, name) == pytest.approx(ref[name], rel=0, abs=1e-10), name
             assert res.final_dual_residual > 0
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("vt", [1.0, 2.0, 0.7])
+    def test_scaled_loop_matches_the_unscaled_loop(self, rng, monkeypatch, p, q, vt):
+        # carrying u = v/vartheta makes the same float operations as carrying
+        # v when vartheta is a power of two, so every field is bit-identical;
+        # at vartheta = 0.7 the fits agree to 1e-13 with equal iteration counts
+        ds, _ = random_dataset(rng, m=8, p=p, q=q, noise=1.0, sigma2=bool(q))
+        branches = set()
+        real = admm.prox_columns
+
+        def prox(kappa, spec, vartheta):
+            # which proximal branch each column takes: zero, soft, middle, identity
+            edges = [spec.lam / vartheta, spec.lam + spec.lam / vartheta, spec.gamma * spec.lam]
+            branches.update(np.searchsorted(edges, np.linalg.norm(kappa, axis=0)).tolist())
+            return real(kappa, spec, vartheta)
+
+        monkeypatch.setattr(admm, "prox_columns", prox)
+        for lam in np.sort(_start_distances(ds))[[0, 7, 14, 21]]:
+            spec = w.ScadSpec(lam=float(lam))
+            for max_iter in (1, 2, 2000):
+                cfg = w.AdmmConfig(vartheta=vt, max_iter=max_iter)
+                res, ref = w.fit(ds, spec, cfg), oracles.unscaled_admm(ds, spec, cfg)
+                assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+                for name in ("beta", "eta", "zeta", "v", "final_residual", "final_dual_residual"):
+                    got, want = getattr(res, name), getattr(ref, name)
+                    if vt == 0.7:
+                        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=name)
+                    else:
+                        assert np.array_equal(got, want), (name, lam, max_iter)
+            assert res.converged and res.iterations > 2
+        assert branches == {0, 1, 2, 3}
 
     def test_eta_computed_once_per_fit(self, rng, monkeypatch):
         # neither the start nor the coefficient update reads eta, so one fit

@@ -46,20 +46,65 @@ class TestExtractPartition:
         assert part_tight.K_hat == 2
         assert part_loose.K_hat == 1
 
-    def test_edge_order_invariance(self, rng):
-        # random zero pattern: labels must match the connected components
-        # regardless of which pairs carry the zeros
+    @staticmethod
+    def _assert_matches_components(beta, fused):
+        # exact labels, sizes and group means against breadth-first search
+        m = beta.shape[0]
+        pairs = w.build_pair_index(m)
+        zeta = np.where(fused, 0.0, 1.0) * np.ones((beta.shape[1], 1))
+        part = w.extract_partition(fake_fit(beta, zeta))
+        labels = oracles.connected_labels(m, zip(pairs.i_idx[fused], pairs.j_idx[fused]))
+        K = labels.max() + 1
+        assert part.K_hat == K
+        assert np.array_equal(part.assignment, labels)
+        # labels follow first appearance: group k's first location comes
+        # before group k + 1's
+        first = np.unique(part.assignment, return_index=True)[1]
+        assert np.all(np.diff(first) > 0)
+        assert np.array_equal(part.group_sizes, [np.sum(labels == k) for k in range(K)])
+        np.testing.assert_allclose(part.alpha, [beta[labels == k].mean(axis=0) for k in range(K)],
+                                   rtol=1e-13, atol=1e-13)
+        return part
+
+    @pytest.mark.parametrize("m", [2, 6, 30])
+    @pytest.mark.parametrize("density", [0.02, 0.1, 0.3, 0.7])
+    def test_random_zero_patterns_match_components(self, rng, m, density):
         for _ in range(20):
-            m = 6
-            beta = rng.standard_normal((m, 1))
-            pairs = w.build_pair_index(m)
-            zero_mask = rng.random(pairs.n_pairs) < 0.3
-            zeta = np.where(zero_mask, 0.0, 1.0)[None, :]
-            part = w.extract_partition(fake_fit(beta, zeta))
-            edges = zip(pairs.i_idx[zero_mask], pairs.j_idx[zero_mask])
-            labels = oracles.connected_labels(m, edges)
-            assert part.K_hat == labels.max() + 1
-            assert w.adjusted_rand_index(part.assignment, labels) == pytest.approx(1.0)
+            beta = rng.standard_normal((m, 2))
+            fused = rng.random(m * (m - 1) // 2) < density
+            self._assert_matches_components(beta, fused)
+
+    @pytest.mark.parametrize("order", ["index", "reversed", "zigzag", "random"])
+    def test_long_path_matches_components(self, rng, order):
+        # 200 locations fused only along one path, a component of diameter
+        # 199 and the slowest case for label propagation.  "index" fuses only
+        # the pairs (i, i+1); the others fuse consecutive locations of the
+        # paths 199, 198, ..., 0 and 199, 0, 198, 1, ... and of a random path
+        m = 200
+        path = {"index": np.arange(m), "reversed": np.arange(m)[::-1],
+                "zigzag": np.ravel(np.column_stack([np.arange(m - 1, m // 2 - 1, -1), np.arange(m // 2)])),
+                "random": rng.permutation(m)}[order]
+        a, b = np.minimum(path[:-1], path[1:]), np.maximum(path[:-1], path[1:])
+        pairs = w.build_pair_index(m)
+        column = a * m - a * (a + 1) // 2 + (b - a - 1)       # lexicographic pair position
+        assert np.array_equal(pairs.i_idx[column], a) and np.array_equal(pairs.j_idx[column], b)
+        fused = np.zeros(pairs.n_pairs, dtype=bool)
+        fused[column] = True
+        part = self._assert_matches_components(rng.standard_normal((m, 1)), fused)
+        assert part.K_hat == 1
+        # cutting the path's first 100 edges leaves 100 singletons beside a
+        # path of 100 locations
+        fused[column[: m // 2]] = False
+        assert self._assert_matches_components(rng.standard_normal((m, 1)), fused).K_hat == m // 2 + 1
+
+    @pytest.mark.parametrize("m", [2, 6, 30])
+    def test_no_pairs_and_all_pairs_fused(self, rng, m):
+        beta = rng.standard_normal((m, 2))
+        n_pairs = m * (m - 1) // 2
+        none = self._assert_matches_components(beta, np.zeros(n_pairs, dtype=bool))
+        assert none.K_hat == m and np.array_equal(none.assignment, np.arange(m))
+        every = self._assert_matches_components(beta, np.ones(n_pairs, dtype=bool))
+        assert every.K_hat == 1 and np.array_equal(every.group_sizes, [m])
 
     def test_m1_single_group(self):
         fit = w.FitResult(beta=np.array([[1.0]]), eta=np.zeros(0),
@@ -67,6 +112,8 @@ class TestExtractPartition:
                           iterations=0, final_residual=0.0, converged=True)
         part = w.extract_partition(fit)
         assert part.K_hat == 1
+        assert np.array_equal(part.assignment, [0]) and np.array_equal(part.group_sizes, [1])
+        assert np.array_equal(part.alpha, [[1.0]])
 
 
 class TestGroupEstimates:

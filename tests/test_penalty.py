@@ -161,6 +161,24 @@ class TestZetaProximal:
                 if abs(t) > 1.5:
                     assert np.array_equal(out[:, l], kappa[:, l]), t
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("vt", [1.0, 2.0, 0.7])
+    def test_prox_columns_bit_identical_to_branchwise_form(self, rng, p, vt):
+        # the in-place passes make the same float operations per element as
+        # one np.where per branch decision, on random and on boundary norms;
+        # at gamma*lam the middle branch rounds to 1 + 2^-52 for (0.37, 3.7)
+        # and to 1 - 2.3e-15 for (0.123, 2.5) at vartheta = 0.7
+        for spec in (w.ScadSpec(lam=0.4, gamma=3.2), w.ScadSpec(lam=0.37, gamma=3.7),
+                     w.ScadSpec(lam=0.123, gamma=2.5)):
+            edges = [spec.lam / vt, spec.lam + spec.lam / vt, spec.gamma * spec.lam]
+            norms = [0.0, 1e-170] + [x for e in edges for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+            direction = rng.standard_normal((p, len(norms)))
+            direction[0] = np.abs(direction[0]) + 1.0
+            direction[1:] = 0.0     # the norm is the first entry, exactly
+            kappa = direction / direction[0] * norms
+            kappa = np.concatenate([kappa, rng.standard_normal((p, 500)) * rng.uniform(0.01, 3.0, 500)], axis=1)
+            assert np.array_equal(prox_columns(kappa, spec, vt), oracles.prox_columns_branchwise(kappa, spec, vt))
+
     def test_prox_columns_lam_zero_returns_a_new_equal_array(self, rng):
         kappa = rng.standard_normal((7, 2)).T
         out = prox_columns(kappa, w.ScadSpec(lam=0.0), 1.0)
@@ -188,6 +206,18 @@ class TestZetaProximal:
             out = prox_columns(kappa, spec, vt)
         for l in range(kappa.shape[1]):
             assert np.array_equal(out[:, l], w.zeta_proximal(kappa[:, l], spec, vt)), l
+
+    @pytest.mark.parametrize("vt", [0.09, 0.36, 0.53, 0.95])
+    def test_check_prox_compatible_rejects_a_divisor_that_rounds_to_zero(self, vt):
+        # gamma one ulp above 1 + 1/vartheta passes the bound, but
+        # 1 - 1/((gamma - 1) vartheta) rounds to 0, and the middle branch divides by it
+        spec = w.ScadSpec(lam=1.0, gamma=float(np.nextafter(1.0 + 1.0 / vt, np.inf)))
+        assert spec.gamma > 1.0 + 1.0 / vt
+        assert 1.0 - 1.0 / ((spec.gamma - 1.0) * vt) == 0.0
+        with pytest.raises(w.ValidationError):
+            check_prox_compatible(spec, vt)
+        with pytest.raises(w.ValidationError):
+            prox_columns(np.ones((1, 3)), spec, vt)
 
     def test_check_prox_compatible_boundary(self):
         check_prox_compatible(w.ScadSpec(lam=1.0, gamma=3.0), 1.0)

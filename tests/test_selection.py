@@ -89,6 +89,16 @@ class TestDefaultLambdaGrid:
 
 
 class TestSelectLambda:
+    @pytest.mark.parametrize("grid", [[0.5, 0.5, 1.0], [0.0, 1.0], [1.0, -0.5], [1.0, float("nan")], []])
+    def test_invalid_grid_rejected_before_any_fit(self, rng, monkeypatch, grid):
+        ds, _ = random_dataset(rng, m=4, p=1)
+        fits = []
+        real = admm.fit
+        monkeypatch.setattr(admm, "fit", lambda *a, **k: fits.append(1) or real(*a, **k))
+        with pytest.raises(w.ValidationError):
+            selection.select_lambda(ds, grid)
+        assert fits == []
+
     def test_tie_breaks_toward_smaller_lambda(self, rng, monkeypatch):
         ds, _ = random_dataset(rng, m=4, p=1)
         monkeypatch.setattr(selection, "modified_bic", lambda *args: 0.5)
