@@ -35,8 +35,9 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise ValidationError(f"--lambda-grid expects lo:hi:count, got {text!r}") from None
-    if lo <= 0 or hi <= lo or n < 2:
-        raise ValidationError("--lambda-grid needs 0 < lo < hi and count >= 2")
+    if not 0 < lo < hi < np.inf or n < 2:  # also rejects a nan bound
+        raise ValidationError(f"--lambda-grid needs finite 0 < lo < hi and count >= 2, "
+                              f"got {text!r}")
     return np.geomspace(lo, hi, n)
 
 
@@ -139,7 +140,8 @@ def cmd_fit(args) -> int:
         report["lambda_path"] = [
             {"lambda": r.lam, "bic": r.bic, "K_hat": int(r.partition.K_hat),
              "converged": bool(r.converged), "iterations": int(r.fit.iterations),
-             "final_residual": float(r.fit.final_residual)}
+             "final_residual": float(r.fit.final_residual),
+             "final_dual_residual": float(r.fit.final_dual_residual)}
             for r in path.records
         ]
     if args.refit_oracle:

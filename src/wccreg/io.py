@@ -2,12 +2,17 @@
 
 The CSV schema is one row per sampled observation:
 ``location_id, N, y, pi, [sigma2,] x1..xp, [z1..zq]`` with a mandatory header.
-JSON reports keep a fixed field order and rely on shortest round-trip float
-formatting, so identical inputs produce byte-identical files.
+JSON reports keep a fixed field order, so identical inputs produce
+byte-identical files.  Arrays whose length grows with m^2, the fit's pair-space
+slacks ``zeta`` and multipliers ``v``, are written as base64 strings of their
+little-endian float64 bytes in (p, n_pairs) C order.  Everything of size O(m)
+(coefficients, partition, lambda path, refit) is written as decimal numbers in
+shortest round-trip form.  Both forms read back bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 from typing import Optional
@@ -16,7 +21,8 @@ import numpy as np
 
 from .types import Dataset, FitResult, LocationBlock, Partition, ValidationError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_PAIR_DTYPE = "<f8"
 
 
 def expected_columns(p: int, q: int, has_sigma2: bool) -> list[str]:
@@ -45,6 +51,9 @@ def load_dataset_csv(path, p: int, q: int = 0) -> Dataset:
         except StopIteration:
             raise ValidationError("empty CSV: header row required") from None
         header = [h.strip() for h in header]
+        for i, col in enumerate(header):
+            if col in header[:i]:
+                raise ValidationError(f"duplicate column {col!r} in CSV header")
         has_sigma2 = "sigma2" in header
         expected = expected_columns(p, q, has_sigma2)
         for col in expected:
@@ -78,12 +87,13 @@ def load_dataset_csv(path, p: int, q: int = 0) -> Dataset:
     blocks = []
     for lid in order:
         recs = rows[lid]
+        for r in recs:
+            if not r["N"].is_integer():  # also False for inf and nan
+                raise ValidationError(f"location {lid!r}: N must be a finite integer, got {r['N']}")
         Ns = {r["N"] for r in recs}
         if len(Ns) != 1:
             raise ValidationError(f"location {lid!r}: inconsistent N values {sorted(Ns)}")
         N = Ns.pop()
-        if N != int(N):
-            raise ValidationError(f"location {lid!r}: N must be an integer, got {N}")
         blocks.append(LocationBlock(
             location_id=lid,
             N=int(N),
@@ -96,12 +106,38 @@ def load_dataset_csv(path, p: int, q: int = 0) -> Dataset:
     return Dataset(blocks)
 
 
+def _encode_pairs(a: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(a, dtype=_PAIR_DTYPE).tobytes()).decode("ascii")
+
+
+def _decode_pairs(d: dict, name: str, p: int, npairs: int) -> np.ndarray:
+    text = d[name]
+    if not isinstance(text, str):
+        raise ValidationError(f"fit field {name!r} must be a base64 string of {_PAIR_DTYPE} "
+                              f"bytes (schema {SCHEMA_VERSION}), got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:
+        raise ValidationError(f"fit field {name!r} is not valid base64") from None
+    if len(raw) != 8 * p * npairs:
+        raise ValidationError(f"fit field {name!r} holds {len(raw)} bytes, expected "
+                              f"8*p*m(m-1)/2 = {8 * p * npairs} for p={p}, {npairs} pairs")
+    return np.frombuffer(raw, dtype=_PAIR_DTYPE).reshape(p, npairs)
+
+
 def fit_result_to_dict(fit: FitResult) -> dict:
+    """The fit as JSON-ready values; ``fit_result_from_dict`` inverts it exactly.
+
+    ``beta`` (m, p) and ``eta`` (q,) are nested lists of floats.  ``zeta`` and
+    ``v`` grow with m^2, so each is one base64 string of its
+    (p, n_pairs) array as little-endian float64 bytes in C order: about 11
+    bytes per value instead of ~22 decimal digits, and no float formatting.
+    """
     return {
         "beta": fit.beta.tolist(),
         "eta": fit.eta.tolist(),
-        "zeta": fit.zeta.tolist(),
-        "v": fit.v.tolist(),
+        "zeta": _encode_pairs(fit.zeta),
+        "v": _encode_pairs(fit.v),
         "iterations": int(fit.iterations),
         "final_residual": float(fit.final_residual),
         "converged": bool(fit.converged),
@@ -113,13 +149,11 @@ def fit_result_from_dict(d: dict) -> FitResult:
     m = len(d["beta"])
     p = len(d["beta"][0]) if m else 0
     npairs = m * (m - 1) // 2
-    zeta = np.asarray(d["zeta"], dtype=float).reshape(p, npairs)
-    v = np.asarray(d["v"], dtype=float).reshape(p, npairs)
     return FitResult(
         beta=np.asarray(d["beta"], dtype=float),
         eta=np.asarray(d["eta"], dtype=float),
-        zeta=zeta,
-        v=v,
+        zeta=_decode_pairs(d, "zeta", p, npairs),
+        v=_decode_pairs(d, "v", p, npairs),
         iterations=int(d["iterations"]),
         final_residual=float(d["final_residual"]),
         converged=bool(d["converged"]),

@@ -46,6 +46,7 @@ class TestFit:
     @pytest.mark.parametrize("header, column", [
         ("location_id,N,y,x1,z1", "missing column 'pi'"),
         ("location_id,N,y,pi,x1,z1,w", "unexpected column 'w'"),
+        ("location_id,N,y,pi,x1,z1,x1", "duplicate column 'x1'"),
     ])
     def test_bad_header_names_the_column(self, rng, tmp_path, capsys, header, column):
         csv_path = tmp_path / "d.csv"
@@ -65,6 +66,26 @@ class TestFit:
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run_fit(csv_path) == cli.EXIT_VALIDATION
         assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_population_size_rejected(self, rng, tmp_path, capsys, value):
+        csv_path = tmp_path / "d.csv"
+        lines = write_csv(csv_path, rng)
+        lines = [",".join([f[0], value] + f[2:]) if f[0] == "loc1" else line
+                 for line, f in ((line, line.split(",")) for line in lines)]
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_fit(csv_path) == cli.EXIT_VALIDATION
+        assert f"location 'loc1': N must be a finite integer, got {value}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0.1:inf:3", "nan:1:3", "0.1:nan:3"])
+    def test_nonfinite_lambda_grid_bound_rejected(self, rng, tmp_path, capsys, grid):
+        csv_path = tmp_path / "d.csv"
+        write_csv(csv_path, rng)
+        code = cli.main(["fit", str(csv_path), "--p", "1", "--q", "1", "--lambda-grid", grid])
+        assert code == cli.EXIT_VALIDATION
+        assert f"--lambda-grid needs finite 0 < lo < hi and count >= 2, got {grid!r}" in \
+            capsys.readouterr().err
 
     def test_selected_bic_is_scored_once_per_candidate(self, rng, tmp_path, monkeypatch):
         # the reported BIC is the selected candidate's path record, the same
@@ -90,6 +111,38 @@ class TestFit:
         write_csv(csv_path, rng, zero_z=True)
         assert run_fit(csv_path) == cli.EXIT_SOLVER
         assert "Z'WZ" in capsys.readouterr().err
+
+
+class TestReport:
+    """The JSON report of a lambda sweep against a direct select_lambda on the same CSV."""
+
+    @pytest.fixture
+    def sweep(self, rng, tmp_path):
+        csv_path = tmp_path / "d.csv"
+        write_csv(csv_path, rng)
+        texts = []
+        for name in ("r1.json", "r2.json"):
+            out = tmp_path / name
+            assert cli.main(["fit", str(csv_path), "--p", "1", "--q", "1",
+                             "--lambda-grid", "0.01:1:4", "--out", str(out)]) == cli.EXIT_OK
+            texts.append(out.read_bytes())
+        data = wio.load_dataset_csv(csv_path, p=1, q=1)
+        return texts, selection.select_lambda(data, np.geomspace(0.01, 1.0, 4))
+
+    def test_report_is_byte_identical_and_round_trips_the_selected_fit(self, sweep):
+        (first, second), (_, fit, _, _) = sweep
+        assert first == second
+        report = json.loads(first)
+        assert report["schema_version"] == wio.SCHEMA_VERSION == 2
+        back = wio.fit_result_from_dict(report["fit"])
+        for name in ("beta", "eta", "zeta", "v"):
+            assert np.array_equal(getattr(back, name), getattr(fit, name)), name
+
+    def test_lambda_path_reports_each_dual_residual(self, sweep):
+        (text, _), (_, _, _, path) = sweep
+        entries = json.loads(text)["lambda_path"]
+        assert [e["final_dual_residual"] for e in entries] == \
+            [r.fit.final_dual_residual for r in path.records]
 
 
 def write_intercept_csv(path, rng, columns):

@@ -138,6 +138,7 @@ class TestSerializationRoundTrip:
         import json
         back = wio.fit_result_from_dict(json.loads(wio.dumps(wio.fit_result_to_dict(fit))))
         assert back.zeta.shape == back.v.shape == (2, 0)
+        assert wio.fit_result_to_dict(fit)["zeta"] == ""
         for name in ("beta", "eta", "zeta", "v"):
             assert np.array_equal(getattr(back, name), getattr(fit, name)), name
         assert (back.iterations, back.final_residual, back.converged, back.final_dual_residual) == (
@@ -145,8 +146,10 @@ class TestSerializationRoundTrip:
 
     def test_dumps_is_byte_deterministic_and_keeps_nan(self, rng):
         import json
+        v = rng.standard_normal((1, 3))
+        v[0, 1] = np.nan
         fit = w.FitResult(beta=rng.standard_normal((3, 1)), eta=np.zeros(0),
-                          zeta=rng.standard_normal((1, 3)), v=rng.standard_normal((1, 3)),
+                          zeta=rng.standard_normal((1, 3)), v=v,
                           iterations=5, final_residual=1e-7, converged=True)
 
         def report():
@@ -159,7 +162,27 @@ class TestSerializationRoundTrip:
         back = json.loads(text)
         assert list(back) == ["schema_version", "fit", "bic"]
         assert np.isnan(back["bic"]) and np.isnan(back["fit"]["final_dual_residual"])
-        assert back["fit"]["zeta"] == fit.zeta.tolist()
+        # the pair-space fields are base64 float64 bytes, exact down to a NaN in v
+        assert isinstance(back["fit"]["zeta"], str) and isinstance(back["fit"]["v"], str)
+        rt = wio.fit_result_from_dict(back["fit"])
+        assert np.array_equal(rt.zeta, fit.zeta)
+        assert np.array_equal(rt.v, fit.v, equal_nan=True) and np.isnan(rt.v[0, 1])
+
+    @pytest.mark.parametrize("field", ["zeta", "v"])
+    @pytest.mark.parametrize("value, message", [
+        ("AAAAAAAAAAA=", "holds 8 bytes, expected .* = 48"),
+        ("not base64!", "is not valid base64"),
+        ([[0.0, 0.0, 0.0]], "must be a base64 string .* got list"),
+    ])
+    def test_pair_field_decoder_names_the_field(self, rng, field, value, message):
+        # m = 3, p = 2: each pair field holds 2 * 3 float64 values, 48 bytes
+        fit = w.FitResult(beta=rng.standard_normal((3, 2)), eta=np.zeros(0),
+                          zeta=rng.standard_normal((2, 3)), v=rng.standard_normal((2, 3)),
+                          iterations=5, final_residual=1e-7, converged=True)
+        d = wio.fit_result_to_dict(fit)
+        d[field] = value
+        with pytest.raises(w.ValidationError, match=f"fit field '{field}' {message}"):
+            wio.fit_result_from_dict(d)
 
     def test_partition_round_trip(self):
         part = w.Partition(assignment=np.array([0, 1, 0, 2]), K_hat=3,
