@@ -11,7 +11,7 @@ from .admm import (
     normalized_weights,
 )
 from .grouping import extract_partition, group_estimates, location_estimates, refit_oracle
-from .metrics import adjusted_rand_index, rand_index_counts, rmse_beta, rmse_mu
+from .metrics import adjusted_rand_index, rand_index_counts, rmse_beta
 from .penalty import ScadSpec, group_soft_threshold, scad_value, zeta_proximal
 from .selection import BicVariant, LambdaPath, default_lambda_grid, modified_bic, select_lambda
 from .simulation import (
@@ -32,7 +32,6 @@ from .types import (
     Partition,
     SingularSystemError,
     ValidationError,
-    validate,
 )
 
 __all__ = [
@@ -44,6 +43,6 @@ __all__ = [
     "group_estimates", "group_soft_threshold", "informative_probabilities", "initialize",
     "location_estimates", "modified_bic", "normalized_weights",
     "poisson_sample", "rand_index_counts",
-    "refit_oracle", "rmse_beta", "rmse_mu", "run_monte_carlo",
-    "scad_value", "select_lambda", "validate", "zeta_proximal",
+    "refit_oracle", "rmse_beta", "run_monte_carlo",
+    "scad_value", "select_lambda", "zeta_proximal",
 ]

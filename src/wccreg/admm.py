@@ -47,7 +47,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 from .penalty import ScadSpec, check_prox_compatible, prox_columns
-from .types import AdmmConfig, Dataset, FitResult, LocationBlock, SingularSystemError, validate
+from .types import AdmmConfig, Dataset, FitResult, LocationBlock, SingularSystemError
 
 logger = logging.getLogger(__name__)
 
@@ -266,15 +266,16 @@ def _structured_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
 
 
 def prepared(data: Dataset) -> _Bundle:
-    """The dataset's precomputation: validated and built on first use, then reused.
+    """The dataset's precomputation: built on first use, then reused.
 
-    It is kept on the dataset instance outside its dataclass fields, so the
-    dataset's constructor, equality and repr are unchanged.  Two threads that
-    race here each build an equal precomputation, and one of them is kept.
+    Construction is the dataset's one check, so nothing is checked again
+    here.  The precomputation is kept on the dataset instance outside its
+    dataclass fields, so the dataset's constructor, equality and repr are
+    unchanged.  Two threads that race here each build an equal
+    precomputation, and one of them is kept.
     """
     bundle = vars(data).get("_prepared")
     if bundle is None:
-        validate(data)
         bundle = _Bundle(data)
         object.__setattr__(data, "_prepared", bundle)
     return bundle

@@ -43,9 +43,8 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _unweighted_copy(data: Dataset) -> Dataset:
     """Replace every inclusion probability by the overall sampling fraction."""
-    n_tot = sum(b.n for b in data.locations)
     N_tot = sum(b.N for b in data.locations)
-    return simulation.unweighted_copy(data, min(1.0, n_tot / N_tot))
+    return simulation.unweighted_copy(data, min(1.0, data.n_total / N_tot))
 
 
 def _standardize(data: Dataset):
@@ -208,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--lambda", dest="lam", type=float, default=None,
                     help="single fusion strength (skips selection)")
     fp.add_argument("--lambda-grid", default=None, metavar="LO:HI:COUNT",
-                    help="log-spaced selection grid")
+                    help="log-spaced selection grid; write --lambda-grid=LO:HI:COUNT "
+                         "when LO starts with '-'")
     fp.add_argument("--gamma", type=float, default=ScadSpec.gamma)
     fp.add_argument("--vartheta", type=float, default=AdmmConfig.vartheta)
     fp.add_argument("--tol", type=float, default=AdmmConfig.tol)

@@ -2,6 +2,9 @@
 
 The CSV schema is one row per sampled observation:
 ``location_id, N, y, pi, [sigma2,] x1..xp, [z1..zq]`` with a mandatory header.
+The numeric fields of all rows are parsed once into one float table, and each
+location's arrays are slices of its rows; the blocks' constructors are the one
+check of the values.
 JSON reports keep a fixed field order, so identical inputs produce
 byte-identical files.  Arrays whose length grows with m^2, the fit's pair-space
 slacks ``zeta`` and multipliers ``v``, are written as base64 strings of their
@@ -38,7 +41,10 @@ def load_dataset_csv(path, p: int, q: int = 0) -> Dataset:
     """Read a dataset; locations ordered by first appearance in the file.
 
     The optional ``sigma2`` column is detected from the header.  Any missing
-    or misnamed column fails with the offending name.
+    or misnamed column fails with the offending name.  Every row's numeric
+    fields go, parsed with ``float``, into one table with the columns of
+    ``expected_columns`` after ``location_id``; each location keeps the indices
+    of its rows, and its y, X, Z, pi and sigma2 are column slices of them.
     """
     if p < 1:
         raise ValidationError("p must be at least 1")
@@ -62,46 +68,46 @@ def load_dataset_csv(path, p: int, q: int = 0) -> Dataset:
         extra = [h for h in header if h not in expected]
         if extra:
             raise ValidationError(f"unexpected column {extra[0]!r} in CSV header")
-        idx = {col: header.index(col) for col in expected}
+        lid_at = header.index("location_id")
+        value_at = [header.index(col) for col in expected[1:]]
 
-        order: list[str] = []
-        rows: dict[str, list] = {}
+        table: list[list[float]] = []
+        rows: dict[str, list[int]] = {}
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not "".join(row).strip():  # blank, or only whitespace fields
                 continue
             if len(row) != len(header):
                 raise ValidationError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            lid = row[idx["location_id"]].strip()
-            if lid not in rows:
-                rows[lid] = []
-                order.append(lid)
+            lid = row[lid_at].strip()
             try:
-                parsed = {col: float(row[idx[col]]) for col in expected if col != "location_id"}
+                table.append([float(row[k]) for k in value_at])
             except ValueError as exc:
                 raise ValidationError(f"line {lineno} (location {lid!r}): {exc}") from None
-            rows[lid].append(parsed)
+            rows.setdefault(lid, []).append(len(table) - 1)
 
-    if not order:
+    if not table:
         raise ValidationError("CSV contains no data rows")
 
+    values = np.array(table)
+    x_at = 4 if has_sigma2 else 3  # columns: N, y, pi, [sigma2,] x..., z...
     blocks = []
-    for lid in order:
-        recs = rows[lid]
-        for r in recs:
-            if not r["N"].is_integer():  # also False for inf and nan
-                raise ValidationError(f"location {lid!r}: N must be a finite integer, got {r['N']}")
-        Ns = {r["N"] for r in recs}
-        if len(Ns) != 1:
-            raise ValidationError(f"location {lid!r}: inconsistent N values {sorted(Ns)}")
-        N = Ns.pop()
+    for lid, idx in rows.items():
+        part = values[idx]
+        Ns = part[:, 0].tolist()
+        for N in Ns:
+            if not N.is_integer():  # also False for inf and nan
+                raise ValidationError(f"location {lid!r}: N must be a finite integer, got {N}")
+        distinct = sorted(set(Ns))
+        if len(distinct) != 1:
+            raise ValidationError(f"location {lid!r}: inconsistent N values {distinct}")
         blocks.append(LocationBlock(
             location_id=lid,
-            N=int(N),
-            y=np.array([r["y"] for r in recs]),
-            X=np.array([[r[f"x{j + 1}"] for j in range(p)] for r in recs]),
-            Z=np.array([[r[f"z{j + 1}"] for j in range(q)] for r in recs]).reshape(len(recs), q),
-            pi=np.array([r["pi"] for r in recs]),
-            sigma2=np.array([r["sigma2"] for r in recs]) if has_sigma2 else None,
+            N=int(Ns[0]),
+            y=part[:, 1],
+            X=part[:, x_at:x_at + p],
+            Z=part[:, x_at + p:],
+            pi=part[:, 2],
+            sigma2=part[:, 3] if has_sigma2 else None,
         ))
     return Dataset(blocks)
 

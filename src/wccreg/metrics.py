@@ -75,17 +75,11 @@ def adjusted_rand_index(p1, p2) -> float:
     return float((index - expected) / denom)
 
 
-def rmse_mu(estimates: np.ndarray, truth: np.ndarray) -> float:
-    """Root mean squared error of scalar per-location estimates."""
-    est = np.asarray(estimates, dtype=float).reshape(-1)
-    tru = np.asarray(truth, dtype=float).reshape(-1)
-    if est.shape != tru.shape:
-        raise ValueError("length mismatch")
-    return float(np.sqrt(np.mean((est - tru) ** 2)))
-
-
 def rmse_beta(beta_hat: np.ndarray, beta_true: np.ndarray) -> float:
-    """Root of the average squared row-wise coefficient error."""
+    """Root of the average squared row-wise coefficient error.
+
+    (m, 1) columns give the RMSE of scalar per-location estimates (mean model).
+    """
     bh = np.atleast_2d(np.asarray(beta_hat, dtype=float))
     bt = np.atleast_2d(np.asarray(beta_true, dtype=float))
     if bh.shape != bt.shape:

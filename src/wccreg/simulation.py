@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 import wccreg.selection as selection
 from .grouping import location_estimates
-from .metrics import adjusted_rand_index, rmse_beta, rmse_mu
+from .metrics import adjusted_rand_index, rmse_beta
 from .selection import MEAN_MODEL, REGRESSION
 from .types import AdmmConfig, Dataset, LocationBlock, SingularSystemError, ValidationError
 
@@ -316,15 +317,11 @@ def _run_rep(args) -> list:
             lam_grid = selection.default_lambda_grid(data, solver_cfg)
             lam, fit, part, _ = selection.select_lambda(
                 data, lam_grid, cfg=solver_cfg, variant=variant)
-            est = location_estimates(part)
-            if spec.kind == MEAN_MODEL:
-                rmse = rmse_mu(est[:, 0], pop.truth[:, 0])
-            else:
-                rmse = rmse_beta(est, pop.truth)
             out.append(RepRecord(
                 rep=rep, method=meth, K_hat=part.K_hat, K_true=K_true,
                 ari=adjusted_rand_index(part.assignment, pop.labels),
-                rmse=rmse, lambda_star=lam, converged=fit.converged))
+                rmse=rmse_beta(location_estimates(part), pop.truth),
+                lambda_star=lam, converged=fit.converged))
         except SingularSystemError as exc:
             logger.warning("rep %d method %s: fatal fit error (%s)", rep, meth, exc)
             out.append(RepRecord(rep=rep, method=meth, K_hat=0, K_true=K_true,
@@ -339,13 +336,17 @@ def run_monte_carlo(spec: ScenarioSpec, solver_cfg: AdmmConfig = AdmmConfig(),
 
     Each replicate and method selects over the data-driven default grid
     (:func:`selection.default_lambda_grid`) with the default penalty shape.
-    ``jobs > 1`` distributes replicates over processes; results are identical
-    to the sequential run because all streams are keyed by replicate.
+    ``jobs > 1`` distributes replicates over at most ``jobs`` processes, and
+    never more than there are replicates or CPUs; results are identical to the
+    sequential run because all streams are keyed by replicate.
     """
+    if jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     methods = tuple(methods)
     tasks = [(spec, solver_cfg, methods, rep) for rep in range(spec.reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, spec.reps, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_run_rep, tasks, chunksize=1))
     else:
         per_rep = [_run_rep(t) for t in tasks]

@@ -4,7 +4,9 @@ A dataset is a list of location blocks.  Each block stores only the sampled
 rows of its location together with the inclusion probabilities under which
 they were drawn; unsampled population units are never represented.  All
 containers are frozen dataclasses holding read-only numpy arrays, so they can
-be shared freely across threads.  A dataset also keeps the solver's
+be shared freely across threads.  Their constructors, also when reached
+through ``dataclasses.replace``, check every invariant; that is the one check,
+and nothing downstream repeats it.  A dataset also keeps the solver's
 precomputation, attached on first use outside its dataclass fields (see
 ``admm.prepared``); threads that race there only build an equal precomputation
 twice.
@@ -162,17 +164,6 @@ def _check_dataset(data: Dataset) -> None:
             raise ValidationError(
                 f"location {block.location_id!r}: q={block.q} does not match dataset q={data.q}"
             )
-
-
-def validate(data: Dataset) -> None:
-    """Re-run every dataset and block invariant, raising on the first failure.
-
-    Construction already enforces these; the solver's precomputation runs
-    this gate once per dataset before building on it.
-    """
-    _check_dataset(data)
-    for block in data.locations:
-        _check_block(block)
 
 
 @dataclass(frozen=True)

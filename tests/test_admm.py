@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import wccreg as w
-from wccreg import admm
+from wccreg import admm, types
+from wccreg import io as wio
 
 import oracles
-from conftest import random_dataset
+from conftest import random_dataset, write_dataset_csv
 
 
 def _start_distances(ds):
@@ -327,18 +328,25 @@ class TestPrimalResidual:
 
 
 class TestPrecomputation:
-    def test_built_once_and_kept_outside_the_fields(self, rng, monkeypatch):
-        ds, _ = random_dataset(rng, m=3, p=2)
-        text = repr(ds)
+    def test_built_once_and_kept_outside_the_fields(self, rng, tmp_path, monkeypatch):
+        # construction is the one check: loading an m-location CSV checks each
+        # block and the dataset once, and the precomputation checks nothing again
+        m = 3
+        path = tmp_path / "d.csv"
+        write_dataset_csv(path, random_dataset(rng, m=m, p=2)[0])
         checked = []
-        real = admm.validate
-        monkeypatch.setattr(admm, "validate", lambda d: checked.append(d) or real(d))
+        for name in ("_check_block", "_check_dataset"):
+            real = getattr(types, name)
+            monkeypatch.setattr(types, name,
+                                lambda obj, name=name, real=real: checked.append(name) or real(obj))
+        ds = wio.load_dataset_csv(path, p=2)
+        text = repr(ds)
         bundle = admm.prepared(ds)
         res = w.fit(ds, w.ScadSpec(lam=0.1))
         w.default_lambda_grid(ds)
         w.modified_bic(ds, res, w.extract_partition(res))
         assert admm.prepared(ds) is bundle
-        assert checked == [ds]
+        assert checked == ["_check_block"] * m + ["_check_dataset"]
         assert repr(ds) == text
         assert admm.prepared(w.Dataset(ds.locations)) is not bundle
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 import wccreg as w
-from wccreg import admm, selection
+from wccreg import admm, selection, simulation
+from wccreg import io as wio
 
 from conftest import random_dataset
 
@@ -39,6 +40,11 @@ def test_bound_parameter_names_exist():
     params = inspect.signature(selection.select_lambda).parameters
     for name in ("data", "variant", "zero_tol"):
         assert name in params, name
+    # and calls load_dataset_csv(csv_path, p=1, q=1) and
+    # run_monte_carlo(spec, AdmmConfig(), methods=..., jobs=1)
+    assert list(inspect.signature(wio.load_dataset_csv).parameters) == ["path", "p", "q"]
+    assert list(inspect.signature(simulation.run_monte_carlo).parameters)[1:] == \
+        ["solver_cfg", "methods", "jobs"]
 
 
 def test_initialize_layer_is_called_once_per_fit_and_grid(rng, monkeypatch):

@@ -78,11 +78,12 @@ class TestFit:
         assert f"location 'loc1': N must be a finite integer, got {value}" in \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["0.1:inf:3", "nan:1:3", "0.1:nan:3"])
+    @pytest.mark.parametrize("grid", ["0.1:inf:3", "nan:1:3", "0.1:nan:3", "-1:1:3", "-inf:1:3"])
     def test_nonfinite_lambda_grid_bound_rejected(self, rng, tmp_path, capsys, grid):
+        # a value starting with '-' reaches the parser only in the --opt=value form
         csv_path = tmp_path / "d.csv"
         write_csv(csv_path, rng)
-        code = cli.main(["fit", str(csv_path), "--p", "1", "--q", "1", "--lambda-grid", grid])
+        code = cli.main(["fit", str(csv_path), "--p", "1", "--q", "1", f"--lambda-grid={grid}"])
         assert code == cli.EXIT_VALIDATION
         assert f"--lambda-grid needs finite 0 < lo < hi and count >= 2, got {grid!r}" in \
             capsys.readouterr().err
@@ -214,4 +215,12 @@ class TestSimulate:
                          "--out-dir", str(tmp_path / "mc")])
         assert code == cli.EXIT_VALIDATION
         assert f"n={n}" in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_fewer_than_one_job_rejected(self, tmp_path, capsys, jobs):
+        code = cli.main(["simulate", "--scenario", "mean", "--n", "6", "--reps", "1",
+                         "--jobs", str(jobs), "--out-dir", str(tmp_path / "mc")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "mc").exists()

@@ -110,28 +110,29 @@ class TestAdjustedRandIndex:
 
 
 class TestRmse:
+    # the mean model's scalar estimates are scored as (m, 1) columns
     def test_exact_recovery_zero(self):
-        assert w.rmse_mu([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert w.rmse_beta([[1.0], [2.0]], [[1.0], [2.0]]) == 0.0
         assert w.rmse_beta(np.ones((3, 2)), np.ones((3, 2))) == 0.0
 
     def test_mu_two_point(self):
-        assert w.rmse_mu([1.3, 0.6], [1.0, 1.0]) == pytest.approx(np.sqrt(0.25 / 2), abs=1e-4)
+        assert w.rmse_beta([[1.3], [0.6]], [[1.0], [1.0]]) == pytest.approx(np.sqrt(0.25 / 2), abs=1e-4)
 
     def test_sign_invariance(self, rng):
-        truth = rng.standard_normal(5)
-        err = rng.standard_normal(5)
-        assert w.rmse_mu(truth + err, truth) == pytest.approx(w.rmse_mu(truth - err, truth))
+        truth = rng.standard_normal((5, 1))
+        err = rng.standard_normal((5, 1))
+        assert w.rmse_beta(truth + err, truth) == pytest.approx(w.rmse_beta(truth - err, truth))
 
     def test_beta_single_row_norm(self):
         assert w.rmse_beta(np.array([[3.0, 4.0]]), np.zeros((1, 2))) == pytest.approx(5.0)
 
-    def test_beta_reduces_to_mu_when_p1(self, rng):
+    def test_column_is_the_scalar_rmse_when_p1(self, rng):
         est = rng.standard_normal(6)
         tru = rng.standard_normal(6)
-        assert w.rmse_beta(est[:, None], tru[:, None]) == pytest.approx(w.rmse_mu(est, tru))
+        assert w.rmse_beta(est[:, None], tru[:, None]) == np.sqrt(np.mean((est - tru) ** 2))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            w.rmse_mu([1.0], [1.0, 2.0])
+            w.rmse_beta([[1.0]], [[1.0], [2.0]])
         with pytest.raises(ValueError):
             w.rmse_beta(np.ones((2, 2)), np.ones((2, 3)))

@@ -56,6 +56,35 @@ def test_monte_carlo_records_do_not_depend_on_jobs():
     assert serial.to_dict() == pooled.to_dict()
 
 
+@pytest.mark.parametrize("jobs, reps, cpus, workers", [
+    (64, 3, 8, 3), (64, 5, 4, 4), (2, 5, 8, 2), (4, 3, None, None), (3, 1, 8, None),
+])
+def test_worker_count_is_capped_by_reps_and_cpus(monkeypatch, jobs, reps, cpus, workers):
+    # a serial stand-in for the process pool records the size asked for;
+    # None means the replicates run in this process without a pool
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+    spec = w.ScenarioSpec(kind="mean_model", expected_n=6, seed=3, reps=reps, m=10)
+    pooled = w.run_monte_carlo(spec, methods=("wcc",), jobs=jobs)
+    assert asked == ([] if workers is None else [workers])
+    assert pooled.records == w.run_monte_carlo(spec, methods=("wcc",), jobs=1).records
+
+
 def test_table_generator_smoke(tmp_path):
     spec = w.ScenarioSpec(kind="mean_model", expected_n=6, seed=3, reps=2, m=10)
     summary = w.run_monte_carlo(spec)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,16 @@ def block(n=5, p=2, q=0, pi=None, N=50, lid="a", sigma2=None):
 class TestInvariants:
     def test_wellformed_two_location_dataset(self):
         ds = w.Dataset([block(lid="a"), block(lid="b")])
-        w.validate(ds)
         assert ds.m == 2 and ds.p == 2 and ds.q == 0
 
     def test_zero_inclusion_probability_names_location(self):
         with pytest.raises(w.ValidationError, match="badloc"):
             block(pi=np.array([0.5, 0.0, 0.5, 0.5, 0.5]), lid="badloc")
+
+    def test_replace_rechecks_and_names_location(self):
+        b = block(lid="badloc")
+        with pytest.raises(w.ValidationError, match="location 'badloc': inclusion probabilities"):
+            replace(b, pi=np.array([0.5, 0.0, 0.5, 0.5, 0.5]))
 
     def test_pi_above_one_rejected(self):
         with pytest.raises(w.ValidationError, match="inclusion"):
@@ -34,8 +40,7 @@ class TestInvariants:
 
     def test_empty_z_blocks_ok(self):
         ds = w.Dataset([block(q=0)])
-        assert ds.q == 0
-        w.validate(ds)
+        assert ds.q == 0 and ds.locations[0].Z.shape == (5, 0)
 
     def test_population_smaller_than_sample_rejected(self):
         with pytest.raises(w.ValidationError, match="population size"):
