@@ -34,6 +34,15 @@ once after the loop.  The loop starts from the coefficients of
 :func:`initialize`, with slacks at their differences and multipliers at zero.
 A single location has no pairs: its pair blocks are (p, 0), the first
 iteration already has a zero primal residual, and the loop stops there.
+
+The loop has two branches, split by the pair count.  Below
+``penalty.SUPPORT_MIN_COLUMNS`` (4,096) pairs every iteration makes the
+passes above over all pairs.  From 4,096 pairs up the concave penalty leaves
+most slacks at exact zeros, and the loop works on their support: it carries
+``D'u`` through ``A'A = (mI - J) (x) I_p`` and scatter-adds only the nonzero
+slack columns, and the proximal map skips the dead columns.  The two branches
+agree to 1e-12 in every fitted number, with equal iterations and partitions;
+:func:`fit` gives the measured reason for the gate.
 """
 
 from __future__ import annotations
@@ -46,10 +55,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
+from . import penalty
 from .penalty import ScadSpec, check_prox_compatible, prox_columns
 from .types import AdmmConfig, Dataset, FitResult, LocationBlock, SingularSystemError
 
 logger = logging.getLogger(__name__)
+
+# iterations between full recomputations of the carried D'u in :func:`fit`.
+# Each carried step rounds anew: over ~860 carried iterations beta drifted
+# 7e-13 from the plain loop without them, 1e-13 with them
+_REFRESH_CARRIED = 64
 
 
 @dataclass(frozen=True)
@@ -115,12 +130,15 @@ class _Bundle:
         self.m, self.p, self.q = m, p, q
         self.pairs = build_pair_index(m)
         # flat position in an (m, p) block of entry (column k, pair l) of a
-        # (p, n_pairs) pair block, stored in that block's order.  They are
-        # private, writeable copies even at p = 1, where they equal the pair
-        # index
-        cols = np.arange(p)[:, None]
-        self._pos_i = (self.pairs.i_idx * p + cols).ravel()
-        self._pos_j = (self.pairs.j_idx * p + cols).ravel()
+        # (p, n_pairs) pair block, stored in that block's order.  At p = 1 they
+        # are the shared read-only pair index itself: the gathers index with
+        # them and np.bincount reads them, and neither copies a read-only index
+        if p == 1:
+            self._pos_i, self._pos_j = self.pairs.i_idx, self.pairs.j_idx
+        else:
+            cols = np.arange(p)[:, None]
+            self._pos_i = (self.pairs.i_idx * p + cols).ravel()
+            self._pos_j = (self.pairs.j_idx * p + cols).ravel()
 
         # the sample, once, as stacked rows: each row's location, response,
         # loss weight, design rows and BIC weight (normalized within its location)
@@ -187,16 +205,23 @@ class _Bundle:
         out -= flat[self._pos_j]
         return out.reshape(self.p, -1)
 
-    def difference_adjoint(self, S: np.ndarray) -> np.ndarray:
+    def difference_adjoint(self, S: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """``D'S'`` for a (p, n_pairs) block: +S_l added at row i, -S_l at row j.
 
         Entry (k, l) of S goes to flat entry (i_l, k) and (j_l, k) of the
-        (m, p) result, added in pair order.
+        (m, p) result, added in pair order.  With ``cols``, S is taken as zero
+        outside those columns and only they are read; the sums are the same.
         """
-        flat = S.reshape(-1)
+        if cols is None:
+            pos_i, pos_j, flat = self._pos_i, self._pos_j, S.reshape(-1)
+        else:
+            k = np.arange(self.p)[:, None]
+            pos_i = (self.pairs.i_idx[cols] * self.p + k).ravel()
+            pos_j = (self.pairs.j_idx[cols] * self.p + k).ravel()
+            flat = S[:, cols].ravel()
         size = self.m * self.p
-        return (np.bincount(self._pos_i, flat, size)
-                - np.bincount(self._pos_j, flat, size)).reshape(self.m, self.p)
+        return (np.bincount(pos_i, flat, size)
+                - np.bincount(pos_j, flat, size)).reshape(self.m, self.p)
 
 
 def _factor_spd(factor, trace, what: str):
@@ -304,24 +329,79 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
     least-squares fit with a zero residual.  Hitting ``max_iter`` is reported
     through ``converged=False`` but still returns the final iterate; only
     singular normal systems raise.
+
+    Blocks of fewer than ``penalty.SUPPORT_MIN_COLUMNS`` (4,096) pairs run
+    exactly these steps.  On larger blocks the penalty leaves most slacks at
+    exact zeros, and the loop skips them where it can:
+
+    * the right-hand side is ``vartheta (D'zeta - D'u)``.  The first ``D'zeta``
+      is ``D'D beta_0 = m (beta_0 - mean beta_0)``, by ``A'A = (mI - J) (x) I_p``,
+      and ``D'u_0 = 0``;
+    * once fewer than a quarter of the slack columns are nonzero, ``u``
+      becomes ``kappa`` off that support, and on it steps with the float
+      operations above; ``D'zeta`` scatter-adds the support alone
+      (:meth:`_Bundle.difference_adjoint` on its columns), and ``D'u`` is
+      carried as ``D'u + m (beta - mean beta) - D'zeta``, written centred so
+      that it does not cancel, and recomputed in full every 64 iterations.
+      When the support is wider, that iteration is the plain one and the
+      next recomputes ``D'(zeta - u)``; carrying restarts from a full
+      ``D'u`` when the support is narrow again;
+    * the final dual residual is ``vartheta ||D'zeta - D'zeta_prev||`` from the
+      carried sums when both are at hand.
+
+    These sums round differently from the plain loop's, so on large blocks
+    beta, eta, zeta and v agree with it to 1e-12 (measured: up to 1e-13 after
+    ~860 carried iterations, 2e-14 on fits of about ten), with the same
+    iterations and partitions; where every pair fuses, zeta is the same zero
+    block.  The gate is where the support path starts to pay: its fixed cost
+    per iteration (finding the support, the scatter on it, the prox's extra
+    max and count) exceeds the passes it skips on small blocks.  Per
+    iteration over a fusing 8-lambda grid of mean-model data it costs 1.36
+    times the plain loop at 1,176 pairs (the ``mc_mean`` cell), 1.20 at
+    2,415, 0.90 at 4,095, 0.77 at 8,128 and 0.57 at 79,800.
     """
     check_prox_compatible(spec, cfg.vartheta)
     bundle = prepared(data)
     vt = cfg.vartheta
     factor = bundle.factor(vt)
+    m = bundle.m
+    large = bundle.pairs.n_pairs >= penalty.SUPPORT_MIN_COLUMNS
 
     beta = initialize(data, cfg)
     zeta = bundle.differences(beta)
     u = np.zeros_like(zeta)
+    # D'zeta and D'u, while carried; on large blocks carrying starts at once
+    Dz = Du = None
+    if large:
+        Dz, Du = m * (beta - beta.mean(axis=0)), np.zeros_like(beta)
 
     primal = np.inf
     iterations = 0
     for it in range(cfg.max_iter):
-        beta = _structured_solve(factor, bundle.XtQy + vt * bundle.difference_adjoint(zeta - u).reshape(-1))
+        Dz_prev = Dz
+        adj = bundle.difference_adjoint(zeta - u) if Du is None else Dz - Du
+        beta = _structured_solve(factor, bundle.XtQy + vt * adj.reshape(-1))
         r = bundle.differences(beta)
-        zeta_prev, zeta = zeta, prox_columns(r + u, spec, vt)
-        r -= zeta
-        u += r
+        kappa = r + u
+        zeta_prev, zeta = zeta, prox_columns(kappa, spec, vt)
+        live = _narrow_support(zeta) if large else None
+        if live is None:
+            r -= zeta
+            u += r
+            Dz = Du = None
+        else:
+            # off the support zeta is 0: r stays D beta, and u + r is kappa
+            r_live = r[:, live] - zeta[:, live]
+            r[:, live] = r_live
+            u_live = u[:, live] + r_live
+            u = kappa
+            u[:, live] = u_live
+            Dz = bundle.difference_adjoint(zeta, live)
+            if Du is None or (it + 1) % _REFRESH_CARRIED == 0:
+                Du = bundle.difference_adjoint(u)
+            else:
+                Du += m * (beta - beta.mean(axis=0))
+                Du -= Dz
         # norm of the stacked constraint violations beta_i - beta_j - zeta_ij
         flat = r.reshape(-1)
         primal = math.sqrt(flat.dot(flat))
@@ -331,7 +411,10 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
 
     # only the last iterate's eta and dual residual are reported, so each is computed once
     eta = bundle.eta_update(beta)
-    dual = vt * float(np.linalg.norm(bundle.difference_adjoint(zeta - zeta_prev)))
+    if Dz is None or Dz_prev is None:
+        dual = vt * float(np.linalg.norm(bundle.difference_adjoint(zeta - zeta_prev)))
+    else:
+        dual = vt * float(np.linalg.norm(Dz - Dz_prev))
     converged = primal < cfg.tol
     if not converged:
         logger.warning("solver hit max_iter=%d with primal residual %.3e (tol %.1e)",
@@ -340,3 +423,14 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
     return FitResult(beta=beta, eta=eta, zeta=zeta, v=vt * u,
                      iterations=iterations, final_residual=primal,
                      converged=converged, final_dual_residual=dual)
+
+
+def _narrow_support(zeta: np.ndarray) -> np.ndarray | None:
+    """Indices of the nonzero columns of a (p, n_pairs) block when they are
+    fewer than a quarter of all, else None.  The columns are marked in a
+    boolean mask, which numpy counts and indexes several times faster than
+    the floats, and counted first: indexing a dense mask costs a few counts."""
+    nonzero = zeta[0] != 0 if zeta.shape[0] == 1 else zeta.any(axis=0)
+    if 4 * np.count_nonzero(nonzero) >= nonzero.size:
+        return None
+    return np.flatnonzero(nonzero)

@@ -29,13 +29,19 @@ def extract_partition(fit: FitResult, zero_tol: float = ZERO_TOL) -> Partition:
     straight at its root, then moves each edge to its ends' roots and drops
     the edges inside one root.  Rounds repeat until no edge is left.  The root
     of a component is then its smallest location index, so sorting the
-    distinct roots orders the groups by first appearance.
+    distinct roots orders the groups by first appearance.  When every pair is
+    fused (at the fusing end of a lambda path, and at m = 1) the one group is
+    returned directly, equal to what the propagation would give.
     """
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
     m = fit.beta.shape[0]
-    pairs = admm.build_pair_index(m)
     fused = column_norms(fit.zeta) <= zero_tol
+    if fused.all():
+        labels = np.zeros(m, dtype=np.intp)
+        return Partition(assignment=labels, K_hat=1, alpha=group_estimates(fit.beta, labels, 1),
+                         group_sizes=np.array([m]))
+    pairs = admm.build_pair_index(m)
     # edges between roots; at first every location is its own root
     a, b = pairs.i_idx[fused], pairs.j_idx[fused]
     root = np.arange(m)

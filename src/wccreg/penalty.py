@@ -15,6 +15,12 @@ import numpy as np
 
 from .types import ValidationError
 
+# Column count from which :func:`prox_columns` looks for dead columns and the
+# ADMM loop works on the slack support (see ``admm.fit``).  Below it the extra
+# whole-block passes (a max, a count, the support's index) cost more than the
+# skipped columns save.
+SUPPORT_MIN_COLUMNS = 4096
+
 
 @dataclass(frozen=True)
 class ScadSpec:
@@ -134,6 +140,14 @@ def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
     branchwise form, bit for bit.  For p = 1 the norm is ``abs``, which does
     not underflow; for p > 1 a column whose norm underflows to 0 is zeroed,
     like a zero column.
+
+    A block of at least :data:`SUPPORT_MIN_COLUMNS` columns is first checked
+    for dead columns, those with ``||kappa|| <= lam/vartheta``, which every
+    branch maps to zero.  When every column is dead the result is the zero
+    block; when fewer than a quarter are live only the live columns are
+    scaled, into a zero block.  The live columns get the same float
+    operations as above, and a dead column is +0 where the full pass may
+    leave -0.  A NaN norm takes the full pass.
     """
     check_prox_compatible(spec, vartheta)
     kappa = np.asarray(kappa, dtype=float)
@@ -142,6 +156,22 @@ def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
         return kappa.copy()
 
     norms = column_norms(kappa)
+    n = norms.size
+    if n >= SUPPORT_MIN_COLUMNS:
+        top = np.max(norms, initial=0.0)
+        if top <= lam / vartheta:
+            return np.zeros(kappa.shape)
+        live = norms > lam / vartheta
+        if 4 * np.count_nonzero(live) < n and not np.isnan(top):
+            cols = np.flatnonzero(live)
+            out = np.zeros(kappa.shape)
+            out[:, cols] = kappa[:, cols] * _column_scale(norms[cols], lam, gam, vartheta)
+            return out
+    return kappa * _column_scale(norms, lam, gam, vartheta)
+
+
+def _column_scale(norms: np.ndarray, lam: float, gam: float, vartheta: float) -> np.ndarray:
+    """The per-column factor of :func:`prox_columns` for columns of these norms."""
     soft_top = lam + lam / vartheta
     beyond_soft = norms > soft_top
     shrink = 1.0 / ((gam - 1.0) * vartheta)
@@ -154,4 +184,4 @@ def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
     np.fmax(0.0, scale, out=scale)
     np.divide(scale, 1.0 - shrink, out=scale, where=beyond_soft)
     np.putmask(scale, norms > max(soft_top, gam * lam), 1.0)
-    return kappa * scale
+    return scale

@@ -202,8 +202,9 @@ class FitResult:
     pairs: they are (p, 0), and its fit stops after one iteration with zero
     residuals.  ``final_dual_residual`` is
     ``vartheta ||D'(zeta_k - zeta_{k-1})||`` of the last iteration, computed
-    once after the loop from the last two slack iterates; it is logged for
-    diagnostics only and never used for stopping.
+    once after the loop (on large pair blocks from the loop's own sums
+    ``D'zeta_k`` and ``D'zeta_{k-1}``); it is logged for diagnostics only and
+    never used for stopping.
     """
 
     beta: np.ndarray           # (m, p)

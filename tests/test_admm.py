@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wccreg as w
-from wccreg import admm, types
+from wccreg import admm, penalty, types
 from wccreg import io as wio
 
 import oracles
@@ -18,6 +18,20 @@ from conftest import random_dataset, write_dataset_csv
 def _start_distances(ds):
     """Pairwise distances ||beta_i - beta_j|| of the default start."""
     return np.linalg.norm(admm.prepared(ds).differences(admm.initialize(ds, w.AdmmConfig())), axis=0)
+
+
+def _record_support_adjoints(monkeypatch):
+    """The column counts of the fit's adjoints over the slack support, as they happen."""
+    sizes = []
+    real = admm._Bundle.difference_adjoint
+
+    def adjoint(self, S, cols=None):
+        if cols is not None:
+            sizes.append(cols.size)
+        return real(self, S, cols)
+
+    monkeypatch.setattr(admm._Bundle, "difference_adjoint", adjoint)
+    return sizes
 
 
 def _first_iterations(ds, spec, vt):
@@ -69,14 +83,37 @@ class TestPairIndex:
             tracemalloc.stop()
         assert peak < 16e6
 
-    def test_flat_positions_are_private_and_writeable(self, rng):
-        # the bundle keeps its own writeable positions even at p = 1, where
-        # they equal the shared read-only pair index
-        ds, _ = random_dataset(rng, m=6, p=1)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_flat_positions_share_the_pair_index_at_p1(self, rng, p):
+        # at p = 1 the flat positions are the shared read-only pair index
+        # itself; at p > 1 entry (k, l) of a pair block sits at i_l p + k
+        ds, _ = random_dataset(rng, m=6, p=p)
         bundle = admm.prepared(ds)
-        assert np.array_equal(bundle._pos_i, bundle.pairs.i_idx)
-        assert np.array_equal(bundle._pos_j, bundle.pairs.j_idx)
-        assert bundle._pos_i.flags.writeable and bundle._pos_j.flags.writeable
+        pairs = bundle.pairs
+        if p == 1:
+            assert bundle._pos_i is pairs.i_idx and bundle._pos_j is pairs.j_idx
+            assert not bundle._pos_i.flags.writeable and not bundle._pos_j.flags.writeable
+        else:
+            k = np.arange(p)[:, None]
+            assert np.array_equal(bundle._pos_i, (pairs.i_idx * p + k).ravel())
+            assert np.array_equal(bundle._pos_j, (pairs.j_idx * p + k).ravel())
+        # the gathers and the adjoint still agree with the dense operator
+        D = oracles.difference_matrix(6)
+        beta = rng.standard_normal((6, p))
+        S = rng.standard_normal((p, D.shape[0]))
+        assert np.array_equal(bundle.differences(beta), (D @ beta).T)
+        assert np.abs(bundle.difference_adjoint(S) - D.T @ S.T).max() < 1e-12
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_adjoint_on_columns_matches_the_full_adjoint(self, rng, p):
+        # on a block that is zero off the given columns, the adjoint over
+        # those columns adds the same terms in the same order as the full one
+        ds, _ = random_dataset(rng, m=9, p=p)
+        bundle = admm.prepared(ds)
+        for live in (np.array([], dtype=np.intp), np.array([0, 5, 35]), np.arange(36)):
+            S = np.zeros((p, 36))
+            S[:, live] = rng.standard_normal((p, live.size))
+            assert np.array_equal(bundle.difference_adjoint(S, live), bundle.difference_adjoint(S))
 
 
 class TestStructuredSolve:
@@ -565,6 +602,65 @@ class TestFit:
             assert res.converged and res.iterations > 2
         assert branches == {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("vt", [1.0, 2.0, 0.7])
+    def test_support_path_matches_the_unscaled_loop(self, rng, monkeypatch, p, q, vt):
+        # with the gate lowered to one pair, the loop carries D'u and works on
+        # the slack support from the start; against the plain loop the
+        # iterations and partitions are equal, and beta, eta, zeta and v agree
+        # to 1e-12.  The slacks are not bit-identical: beta moves in its last
+        # bits from the first iteration on, and a pair whose norm sits at
+        # lam/vartheta can come out 0 on one side and 2e-16 on the other.
+        # lam = 1e3 fuses every pair, on both sides
+        monkeypatch.setattr(penalty, "SUPPORT_MIN_COLUMNS", 1)
+        ds, _ = random_dataset(rng, m=8, p=p, q=q, noise=1.0, sigma2=bool(q))
+        supports = _record_support_adjoints(monkeypatch)
+        lams = list(np.sort(_start_distances(ds))[[0, 7, 14, 21]]) + [1e3]
+        narrowed = []
+        for lam in lams:
+            spec = w.ScadSpec(lam=float(lam))
+            for max_iter in (1, 2, 2000):
+                cfg = w.AdmmConfig(vartheta=vt, max_iter=max_iter)
+                supports.clear()
+                res, ref = w.fit(ds, spec, cfg), oracles.unscaled_admm(ds, spec, cfg)
+                assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+                for name in ("beta", "eta", "zeta", "v", "final_residual", "final_dual_residual"):
+                    np.testing.assert_allclose(getattr(res, name), getattr(ref, name), rtol=0, atol=1e-12,
+                                               err_msg=f"{name}, lam={lam}, max_iter={max_iter}")
+                got, want = w.extract_partition(res), w.extract_partition(ref)
+                assert np.array_equal(got.assignment, want.assignment)
+                # the support path runs on fewer than a quarter of the pairs
+                assert all(4 * n < ds.m * (ds.m - 1) // 2 for n in supports)
+            assert res.converged
+            if supports:
+                narrowed.append(lam)
+        assert got.K_hat == 1 and not np.any(res.zeta) and not np.any(ref.zeta)
+        assert len(narrowed) >= 2 and narrowed[-1] == 1e3
+
+    def test_support_path_at_the_real_gate(self, rng, monkeypatch):
+        # 100 locations have 4,950 pairs, above the 4,096-column gate; with one
+        # location in ten planted apart, under a fifth of the pairs stay unfused.
+        # lam = 0.2 runs ~860 carried iterations (so D'u is recomputed in full
+        # every 64), lam = 0.8 fuses every pair
+        assert penalty.SUPPORT_MIN_COLUMNS == 4096
+        ds, _ = random_dataset(rng, m=100, p=1, q=1, n_range=(4, 9), noise=0.3,
+                               groups=[(0.0,)] * 9 + [(1.5,)])
+        supports = _record_support_adjoints(monkeypatch)
+        for lam, K in ((0.2, 3), (0.8, 1)):
+            spec = w.ScadSpec(lam=lam)
+            supports.clear()
+            res, ref = w.fit(ds, spec), oracles.unscaled_admm(ds, spec, w.AdmmConfig())
+            assert (res.iterations, res.converged) == (ref.iterations, True)
+            assert len(supports) >= res.iterations - 2 and 4 * max(supports) < 4950
+            for name in ("beta", "eta", "zeta", "v"):
+                np.testing.assert_allclose(getattr(res, name), getattr(ref, name), rtol=0, atol=1e-12,
+                                           err_msg=f"{name}, lam={lam}")
+            part = w.extract_partition(res)
+            assert part.K_hat == K
+            assert np.array_equal(part.assignment, w.extract_partition(ref).assignment)
+        assert np.array_equal(res.zeta, ref.zeta)
+
     def test_eta_computed_once_per_fit(self, rng, monkeypatch):
         # neither the start nor the coefficient update reads eta, so one fit
         # makes exactly one eta update, after the loop
@@ -601,7 +697,11 @@ class TestFit:
         part_perm = w.extract_partition(res_perm)
         assert part_perm.K_hat == part.K_hat
         assert sorted(part.group_sizes) == sorted(part_perm.group_sizes)
-        assert w.adjusted_rand_index(part.assignment[perm], part_perm.assignment) == pytest.approx(1.0)
+        # both fits leave every location on its own, so the index's chance
+        # correction is degenerate and it reports the exact-match indicator
+        assert part.K_hat == ds.m
+        with pytest.warns(UserWarning, match="degenerate chance correction"):
+            assert w.adjusted_rand_index(part.assignment[perm], part_perm.assignment) == pytest.approx(1.0)
 
     def test_weight_rescaling_invariance(self, rng):
         # pi -> c*pi and N -> N/c leaves the composite weights, and hence the

@@ -8,9 +8,10 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import wccreg as w
-from wccreg import admm, selection, simulation
+from wccreg import admm, penalty, selection, simulation
 from wccreg import io as wio
 
 from conftest import random_dataset
@@ -61,16 +62,24 @@ def test_initialize_layer_is_called_once_per_fit_and_grid(rng, monkeypatch):
     assert shapes == [(5, 2)] * 2
 
 
-def test_prox_layer_is_called_once_per_iteration_on_a_pair_block(rng, monkeypatch):
+@pytest.mark.parametrize("m", [6, 100])
+def test_prox_layer_is_called_once_per_iteration_on_a_pair_block(rng, monkeypatch, m):
     # penalty.prox_calls counts the calls to admm.prox_columns, so one fit
-    # must make exactly one per iteration, each on the whole (p, n_pairs) block
-    ds, _ = random_dataset(rng, m=6, p=2, noise=1.0)
+    # must make exactly one per iteration, each on the whole (p, n_pairs)
+    # block; also above the support gate (m = 100, 4,950 pairs), where most
+    # iterations work on the slack support
+    ds, _ = random_dataset(rng, m=m, p=2, noise=1.0, n_range=(8, 25) if m < 10 else (4, 9))
     start = admm.prepared(ds).differences(admm.initialize(ds, w.AdmmConfig()))
-    spec = w.ScadSpec(lam=float(np.linalg.norm(start, axis=0).min()))
-    shapes = []
+    spec = w.ScadSpec(lam=float(np.linalg.norm(start, axis=0).min() if m < 10 else 2.0))
+    shapes, adjoints = [], []
     real = admm.prox_columns
     monkeypatch.setattr(admm, "prox_columns",
                         lambda kappa, *a, **k: shapes.append(np.shape(kappa)) or real(kappa, *a, **k))
+    real_adjoint = admm._Bundle.difference_adjoint
+    monkeypatch.setattr(admm._Bundle, "difference_adjoint",
+                        lambda self, S, cols=None: adjoints.append(cols) or real_adjoint(self, S, cols))
     res = w.fit(ds, spec)
     assert res.iterations > 2
-    assert shapes == [(ds.p, ds.m * (ds.m - 1) // 2)] * res.iterations
+    assert shapes == [(ds.p, m * (m - 1) // 2)] * res.iterations
+    narrow = [cols for cols in adjoints if cols is not None]
+    assert (len(narrow) > 0) == (m * (m - 1) // 2 >= penalty.SUPPORT_MIN_COLUMNS)

@@ -106,6 +106,38 @@ class TestExtractPartition:
         every = self._assert_matches_components(beta, np.ones(n_pairs, dtype=bool))
         assert every.K_hat == 1 and np.array_equal(every.group_sizes, [m])
 
+    @pytest.mark.parametrize("m", [1, 2, 400])
+    def test_every_pair_fused_skips_the_propagation(self, rng, monkeypatch, m):
+        # with every slack at or below zero_tol the one-group partition comes
+        # back without building the pair index; one ulp lower leaves exactly
+        # one pair unfused, the propagation runs, and at m > 2 it finds the
+        # same group, bit for bit
+        beta = rng.standard_normal((m, 2))
+        n_pairs = m * (m - 1) // 2
+        norms = rng.uniform(1e-9, 1e-7, n_pairs)
+        fit = fake_fit(beta, np.vstack([norms, np.zeros(n_pairs)]))
+        built = []
+        real = w.build_pair_index
+        monkeypatch.setattr("wccreg.admm.build_pair_index", lambda k: built.append(k) or real(k))
+        tol = float(norms.max(initial=0.0))
+        every = w.extract_partition(fit, zero_tol=tol)
+        assert built == []
+        assert every.K_hat == 1 and np.array_equal(every.group_sizes, [m])
+        assert np.array_equal(every.assignment, np.zeros(m, dtype=int))
+        assert np.array_equal(every.alpha, w.group_estimates(beta, np.zeros(m, dtype=int), 1))
+        if m == 1:
+            return
+        part = w.extract_partition(fit, zero_tol=float(np.nextafter(tol, -np.inf)))
+        assert built == [m]
+        labels = oracles.connected_labels(m, [(i, j) for i, j, x in
+                                              zip(*np.triu_indices(m, 1), norms) if x < tol])
+        assert np.array_equal(part.assignment, labels)
+        if m > 2:
+            assert part.K_hat == 1
+            for name in ("assignment", "alpha", "group_sizes"):
+                got, want = getattr(every, name), getattr(part, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
     def test_m1_single_group(self):
         fit = w.FitResult(beta=np.array([[1.0]]), eta=np.zeros(0),
                           zeta=np.zeros((1, 0)), v=np.zeros((1, 0)),

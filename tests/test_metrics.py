@@ -43,13 +43,16 @@ class TestAdjustedRandIndex:
         assert w.adjusted_rand_index(a, a) == pytest.approx(1.0)
 
     def test_matches_pair_count_oracle(self, rng):
-        for _ in range(200):
-            m = int(rng.integers(3, 20))
-            a = random_partition_labels(rng, m, kmax=4)
-            b = random_partition_labels(rng, m, kmax=4)
-            got = w.adjusted_rand_index(a, b)
-            ref = oracles.ari_pair_counts(a, b)
-            assert got == pytest.approx(ref, abs=1e-12)
+        # some draws put both labelings in one group, where the chance
+        # correction is degenerate and a warning says so
+        with pytest.warns(UserWarning, match="degenerate chance correction"):
+            for _ in range(200):
+                m = int(rng.integers(3, 20))
+                a = random_partition_labels(rng, m, kmax=4)
+                b = random_partition_labels(rng, m, kmax=4)
+                got = w.adjusted_rand_index(a, b)
+                ref = oracles.ari_pair_counts(a, b)
+                assert got == pytest.approx(ref, abs=1e-12)
 
     def test_one_group_vs_singletons_is_zero(self):
         m = 6

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wccreg as w
+from wccreg import penalty
 from wccreg.penalty import check_prox_compatible, prox_columns
 
 import oracles
@@ -178,6 +179,64 @@ class TestZetaProximal:
             kappa = direction / direction[0] * norms
             kappa = np.concatenate([kappa, rng.standard_normal((p, 500)) * rng.uniform(0.01, 3.0, 500)], axis=1)
             assert np.array_equal(prox_columns(kappa, spec, vt), oracles.prox_columns_branchwise(kappa, spec, vt))
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("vt", [1.0, 0.7])
+    @pytest.mark.parametrize("live_share", [0.0, 0.1, 0.24, 0.5])
+    def test_prox_columns_above_the_gate_match_branchwise_form(self, rng, monkeypatch, p, vt, live_share):
+        # 5,000 columns are above the gate: with every column at or below
+        # lam/vartheta the result is the zero block, and with fewer than a
+        # quarter above it only those columns are scaled; either way every
+        # column equals the branchwise form's (a dead column may be +0 for -0)
+        spec = w.ScadSpec(lam=0.37, gamma=3.7)
+        n = 5000
+        assert n >= penalty.SUPPORT_MIN_COLUMNS
+        t = spec.lam / vt
+        edges = [t, spec.lam + t, spec.gamma * spec.lam]
+        dead = np.concatenate([[0.0, 1e-170, np.nextafter(t, -np.inf), t], rng.uniform(0, t, n)])
+        n_live = int(live_share * n)
+        live = np.concatenate([[np.nextafter(t, np.inf)] + [x for e in edges[1:] for x in
+                                                             (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))],
+                               rng.uniform(t, 4 * spec.gamma * spec.lam, n)])[:n_live]
+        norms = np.concatenate([dead[:n - n_live], live])
+        rng.shuffle(norms)
+        direction = rng.standard_normal((p, n))
+        kappa = direction / np.linalg.norm(direction, axis=0) * norms     # exact norms at p = 1
+        scaled = []
+        real = penalty._column_scale
+        monkeypatch.setattr(penalty, "_column_scale", lambda nr, *a: scaled.append(nr.size) or real(nr, *a))
+        out = prox_columns(kappa, spec, vt)
+        ref = oracles.prox_columns_branchwise(kappa, spec, vt)
+        assert np.array_equal(out, ref)
+        cols = penalty.column_norms(kappa) > t
+        assert not np.any(out[:, ~cols])
+        if live_share == 0.0:
+            assert scaled == []
+        elif live_share < 0.25:
+            assert scaled == [np.count_nonzero(cols)]
+        else:
+            assert scaled == [n]
+
+    def test_prox_columns_gate_keeps_nan_and_empty_blocks(self, monkeypatch):
+        # above the gate a block with a NaN norm takes the full pass, so its
+        # result is the one below the gate; with the gate at 0 the (p, 0)
+        # block of a single location is returned as is
+        spec, vt = w.ScadSpec(lam=0.5), 1.0
+        kappa = np.zeros((2, 5000))
+        kappa[:, 7] = [np.nan, 1.0]
+        kappa[:, 9] = [3.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = prox_columns(kappa, spec, vt)
+        assert np.isnan(out[0, 7]) and np.array_equal(out[:, 9], [3.0, 0.0])
+        monkeypatch.setattr(penalty, "SUPPORT_MIN_COLUMNS", 5001)
+        assert np.array_equal(out, prox_columns(kappa, spec, vt), equal_nan=True)
+        monkeypatch.setattr(penalty, "SUPPORT_MIN_COLUMNS", 0)
+        for p in (1, 2):
+            empty = np.zeros((p, 0))
+            got = prox_columns(empty, spec, vt)
+            assert got.shape == (p, 0)
+            assert np.array_equal(got, oracles.prox_columns_branchwise(empty, spec, vt))
 
     def test_prox_columns_lam_zero_returns_a_new_equal_array(self, rng):
         kappa = rng.standard_normal((7, 2)).T
