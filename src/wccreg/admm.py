@@ -96,9 +96,13 @@ def build_pair_index(m: int) -> PairIndex:
 
 def composite_weights(block: LocationBlock) -> np.ndarray:
     """Per-row loss weights ``1/(N * pi)``, times ``1/sigma2`` when present."""
-    w = 1.0 / (block.N * block.pi)
-    if block.sigma2 is not None:
-        w = w / block.sigma2
+    return _row_weights(block.N, block.pi, block.sigma2)
+
+
+def _row_weights(N, pi: np.ndarray, sigma2: np.ndarray | None) -> np.ndarray:
+    w = 1.0 / (N * pi)
+    if sigma2 is not None:
+        w = w / sigma2
     return w
 
 
@@ -109,11 +113,12 @@ def normalized_weights(block: LocationBlock) -> np.ndarray:
 
 
 class _Bundle:
-    """Per-dataset precomputations: one stacked copy of the sample and the
-    blocks of the weighted normal equations.
+    """Per-dataset precomputations: row weights and the blocks of the weighted
+    normal equations, next to the dataset's own stacked rows.
 
     Every residual (eta's update, the BIC) comes from :meth:`residuals` on
-    the stacked rows.  Built once per dataset by
+    the stacked rows, which the bundle shares with the dataset (they are
+    read-only) rather than copies.  Built once per dataset by
     :func:`prepared` and kept with it; it holds arrays only, never the dataset
     itself, so the dataset is freed as soon as its last reference goes.  The
     pairwise difference operator D (row l is ``e_i - e_j`` for pair l) acts
@@ -140,21 +145,28 @@ class _Bundle:
             self._pos_i = (self.pairs.i_idx * p + cols).ravel()
             self._pos_j = (self.pairs.j_idx * p + cols).ravel()
 
-        # the sample, once, as stacked rows: each row's location, response,
-        # loss weight, design rows and BIC weight (normalized within its location)
-        weights = [composite_weights(b) for b in data.locations]
-        self.row_location = np.repeat(np.arange(m), [b.n for b in data.locations])
-        self.y = np.concatenate([b.y for b in data.locations])
-        self.w = np.concatenate(weights)
-        self.X = np.concatenate([b.X for b in data.locations], axis=0)   # (n_total, p)
-        self.Z = np.concatenate([b.Z for b in data.locations], axis=0)   # (n_total, q)
-        self.w_norm = np.concatenate([normalized_weights(b) for b in data.locations])
+        # the sample, once, as stacked rows: the dataset's own read-only arrays,
+        # each row's location, its loss weight and its BIC weight (the inverse
+        # inclusion probability normalized within its location)
+        bounds = data.offsets.tolist()
+        self.row_location = np.repeat(np.arange(m), np.diff(data.offsets))
+        self.y, self.X, self.Z = data.y, data.X, data.Z
+        self.w = _row_weights(data.N[self.row_location], data.pi, data.sigma2)
+        inv_pi = 1.0 / data.pi
 
-        # block pieces of the weighted normal equations (q may be 0)
-        self.XtWX = np.stack([b.X.T @ (w[:, None] * b.X) for b, w in zip(data.locations, weights)])
-        XtWy = np.stack([b.X.T @ (w * b.y) for b, w in zip(data.locations, weights)])
-        self.XtWZ = np.stack([b.X.T @ (w[:, None] * b.Z) for b, w in zip(data.locations, weights)])
-        wZ = self.w[:, None] * self.Z
+        # block pieces of the weighted normal equations (q may be 0) and the
+        # BIC weights' sums: one small product per location on its contiguous
+        # rows, the float operations of a per-location build
+        wX, wy, wZ = self.w[:, None] * self.X, self.w * self.y, self.w[:, None] * self.Z
+        self.XtWX, XtWy, self.XtWZ = np.empty((m, p, p)), np.empty((m, p)), np.empty((m, p, q))
+        inv_pi_sums = np.empty(m)
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            Xt = self.X[a:b].T
+            self.XtWX[i] = Xt @ wX[a:b]
+            XtWy[i] = Xt @ wy[a:b]
+            self.XtWZ[i] = Xt @ wZ[a:b]
+            inv_pi_sums[i] = inv_pi[a:b].sum()
+        self.w_norm = inv_pi / inv_pi_sums[self.row_location]
         ZtWZ = self.Z.T @ wZ
         self.ZtW = wZ.T                         # (q, n_total)
 
@@ -168,7 +180,7 @@ class _Bundle:
             # Z'WZ is kept as factored, with its jitter if it needed one, so
             # the coefficient update, X'Qy and eta all read the same matrix
             self.ZtWZ, self.gz_factor = _factor_spd(factor_z, lambda: np.trace(ZtWZ), "Z'WZ")
-            ZtWy = self.Z.T @ (self.w * self.y)
+            ZtWy = self.Z.T @ wy
             self.XtQy = self.XtQy - self.XtWZ.reshape(m * p, q) @ cho_solve(self.gz_factor, ZtWy)
         self._factors: dict[float, tuple] = {}
 

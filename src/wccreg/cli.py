@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import selection, simulation
 from .admm import fit as admm_fit
 from .grouping import ZERO_TOL, extract_partition, refit_oracle
 from .penalty import ScadSpec
-from .types import AdmmConfig, Dataset, LocationBlock, SingularSystemError, ValidationError
+from .types import AdmmConfig, Dataset, SingularSystemError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,8 +42,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _unweighted_copy(data: Dataset) -> Dataset:
     """Replace every inclusion probability by the overall sampling fraction."""
-    N_tot = sum(b.N for b in data.locations)
-    return simulation.unweighted_copy(data, min(1.0, data.n_total / N_tot))
+    return simulation.unweighted_copy(data, min(1.0, data.n_total / int(data.N.sum())))
 
 
 def _standardize(data: Dataset):
@@ -54,8 +52,7 @@ def _standardize(data: Dataset):
     Returns the transformed dataset plus the scales needed to report
     coefficients on the original scale.
     """
-    ys = np.concatenate([b.y for b in data.locations])
-    Xs = np.vstack([b.X for b in data.locations])
+    ys, Xs = data.y, data.X
     y_mean, y_sd = float(ys.mean()), float(ys.std())
     if y_sd == 0:
         y_sd = 1.0
@@ -65,14 +62,11 @@ def _standardize(data: Dataset):
                               f"(the intercept); found {int(constant.sum())} constant columns")
     x_mean = np.where(constant, 0.0, Xs.mean(axis=0))
     x_sd = np.where(constant, 1.0, Xs.std(axis=0))
-    blocks = tuple(
-        replace(b, y=(b.y - y_mean) / y_sd, X=(b.X - x_mean) / x_sd)
-        for b in data.locations
-    )
     info = {"y_mean": y_mean, "y_sd": y_sd, "x_mean": x_mean.tolist(),
             "x_sd": x_sd.tolist(), "constant_columns": constant.tolist(),
             "constant_value": float(Xs[0, constant][0])}
-    return Dataset(blocks), info
+    return Dataset.from_arrays(data.ids, data.offsets, data.N, (ys - y_mean) / y_sd,
+                               (Xs - x_mean) / x_sd, data.Z, data.pi, data.sigma2), info
 
 
 def _alpha_original_scale(alpha: np.ndarray, info: dict) -> list:

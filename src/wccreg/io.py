@@ -2,9 +2,17 @@
 
 The CSV schema is one row per sampled observation:
 ``location_id, N, y, pi, [sigma2,] x1..xp, [z1..zq]`` with a mandatory header.
-The numeric fields of all rows are parsed once into one float table, and each
-location's arrays are slices of its rows; the blocks' constructors are the one
-check of the values.
+The reader parses the numeric fields of all rows in one array pass
+(``np.loadtxt``), groups the rows by location (in order of first appearance,
+and in file order within a location) with a stable sort, and hands them to
+``Dataset.from_arrays``, whose one vectorized check validates the values.
+The array pass takes plain text only.  A file with a quote, a NUL or one of
+the separators U+001C..U+001F (which ``np.loadtxt`` strips as whitespace and
+``float`` does not), or whose rows the pass refuses (``1_000``, non-ASCII
+digits, an empty field, a row of only commas or spaces, a wrong field count),
+is read again by the row-by-row parser (``csv`` and ``float``).  So both
+parsers accept the same files, with the same values, and fail with the same
+messages.
 JSON reports keep a fixed field order, so identical inputs produce
 byte-identical files.  Arrays whose length grows with m^2, the fit's pair-space
 slacks ``zeta`` and multipliers ``v``, are written as base64 strings of their
@@ -18,14 +26,17 @@ from __future__ import annotations
 import base64
 import csv
 import json
+from io import StringIO
 from typing import Optional
 
 import numpy as np
 
-from .types import Dataset, FitResult, LocationBlock, Partition, ValidationError
+from .types import Dataset, FitResult, Partition, ValidationError
 
 SCHEMA_VERSION = 2
 _PAIR_DTYPE = "<f8"
+# characters that send a file to the row-by-row parser (see the module docstring)
+_ROW_PARSER_ONLY = '"\0\x1c\x1d\x1e\x1f'
 
 
 def expected_columns(p: int, q: int, has_sigma2: bool) -> list[str]:
@@ -41,75 +52,93 @@ def load_dataset_csv(path, p: int, q: int = 0) -> Dataset:
     """Read a dataset; locations ordered by first appearance in the file.
 
     The optional ``sigma2`` column is detected from the header.  Any missing
-    or misnamed column fails with the offending name.  Every row's numeric
-    fields go, parsed with ``float``, into one table with the columns of
-    ``expected_columns`` after ``location_id``; each location keeps the indices
-    of its rows, and its y, X, Z, pi and sigma2 are column slices of them.
+    or misnamed column fails with the offending name.  The numeric fields of
+    every row are parsed into one table with the columns of
+    ``expected_columns`` after ``location_id`` (see the module docstring for
+    the two parsers); its rows, sorted by location, are the dataset's stacked
+    rows, with N given per row.
     """
     if p < 1:
         raise ValidationError("p must be at least 1")
     if q < 0:
         raise ValidationError("q must be nonnegative")
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError("empty CSV: header row required") from None
+    header = [h.strip() for h in header]
+    for i, col in enumerate(header):
+        if col in header[:i]:
+            raise ValidationError(f"duplicate column {col!r} in CSV header")
+    has_sigma2 = "sigma2" in header
+    expected = expected_columns(p, q, has_sigma2)
+    for col in expected:
+        if col not in header:
+            raise ValidationError(f"missing column {col!r} in CSV header")
+    extra = [h for h in header if h not in expected]
+    if extra:
+        raise ValidationError(f"unexpected column {extra[0]!r} in CSV header")
+    lid_at = header.index("location_id")
+    value_at = [header.index(col) for col in expected[1:]]
+
+    parsed = _parse_array(text, lid_at, value_at, len(header))
+    ids, values = parsed if parsed is not None else _parse_rows(reader, lid_at, value_at, len(header))
+    first_seen: dict = {}
+    location = np.array([first_seen.setdefault(lid, len(first_seen)) for lid in ids])
+    values = values[np.argsort(location, kind="stable")]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(location))))
+    x_at = 4 if has_sigma2 else 3  # columns: N, y, pi, [sigma2,] x..., z...
+    return Dataset.from_arrays(tuple(first_seen), offsets, N=values[:, 0], y=values[:, 1],
+                               X=values[:, x_at:x_at + p], Z=values[:, x_at + p:], pi=values[:, 2],
+                               sigma2=values[:, 3] if has_sigma2 else None)
+
+
+def _parse_array(text: str, lid_at: int, value_at: list, width: int):
+    """Ids and value table of the data rows in one array pass, or None when
+    the row parser must read the file."""
+    if any(c in text for c in _ROW_PARSER_ONLY):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    rows = [line for line in lines[1:] if line]
+    if not rows:
+        return None
+    try:
+        ids = [line.split(",", lid_at + 1)[lid_at].strip() for line in rows]
+        values = np.loadtxt(rows, delimiter=",", comments=None, usecols=value_at, ndmin=2)
+    except (ValueError, IndexError):
+        return None
+    # every row gave an id and a row of values, so it has at least ``width``
+    # fields; np.loadtxt ignores fields after the last one it reads, and the
+    # comma count tells whether any row has more
+    if values.shape[0] != len(rows) or \
+            text.count(",") - lines[0].count(",") != (width - 1) * len(rows):
+        return None
+    return ids, values
+
+
+def _parse_rows(reader, lid_at: int, value_at: list, width: int):
+    """Ids and value table of the data rows, one ``csv`` row and ``float`` at
+    a time; blank rows are skipped, and the first bad row fails with its line."""
+    ids, table = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not "".join(row).strip():  # blank, or only whitespace fields
+            continue
+        if len(row) != width:
+            raise ValidationError(f"line {lineno}: expected {width} fields, got {len(row)}")
+        lid = row[lid_at].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("empty CSV: header row required") from None
-        header = [h.strip() for h in header]
-        for i, col in enumerate(header):
-            if col in header[:i]:
-                raise ValidationError(f"duplicate column {col!r} in CSV header")
-        has_sigma2 = "sigma2" in header
-        expected = expected_columns(p, q, has_sigma2)
-        for col in expected:
-            if col not in header:
-                raise ValidationError(f"missing column {col!r} in CSV header")
-        extra = [h for h in header if h not in expected]
-        if extra:
-            raise ValidationError(f"unexpected column {extra[0]!r} in CSV header")
-        lid_at = header.index("location_id")
-        value_at = [header.index(col) for col in expected[1:]]
-
-        table: list[list[float]] = []
-        rows: dict[str, list[int]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():  # blank, or only whitespace fields
-                continue
-            if len(row) != len(header):
-                raise ValidationError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            lid = row[lid_at].strip()
-            try:
-                table.append([float(row[k]) for k in value_at])
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno} (location {lid!r}): {exc}") from None
-            rows.setdefault(lid, []).append(len(table) - 1)
-
+            table.append([float(row[k]) for k in value_at])
+        except ValueError as exc:
+            raise ValidationError(f"line {lineno} (location {lid!r}): {exc}") from None
+        ids.append(lid)
     if not table:
         raise ValidationError("CSV contains no data rows")
-
-    values = np.array(table)
-    x_at = 4 if has_sigma2 else 3  # columns: N, y, pi, [sigma2,] x..., z...
-    blocks = []
-    for lid, idx in rows.items():
-        part = values[idx]
-        Ns = part[:, 0].tolist()
-        for N in Ns:
-            if not N.is_integer():  # also False for inf and nan
-                raise ValidationError(f"location {lid!r}: N must be a finite integer, got {N}")
-        distinct = sorted(set(Ns))
-        if len(distinct) != 1:
-            raise ValidationError(f"location {lid!r}: inconsistent N values {distinct}")
-        blocks.append(LocationBlock(
-            location_id=lid,
-            N=int(Ns[0]),
-            y=part[:, 1],
-            X=part[:, x_at:x_at + p],
-            Z=part[:, x_at + p:],
-            pi=part[:, 2],
-            sigma2=part[:, 3] if has_sigma2 else None,
-        ))
-    return Dataset(blocks)
+    return ids, np.array(table)
 
 
 def _encode_pairs(a: np.ndarray) -> str:

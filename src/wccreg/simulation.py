@@ -12,7 +12,7 @@ import csv
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ import wccreg.selection as selection
 from .grouping import location_estimates
 from .metrics import adjusted_rand_index, rmse_beta
 from .selection import MEAN_MODEL, REGRESSION
-from .types import AdmmConfig, Dataset, LocationBlock, SingularSystemError, ValidationError
+from .types import AdmmConfig, Dataset, SingularSystemError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -199,35 +199,30 @@ def poisson_sample(pop: Population, seed: int, rep: int = 0) -> Dataset:
     """Independent Bernoulli(pi) inclusion per unit.
 
     A location that draws no units is redrawn on a fresh substream, up to
-    100 attempts; the estimators are undefined for empty locations.
+    100 attempts; the estimators are undefined for empty locations.  The
+    sampled units are stacked location after location, in unit order.
     """
-    blocks = []
+    keep = np.zeros((pop.m, pop.H), dtype=bool)
     for i in range(pop.m):
-        mask = None
         for attempt in range(MAX_RESAMPLE_ATTEMPTS):
             rng = _rng(seed, rep, _SAMPLING, i, attempt)
-            cand = rng.random(pop.H) < pop.pi[i]
-            if cand.any():
-                mask = cand
+            keep[i] = rng.random(pop.H) < pop.pi[i]
+            if keep[i].any():
                 break
-        if mask is None:
+        else:
             raise SimulationError(f"location {i} produced no sampled units after "
                                   f"{MAX_RESAMPLE_ATTEMPTS} attempts")
-        blocks.append(LocationBlock(
-            location_id=f"loc{i + 1:03d}",
-            N=pop.H,
-            y=pop.y[i, mask],
-            X=pop.X[i, mask],
-            Z=np.zeros((int(mask.sum()), 0)),
-            pi=pop.pi[i, mask],
-        ))
-    return Dataset(blocks)
+    n = int(keep.sum())
+    return Dataset.from_arrays([f"loc{i + 1:03d}" for i in range(pop.m)],
+                               np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
+                               N=np.full(pop.m, pop.H), y=pop.y[keep], X=pop.X[keep],
+                               Z=np.zeros((n, 0)), pi=pop.pi[keep])
 
 
 def unweighted_copy(data: Dataset, constant_pi: float) -> Dataset:
     """Same rows with every inclusion probability replaced by one constant."""
-    blocks = tuple(replace(b, pi=np.full(b.n, constant_pi)) for b in data.locations)
-    return Dataset(blocks)
+    return Dataset.from_arrays(data.ids, data.offsets, data.N, data.y, data.X, data.Z,
+                               np.full(data.n_total, constant_pi), data.sigma2)
 
 
 @dataclass(frozen=True)

@@ -366,26 +366,47 @@ class TestPrimalResidual:
 
 class TestPrecomputation:
     def test_built_once_and_kept_outside_the_fields(self, rng, tmp_path, monkeypatch):
-        # construction is the one check: loading an m-location CSV checks each
-        # block and the dataset once, and the precomputation checks nothing again
+        # construction is the one check: loading an m-location CSV makes one
+        # stacked check of all its rows, and the precomputation, a fit, the
+        # grid, the BIC and the location views check nothing again
         m = 3
         path = tmp_path / "d.csv"
         write_dataset_csv(path, random_dataset(rng, m=m, p=2)[0])
         checked = []
-        for name in ("_check_block", "_check_dataset"):
-            real = getattr(types, name)
-            monkeypatch.setattr(types, name,
-                                lambda obj, name=name, real=real: checked.append(name) or real(obj))
+        real = types._check_stacked
+        monkeypatch.setattr(types, "_check_stacked",
+                            lambda ids, *a: checked.append(len(ids)) or real(ids, *a))
         ds = wio.load_dataset_csv(path, p=2)
+        assert checked == [m]
         text = repr(ds)
         bundle = admm.prepared(ds)
         res = w.fit(ds, w.ScadSpec(lam=0.1))
         w.default_lambda_grid(ds)
         w.modified_bic(ds, res, w.extract_partition(res))
+        assert len(ds.locations) == m and ds.locations is ds.locations
         assert admm.prepared(ds) is bundle
-        assert checked == ["_check_block"] * m + ["_check_dataset"]
+        assert checked == [m]
         assert repr(ds) == text
         assert admm.prepared(w.Dataset(ds.locations)) is not bundle
+        assert checked == [m, m]
+
+    @pytest.mark.parametrize("p, q, sigma2", [(1, 0, False), (1, 1, True), (2, 2, False), (3, 1, True)])
+    def test_bundle_equals_a_per_location_build(self, rng, p, q, sigma2):
+        # the stacked build makes the float operations of a loop over the
+        # locations' blocks, so its arrays are equal, not only close
+        ds, _ = random_dataset(rng, m=7, p=p, q=q, sigma2=sigma2, n_range=(1, 30))
+        bundle = admm.prepared(ds)
+        weights = [w.composite_weights(b) for b in ds.locations]
+        assert np.array_equal(bundle.w, np.concatenate(weights))
+        assert np.array_equal(bundle.w_norm,
+                              np.concatenate([w.normalized_weights(b) for b in ds.locations]))
+        assert np.array_equal(bundle.XtWX, np.stack([b.X.T @ (wt[:, None] * b.X)
+                                                     for b, wt in zip(ds.locations, weights)]))
+        assert np.array_equal(bundle.XtWZ, np.stack([b.X.T @ (wt[:, None] * b.Z)
+                                                     for b, wt in zip(ds.locations, weights)]))
+        if q == 0:
+            assert np.array_equal(bundle.XtQy, np.concatenate([b.X.T @ (wt * b.y)
+                                                               for b, wt in zip(ds.locations, weights)]))
 
     def test_factorizations_do_not_grow_with_grid(self, rng, monkeypatch):
         ds, _ = random_dataset(rng, m=5, p=2, q=1)

@@ -14,7 +14,8 @@ import wccreg as w
 from wccreg import admm, penalty, selection, simulation
 from wccreg import io as wio
 
-from conftest import random_dataset
+import oracles
+from conftest import random_dataset, write_dataset_csv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -83,3 +84,35 @@ def test_prox_layer_is_called_once_per_iteration_on_a_pair_block(rng, monkeypatc
     assert shapes == [(ds.p, m * (m - 1) // 2)] * res.iterations
     narrow = [cols for cols in adjoints if cols is not None]
     assert (len(narrow) > 0) == (m * (m - 1) // 2 >= penalty.SUPPORT_MIN_COLUMNS)
+
+
+@pytest.mark.parametrize("source", ["csv", "sample"])
+def test_dataset_fields_the_bench_reads(rng, tmp_path, source):
+    # perfbench/checks.py recomputes the BIC and the refit score from m, p, q
+    # and each location's N, y, X, Z, pi and sigma2; CliLarge.prepare writes
+    # location_id, N (with str, so it must be an int) and n rows of a sampled
+    # dataset to its CSV.  Pinned here on both kinds of dataset it reads.
+    if source == "csv":
+        path = tmp_path / "d.csv"
+        write_dataset_csv(path, random_dataset(rng, m=5, p=2, q=1, sigma2=True)[0], rng)
+        ds = wio.load_dataset_csv(path, p=2, q=1)
+        want = oracles.csv_locations(path, p=2, q=1)
+    else:
+        spec = simulation.ScenarioSpec(kind=simulation.MEAN_MODEL, expected_n=10, m=6, seed=3)
+        pop = simulation.generate_mean_population(spec, 0)
+        ds = simulation.poisson_sample(pop, 3, 0)
+        want = [{"location_id": f"loc{i + 1:03d}", "N": pop.H} for i in range(pop.m)]
+    assert (ds.m, ds.p, ds.q) == (len(want), 2 if source == "csv" else 1, 1 if source == "csv" else 0)
+    assert all(type(v) is int for v in (ds.m, ds.p, ds.q))
+    assert ds.location_ids() == [loc["location_id"] for loc in want]
+    assert len(ds.locations) == ds.m
+    for b, loc in zip(ds.locations, want):
+        assert b.location_id == loc["location_id"]
+        assert type(b.N) is int and b.N == loc["N"] and str(b.N) == str(loc["N"])
+        assert type(b.n) is int and b.n >= 1
+        assert b.y.shape == (b.n,) and b.pi.shape == (b.n,)
+        assert b.X.shape == (b.n, ds.p) and b.Z.shape == (b.n, ds.q)
+        assert (b.sigma2 is None) == (source == "sample")
+        for name in ("y", "X", "Z", "pi", "sigma2"):
+            if name in loc:
+                assert np.array_equal(getattr(b, name), loc[name]), name

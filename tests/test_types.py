@@ -83,6 +83,57 @@ class TestInvariants:
         with pytest.raises(ValueError):
             b.y[0] = 1.0
 
+    @pytest.mark.parametrize("N", [float("inf"), 10.5, float("nan")])
+    def test_population_size_must_be_a_finite_integer(self, N):
+        with pytest.raises(w.ValidationError) as err:
+            block(N=N)
+        assert str(err.value) == f"location 'a': N must be a finite integer, got {N}"
+        with pytest.raises(w.ValidationError) as err:
+            w.Dataset.from_arrays(["a", "b"], [0, 5, 10], [50, N], np.zeros(10), np.ones((10, 1)),
+                                  np.zeros((10, 0)), np.full(10, 0.5))
+        assert str(err.value) == f"location 'b': N must be a finite integer, got {N}"
+
+    def test_integral_population_size_is_kept_as_int(self):
+        assert type(block(N=50.0).N) is int and block(N=np.int64(7)).N == 7
+
+
+class TestStackedDataset:
+    def test_blocks_are_stacked_and_viewed_back(self):
+        a, b = block(n=3, q=1, lid="a", N=40), block(n=5, q=1, lid="b", sigma2=np.full(5, 2.0))
+        ds = w.Dataset([a, b])
+        assert ds.ids == ("a", "b") and ds.offsets.tolist() == [0, 3, 8]
+        assert ds.N.tolist() == [40.0, 50.0] and ds.n_total == 8
+        # a block without variances stacks as variances of one
+        assert ds.sigma2.tolist() == [1.0] * 3 + [2.0] * 5
+        for got, want in zip(ds.locations, (a, b)):
+            assert (got.location_id, got.N, got.n) == (want.location_id, want.N, want.n)
+            for name in ("y", "X", "Z", "pi"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for arr in (ds.offsets, ds.N, ds.y, ds.X, ds.Z, ds.pi, ds.sigma2, ds.locations[1].X):
+            assert not arr.flags.writeable
+            assert arr.flags.c_contiguous
+
+    def test_from_arrays_takes_population_sizes_per_row(self):
+        rows = dict(y=np.zeros(4), X=np.ones((4, 1)), Z=np.zeros((4, 0)), pi=np.full(4, 0.5))
+        ds = w.Dataset.from_arrays(["a", "b"], [0, 1, 4], [9, 7, 7, 7], **rows)
+        assert ds.N.tolist() == [9.0, 7.0] and [b.N for b in ds.locations] == [9, 7]
+        with pytest.raises(w.ValidationError, match="^location 'b': inconsistent N values "
+                                                    r"\[7.0, 8.0\]$"):
+            w.Dataset.from_arrays(["a", "b"], [0, 1, 4], [9, 7, 8, 7], **rows)
+
+    def test_the_first_offending_location_is_named(self):
+        # a fails only the last check (N < n), b an earlier one: a is named
+        y = np.array([0.0, 0.0, np.nan, 0.0])
+        with pytest.raises(w.ValidationError, match="^location 'a': population size N=1 "
+                                                    "smaller than sample size n=2$"):
+            w.Dataset.from_arrays(["a", "b"], [0, 2, 4], [1, 9], y, np.ones((4, 1)),
+                                  np.zeros((4, 0)), np.full(4, 0.5))
+
+    def test_offsets_must_cover_the_rows(self):
+        with pytest.raises(w.ValidationError, match="row offsets"):
+            w.Dataset.from_arrays(["a"], [0, 3], [9], np.zeros(4), np.ones((4, 1)),
+                                  np.zeros((4, 0)), np.full(4, 0.5))
+
 
 class TestConfigs:
     def test_admm_config_defaults(self):
