@@ -35,14 +35,14 @@ once after the loop.  The loop starts from the coefficients of
 A single location has no pairs: its pair blocks are (p, 0), the first
 iteration already has a zero primal residual, and the loop stops there.
 
-The loop has two branches, split by the pair count.  Below
-``penalty.SUPPORT_MIN_COLUMNS`` (4,096) pairs every iteration makes the
-passes above over all pairs.  From 4,096 pairs up the concave penalty leaves
-most slacks at exact zeros, and the loop works on their support: it carries
-``D'u`` through ``A'A = (mI - J) (x) I_p`` and scatter-adds only the nonzero
-slack columns, and the proximal map skips the dead columns.  The two branches
-agree to 1e-12 in every fitted number, with equal iterations and partitions;
-:func:`fit` gives the measured reason for the gate.
+The loop has two branches, split by the pair count, and owns that gate.
+From ``_SUPPORT_MIN_PAIRS`` (4,096) pairs up the concave penalty leaves most
+slacks at exact zeros, and the loop works on their support, which it alone
+finds, once per iteration: the proximal map scales only the live columns,
+``D'u`` is carried through ``A'A = (mI - J) (x) I_p`` and only the live slack
+columns are scatter-added.  The two branches agree to 1e-12 in every fitted
+number, with equal iterations and partitions; :func:`fit` gives the measured
+reason for the gate.
 """
 
 from __future__ import annotations
@@ -55,11 +55,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
-from . import penalty
-from .penalty import ScadSpec, check_prox_compatible, prox_columns
+from .penalty import ScadSpec, check_prox_compatible, live_columns, prox_columns
 from .types import AdmmConfig, Dataset, FitResult, LocationBlock, SingularSystemError
 
 logger = logging.getLogger(__name__)
+
+# pair count from which :func:`fit` works on the slack support; below it the
+# support's extra passes cost more than the skipped columns save
+_SUPPORT_MIN_PAIRS = 4096
 
 # iterations between full recomputations of the carried D'u in :func:`fit`.
 # Each carried step rounds anew: over ~860 carried iterations beta drifted
@@ -227,9 +230,8 @@ class _Bundle:
         if cols is None:
             pos_i, pos_j, flat = self._pos_i, self._pos_j, S.reshape(-1)
         else:
-            k = np.arange(self.p)[:, None]
-            pos_i = (self.pairs.i_idx[cols] * self.p + k).ravel()
-            pos_j = (self.pairs.j_idx[cols] * self.p + k).ravel()
+            pos_i = self._pos_i.reshape(self.p, -1)[:, cols].ravel()
+            pos_j = self._pos_j.reshape(self.p, -1)[:, cols].ravel()
             flat = S[:, cols].ravel()
         size = self.m * self.p
         return (np.bincount(pos_i, flat, size)
@@ -342,15 +344,17 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
     through ``converged=False`` but still returns the final iterate; only
     singular normal systems raise.
 
-    Blocks of fewer than ``penalty.SUPPORT_MIN_COLUMNS`` (4,096) pairs run
-    exactly these steps.  On larger blocks the penalty leaves most slacks at
-    exact zeros, and the loop skips them where it can:
+    Blocks of fewer than ``_SUPPORT_MIN_PAIRS`` (4,096) pairs run exactly
+    these steps.  On larger blocks the penalty leaves most slacks at exact
+    zeros, and the loop skips them where it can:
 
     * the right-hand side is ``vartheta (D'zeta - D'u)``.  The first ``D'zeta``
       is ``D'D beta_0 = m (beta_0 - mean beta_0)``, by ``A'A = (mI - J) (x) I_p``,
       and ``D'u_0 = 0``;
-    * once fewer than a quarter of the slack columns are nonzero, ``u``
-      becomes ``kappa`` off that support, and on it steps with the float
+    * the loop finds the support once per iteration, before the proximal map:
+      the live columns of ``kappa`` (:func:`penalty.live_columns`).  While
+      they are fewer than a quarter of all, the map scales only them, ``u``
+      becomes ``kappa`` off the support and on it steps with the float
       operations above; ``D'zeta`` scatter-adds the support alone
       (:meth:`_Bundle.difference_adjoint` on its columns), and ``D'u`` is
       carried as ``D'u + m (beta - mean beta) - D'zeta``, written centred so
@@ -366,18 +370,19 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
     ~860 carried iterations, 2e-14 on fits of about ten), with the same
     iterations and partitions; where every pair fuses, zeta is the same zero
     block.  The gate is where the support path starts to pay: its fixed cost
-    per iteration (finding the support, the scatter on it, the prox's extra
-    max and count) exceeds the passes it skips on small blocks.  Per
-    iteration over a fusing 8-lambda grid of mean-model data it costs 1.36
-    times the plain loop at 1,176 pairs (the ``mc_mean`` cell), 1.20 at
-    2,415, 0.90 at 4,095, 0.77 at 8,128 and 0.57 at 79,800.
+    per iteration (the live mask and its count, the support's index, the
+    scatter on it) exceeds the passes it skips on small blocks.  Per
+    iteration over a fusing 8-lambda grid of mean-model data (median of 7
+    alternating runs, 2 cores) it costs 1.37 times the plain loop at 1,176
+    pairs (the ``mc_mean`` cell), 1.07 at 2,415, 0.90 at 4,095, 0.72 at
+    8,128 and 0.50 at 79,800; over a whole ``mc_mean`` replicate, 1.10 times.
     """
     check_prox_compatible(spec, cfg.vartheta)
     bundle = prepared(data)
     vt = cfg.vartheta
     factor = bundle.factor(vt)
     m = bundle.m
-    large = bundle.pairs.n_pairs >= penalty.SUPPORT_MIN_COLUMNS
+    large = bundle.pairs.n_pairs >= _SUPPORT_MIN_PAIRS
 
     beta = initialize(data, cfg)
     zeta = bundle.differences(beta)
@@ -395,8 +400,11 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
         beta = _structured_solve(factor, bundle.XtQy + vt * adj.reshape(-1))
         r = bundle.differences(beta)
         kappa = r + u
-        zeta_prev, zeta = zeta, prox_columns(kappa, spec, vt)
-        live = _narrow_support(zeta) if large else None
+        # the support: the live columns, when fewer than a quarter of all (a mask
+        # is counted several times faster than a dense one is indexed)
+        mask = live_columns(kappa, spec, vt) if large else None
+        live = np.flatnonzero(mask) if large and 4 * np.count_nonzero(mask) < mask.size else None
+        zeta_prev, zeta = zeta, prox_columns(kappa, spec, vt, live)
         if live is None:
             r -= zeta
             u += r
@@ -436,13 +444,3 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
                      iterations=iterations, final_residual=primal,
                      converged=converged, final_dual_residual=dual)
 
-
-def _narrow_support(zeta: np.ndarray) -> np.ndarray | None:
-    """Indices of the nonzero columns of a (p, n_pairs) block when they are
-    fewer than a quarter of all, else None.  The columns are marked in a
-    boolean mask, which numpy counts and indexes several times faster than
-    the floats, and counted first: indexing a dense mask costs a few counts."""
-    nonzero = zeta[0] != 0 if zeta.shape[0] == 1 else zeta.any(axis=0)
-    if 4 * np.count_nonzero(nonzero) >= nonzero.size:
-        return None
-    return np.flatnonzero(nonzero)

@@ -8,7 +8,7 @@ import numpy as np
 
 import wccreg.admm as admm
 from .penalty import column_norms
-from .types import Dataset, FitResult, Partition
+from .types import Dataset, FitResult, Partition, ValidationError
 
 # default slack norm at or below which a pair counts as fused
 ZERO_TOL = 1e-6
@@ -33,8 +33,8 @@ def extract_partition(fit: FitResult, zero_tol: float = ZERO_TOL) -> Partition:
     fused (at the fusing end of a lambda path, and at m = 1) the one group is
     returned directly, equal to what the propagation would give.
     """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
+    if not zero_tol >= 0:
+        raise ValidationError(f"zero_tol must be nonnegative, got {zero_tol}")
     m = fit.beta.shape[0]
     fused = column_norms(fit.zeta) <= zero_tol
     if fused.all():

@@ -4,7 +4,8 @@ The penalty on a pairwise difference of norm t is the integral of
 ``lam * min(1, (gamma - x/lam)_+ / (gamma - 1))`` from 0 to t, which is linear
 up to ``lam``, blends quadratically on ``(lam, gamma*lam]`` and is flat
 beyond.  The quadrature form lives only in the test oracles; everything here
-is the closed-form piecewise version.
+is the closed-form piecewise version.  Which pairs the proximal map scales is
+decided, once per iteration, by the ADMM loop (``admm.fit``) alone.
 """
 
 from __future__ import annotations
@@ -14,12 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import ValidationError
-
-# Column count from which :func:`prox_columns` looks for dead columns and the
-# ADMM loop works on the slack support (see ``admm.fit``).  Below it the extra
-# whole-block passes (a max, a count, the support's index) cost more than the
-# skipped columns save.
-SUPPORT_MIN_COLUMNS = 4096
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,17 @@ def column_norms(block: np.ndarray) -> np.ndarray:
     return np.abs(block[0]) if block.shape[0] == 1 else np.sqrt(np.einsum("kl,kl->l", block, block))
 
 
-def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarray:
+def live_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarray:
+    """Mask of the columns of a (p, n_pairs) block that :func:`prox_columns`
+    may leave nonzero: all but those with ``||kappa|| <= lam/vartheta``, which
+    every branch zeroes, so a NaN norm is live; all of them at ``lam == 0``."""
+    if spec.lam == 0:
+        return np.ones(kappa.shape[1], dtype=bool)
+    return ~(column_norms(kappa) <= spec.lam / vartheta)
+
+
+def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float,
+                 cols: np.ndarray | None = None) -> np.ndarray:
     """Column-vectorized :func:`zeta_proximal` for a (p, n_pairs) block of
     kappas, pair-major, one column per pair.
 
@@ -141,33 +146,24 @@ def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
     not underflow; for p > 1 a column whose norm underflows to 0 is zeroed,
     like a zero column.
 
-    A block of at least :data:`SUPPORT_MIN_COLUMNS` columns is first checked
-    for dead columns, those with ``||kappa|| <= lam/vartheta``, which every
-    branch maps to zero.  When every column is dead the result is the zero
-    block; when fewer than a quarter are live only the live columns are
-    scaled, into a zero block.  The live columns get the same float
+    With ``cols``, the indices of the live columns (:func:`live_columns`),
+    only those columns are scaled, into a zero block: they get the same float
     operations as above, and a dead column is +0 where the full pass may
-    leave -0.  A NaN norm takes the full pass.
+    leave -0.  The map does not choose between the two; the caller does
+    (``admm.fit`` owns the support).
     """
     check_prox_compatible(spec, vartheta)
     kappa = np.asarray(kappa, dtype=float)
     lam, gam = spec.lam, spec.gamma
     if lam == 0:
         return kappa.copy()
-
-    norms = column_norms(kappa)
-    n = norms.size
-    if n >= SUPPORT_MIN_COLUMNS:
-        top = np.max(norms, initial=0.0)
-        if top <= lam / vartheta:
-            return np.zeros(kappa.shape)
-        live = norms > lam / vartheta
-        if 4 * np.count_nonzero(live) < n and not np.isnan(top):
-            cols = np.flatnonzero(live)
-            out = np.zeros(kappa.shape)
-            out[:, cols] = kappa[:, cols] * _column_scale(norms[cols], lam, gam, vartheta)
-            return out
-    return kappa * _column_scale(norms, lam, gam, vartheta)
+    if cols is None:
+        return kappa * _column_scale(column_norms(kappa), lam, gam, vartheta)
+    # np.take gathers C-ordered; kappa[:, cols] is F-ordered, its norms round otherwise
+    live = kappa.take(cols, axis=1)
+    out = np.zeros(kappa.shape)
+    out[:, cols] = live * _column_scale(column_norms(live), lam, gam, vartheta)
+    return out
 
 
 def _column_scale(norms: np.ndarray, lam: float, gam: float, vartheta: float) -> np.ndarray:

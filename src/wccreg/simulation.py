@@ -73,6 +73,10 @@ class ScenarioSpec:
                                   f"population size H={self.H}")
         if self.reps < 1:
             raise ValidationError("reps must be at least 1")
+        if self.m < 1:
+            raise ValidationError(f"m must be at least 1, got {self.m}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def p(self) -> int:

@@ -298,14 +298,14 @@ class AdmmConfig:
     init_ridge: float = 0.0
 
     def __post_init__(self):
-        if not self.vartheta > 0:
-            raise ValidationError("vartheta must be positive")
+        if not 0 < self.vartheta < np.inf:
+            raise ValidationError(f"vartheta must be positive and finite, got {self.vartheta}")
         if not self.tol > 0:
             raise ValidationError("tol must be positive")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
-        if self.init_ridge < 0:
-            raise ValidationError("init_ridge must be nonnegative")
+        if not 0 <= self.init_ridge < np.inf:
+            raise ValidationError(f"init_ridge must be nonnegative and finite, got {self.init_ridge}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wccreg as w
-from wccreg import admm, penalty, types
+from wccreg import admm, types
 from wccreg import io as wio
 
 import oracles
@@ -601,11 +601,11 @@ class TestFit:
         branches = set()
         real = admm.prox_columns
 
-        def prox(kappa, spec, vartheta):
+        def prox(kappa, spec, vartheta, cols=None):
             # which proximal branch each column takes: zero, soft, middle, identity
             edges = [spec.lam / vartheta, spec.lam + spec.lam / vartheta, spec.gamma * spec.lam]
             branches.update(np.searchsorted(edges, np.linalg.norm(kappa, axis=0)).tolist())
-            return real(kappa, spec, vartheta)
+            return real(kappa, spec, vartheta, cols)
 
         monkeypatch.setattr(admm, "prox_columns", prox)
         for lam in np.sort(_start_distances(ds))[[0, 7, 14, 21]]:
@@ -634,7 +634,7 @@ class TestFit:
         # bits from the first iteration on, and a pair whose norm sits at
         # lam/vartheta can come out 0 on one side and 2e-16 on the other.
         # lam = 1e3 fuses every pair, on both sides
-        monkeypatch.setattr(penalty, "SUPPORT_MIN_COLUMNS", 1)
+        monkeypatch.setattr(admm, "_SUPPORT_MIN_PAIRS", 1)
         ds, _ = random_dataset(rng, m=8, p=p, q=q, noise=1.0, sigma2=bool(q))
         supports = _record_support_adjoints(monkeypatch)
         lams = list(np.sort(_start_distances(ds))[[0, 7, 14, 21]]) + [1e3]
@@ -664,7 +664,7 @@ class TestFit:
         # location in ten planted apart, under a fifth of the pairs stay unfused.
         # lam = 0.2 runs ~860 carried iterations (so D'u is recomputed in full
         # every 64), lam = 0.8 fuses every pair
-        assert penalty.SUPPORT_MIN_COLUMNS == 4096
+        assert admm._SUPPORT_MIN_PAIRS == 4096
         ds, _ = random_dataset(rng, m=100, p=1, q=1, n_range=(4, 9), noise=0.3,
                                groups=[(0.0,)] * 9 + [(1.5,)])
         supports = _record_support_adjoints(monkeypatch)
@@ -681,6 +681,22 @@ class TestFit:
             assert part.K_hat == K
             assert np.array_equal(part.assignment, w.extract_partition(ref).assignment)
         assert np.array_equal(res.zeta, ref.zeta)
+
+    @pytest.mark.parametrize("m", [8, 100])
+    def test_support_is_found_once_per_iteration_above_the_gate(self, rng, monkeypatch, m):
+        # the loop alone finds the support: above the gate (m = 100, 4,950
+        # pairs) it takes live_columns of the whole kappa block once per
+        # iteration, and below it (m = 8, 28 pairs) never
+        ds, _ = random_dataset(rng, m=m, p=1, q=1, n_range=(4, 9), noise=0.3,
+                               groups=[(0.0,)] * 9 + [(1.5,)])
+        shapes = []
+        real = admm.live_columns
+        monkeypatch.setattr(admm, "live_columns",
+                            lambda kappa, *a: shapes.append(kappa.shape) or real(kappa, *a))
+        res = w.fit(ds, w.ScadSpec(lam=0.2))
+        assert res.iterations > 2
+        n_pairs = m * (m - 1) // 2
+        assert shapes == ([(1, n_pairs)] * res.iterations if n_pairs >= admm._SUPPORT_MIN_PAIRS else [])
 
     def test_eta_computed_once_per_fit(self, rng, monkeypatch):
         # neither the start nor the coefficient update reads eta, so one fit

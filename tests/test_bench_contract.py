@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wccreg as w
-from wccreg import admm, penalty, selection, simulation
+from wccreg import admm, selection, simulation
 from wccreg import io as wio
 
 import oracles
@@ -83,7 +83,7 @@ def test_prox_layer_is_called_once_per_iteration_on_a_pair_block(rng, monkeypatc
     assert res.iterations > 2
     assert shapes == [(ds.p, m * (m - 1) // 2)] * res.iterations
     narrow = [cols for cols in adjoints if cols is not None]
-    assert (len(narrow) > 0) == (m * (m - 1) // 2 >= penalty.SUPPORT_MIN_COLUMNS)
+    assert (len(narrow) > 0) == (m * (m - 1) // 2 >= admm._SUPPORT_MIN_PAIRS)
 
 
 @pytest.mark.parametrize("source", ["csv", "sample"])

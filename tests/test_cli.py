@@ -88,6 +88,14 @@ class TestFit:
         assert f"--lambda-grid needs finite 0 < lo < hi and count >= 2, got {grid!r}" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, field", [("--zero-tol=-1", "zero_tol"), ("--zero-tol=nan", "zero_tol"),
+                                               ("--init-ridge=nan", "init_ridge"), ("--vartheta=inf", "vartheta")])
+    def test_bad_solver_option_exits_validation(self, rng, tmp_path, capsys, option, field):
+        csv_path = tmp_path / "d.csv"
+        write_csv(csv_path, rng)
+        assert run_fit(csv_path, option) == cli.EXIT_VALIDATION
+        assert f"error: {field} must be" in capsys.readouterr().err
+
     def test_selected_bic_is_scored_once_per_candidate(self, rng, tmp_path, monkeypatch):
         # the reported BIC is the selected candidate's path record, the same
         # number modified_bic gives for that fit, with no second scoring
@@ -223,4 +231,11 @@ class TestSimulate:
                          "--jobs", str(jobs), "--out-dir", str(tmp_path / "mc")])
         assert code == cli.EXIT_VALIDATION
         assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--scenario", "mean", "--n", "6", "--reps", "1",
+                         "--seed", "-1", "--out-dir", str(tmp_path / "mc")])
+        assert code == cli.EXIT_VALIDATION
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "mc").exists()

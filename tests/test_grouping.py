@@ -46,6 +46,12 @@ class TestExtractPartition:
         assert part_tight.K_hat == 2
         assert part_loose.K_hat == 1
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        # a NaN tolerance would fuse no pair and report every location apart
+        with pytest.raises(w.ValidationError, match="zero_tol must be nonnegative"):
+            w.extract_partition(fake_fit(np.zeros((2, 1)), [[0.0]]), zero_tol=tol)
+
     @staticmethod
     def _assert_matches_components(beta, fused):
         # exact labels, sizes and group means against breadth-first search

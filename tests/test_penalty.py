@@ -180,17 +180,44 @@ class TestZetaProximal:
             kappa = np.concatenate([kappa, rng.standard_normal((p, 500)) * rng.uniform(0.01, 3.0, 500)], axis=1)
             assert np.array_equal(prox_columns(kappa, spec, vt), oracles.prox_columns_branchwise(kappa, spec, vt))
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("vt", [1.0, 0.7])
+    def test_live_columns_are_the_nonzero_columns_of_the_branchwise_form(self, rng, p, vt):
+        # a column is live exactly when the map may leave it nonzero: at
+        # lam/vartheta it is dead and one ulp above it live; a p > 1 column
+        # whose norm underflows to 0 is dead, and a NaN column is live
+        spec = w.ScadSpec(lam=0.37, gamma=3.7)
+        t = spec.lam / vt
+        norms = np.concatenate([[0.0, 1e-170, np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf),
+                                 spec.lam + t, spec.gamma * spec.lam],
+                                rng.uniform(0, 2 * spec.gamma * spec.lam, 300)])
+        kappa = np.zeros((p, norms.size))
+        kappa[0] = norms * rng.choice([-1.0, 1.0], norms.size)      # the norm is the first entry, exactly
+        extra = [np.full(p, np.nan), np.r_[1.0, np.full(p - 1, np.nan)]]
+        if p > 1:
+            extra += [np.full(p, 1e-170), np.r_[-1e-170, np.full(p - 1, 1e-170)]]
+        kappa = np.concatenate([kappa, np.array(extra).T], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            live = penalty.live_columns(kappa, spec, vt)
+        ref = oracles.prox_columns_branchwise(kappa, spec, vt)
+        assert live.dtype == bool and live.shape == (kappa.shape[1],)
+        assert np.array_equal(live, np.any(ref != 0, axis=0))
+        assert not live[3] and live[4] and live[norms.size] and live[norms.size + 1]
+        if p > 1:
+            assert not live[-2:].any()
+        # at lam = 0 the map is the identity: every column is live, a zero one too
+        assert penalty.live_columns(kappa, w.ScadSpec(lam=0.0), vt).all()
+
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("vt", [1.0, 0.7])
     @pytest.mark.parametrize("live_share", [0.0, 0.1, 0.24, 0.5])
-    def test_prox_columns_above_the_gate_match_branchwise_form(self, rng, monkeypatch, p, vt, live_share):
-        # 5,000 columns are above the gate: with every column at or below
-        # lam/vartheta the result is the zero block, and with fewer than a
-        # quarter above it only those columns are scaled; either way every
-        # column equals the branchwise form's (a dead column may be +0 for -0)
+    def test_prox_columns_on_the_live_columns_match_branchwise_form(self, rng, monkeypatch, p, vt, live_share):
+        # given the live columns, only those are scaled, into a zero block;
+        # every column equals the branchwise form's (a dead column may be +0
+        # for -0), and so does the full pass, which scales every column
         spec = w.ScadSpec(lam=0.37, gamma=3.7)
         n = 5000
-        assert n >= penalty.SUPPORT_MIN_COLUMNS
         t = spec.lam / vt
         edges = [t, spec.lam + t, spec.gamma * spec.lam]
         dead = np.concatenate([[0.0, 1e-170, np.nextafter(t, -np.inf), t], rng.uniform(0, t, n)])
@@ -202,41 +229,42 @@ class TestZetaProximal:
         rng.shuffle(norms)
         direction = rng.standard_normal((p, n))
         kappa = direction / np.linalg.norm(direction, axis=0) * norms     # exact norms at p = 1
+        mask = penalty.live_columns(kappa, spec, vt)
+        assert np.array_equal(mask, penalty.column_norms(kappa) > t)
         scaled = []
         real = penalty._column_scale
         monkeypatch.setattr(penalty, "_column_scale", lambda nr, *a: scaled.append(nr.size) or real(nr, *a))
-        out = prox_columns(kappa, spec, vt)
         ref = oracles.prox_columns_branchwise(kappa, spec, vt)
+        out = prox_columns(kappa, spec, vt, np.flatnonzero(mask))
         assert np.array_equal(out, ref)
-        cols = penalty.column_norms(kappa) > t
-        assert not np.any(out[:, ~cols])
-        if live_share == 0.0:
-            assert scaled == []
-        elif live_share < 0.25:
-            assert scaled == [np.count_nonzero(cols)]
-        else:
-            assert scaled == [n]
+        assert not np.any(out[:, ~mask])
+        assert scaled == [np.count_nonzero(mask)]
+        scaled.clear()
+        assert np.array_equal(prox_columns(kappa, spec, vt), ref)
+        assert scaled == [n]
 
-    def test_prox_columns_gate_keeps_nan_and_empty_blocks(self, monkeypatch):
-        # above the gate a block with a NaN norm takes the full pass, so its
-        # result is the one below the gate; with the gate at 0 the (p, 0)
-        # block of a single location is returned as is
+    def test_prox_columns_keeps_nan_and_empty_blocks_on_the_live_columns(self):
+        # a NaN column is live, so scaling only the live columns gives the
+        # full pass's result; the (p, 0) block of a single location has no
+        # live column and is returned as is
         spec, vt = w.ScadSpec(lam=0.5), 1.0
         kappa = np.zeros((2, 5000))
         kappa[:, 7] = [np.nan, 1.0]
         kappa[:, 9] = [3.0, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = prox_columns(kappa, spec, vt)
+            cols = np.flatnonzero(penalty.live_columns(kappa, spec, vt))
+            out = prox_columns(kappa, spec, vt, cols)
+        assert cols.tolist() == [7, 9]
         assert np.isnan(out[0, 7]) and np.array_equal(out[:, 9], [3.0, 0.0])
-        monkeypatch.setattr(penalty, "SUPPORT_MIN_COLUMNS", 5001)
         assert np.array_equal(out, prox_columns(kappa, spec, vt), equal_nan=True)
-        monkeypatch.setattr(penalty, "SUPPORT_MIN_COLUMNS", 0)
         for p in (1, 2):
             empty = np.zeros((p, 0))
-            got = prox_columns(empty, spec, vt)
-            assert got.shape == (p, 0)
-            assert np.array_equal(got, oracles.prox_columns_branchwise(empty, spec, vt))
+            cols = np.flatnonzero(penalty.live_columns(empty, spec, vt))
+            assert cols.size == 0
+            for got in (prox_columns(empty, spec, vt, cols), prox_columns(empty, spec, vt)):
+                assert got.shape == (p, 0)
+                assert np.array_equal(got, oracles.prox_columns_branchwise(empty, spec, vt))
 
     def test_prox_columns_lam_zero_returns_a_new_equal_array(self, rng):
         kappa = rng.standard_normal((7, 2)).T

@@ -142,6 +142,12 @@ class TestPopulationGenerators:
         with pytest.raises(TypeError):
             w.ScenarioSpec(kind="regression", expected_n=10, H=30)
 
+    @pytest.mark.parametrize("kw, message", [({"seed": -1}, "seed must be nonnegative, got -1"),
+                                             ({"m": 0}, "m must be at least 1, got 0")])
+    def test_negative_seed_or_no_location_rejected(self, kw, message):
+        with pytest.raises(w.ValidationError, match=message):
+            w.ScenarioSpec(kind="mean_model", expected_n=6, **kw)
+
 
 class TestPoissonSample:
     def _population(self):

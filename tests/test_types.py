@@ -142,9 +142,10 @@ class TestConfigs:
 
     @pytest.mark.parametrize("kw", [
         {"vartheta": 0.0}, {"tol": 0.0}, {"max_iter": 0}, {"init_ridge": -1.0},
+        {"init_ridge": float("nan")}, {"init_ridge": float("inf")}, {"vartheta": float("inf")},
     ])
     def test_bad_config_rejected(self, kw):
-        with pytest.raises(w.ValidationError):
+        with pytest.raises(w.ValidationError, match=next(iter(kw))):
             w.AdmmConfig(**kw)
 
     def test_scad_spec_validation(self):
