@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 from .admm import (
     PairIndex,
     build_pair_index,
-    composite_weights,
     fit,
     initialize,
-    normalized_weights,
 )
 from .grouping import extract_partition, group_estimates, location_estimates, refit_oracle
 from .metrics import adjusted_rand_index, rand_index_counts, rmse_beta
@@ -38,11 +36,10 @@ __all__ = [
     "AdmmConfig", "BicVariant", "Dataset", "FitResult", "LambdaPath", "LocationBlock",
     "McSummary", "PairIndex", "Partition", "Population", "ScadSpec", "ScenarioSpec",
     "SingularSystemError", "ValidationError",
-    "adjusted_rand_index", "build_pair_index", "composite_weights", "default_lambda_grid",
+    "adjusted_rand_index", "build_pair_index", "default_lambda_grid",
     "extract_partition", "fit", "generate_mean_population", "generate_regression_population",
     "group_estimates", "group_soft_threshold", "informative_probabilities", "initialize",
-    "location_estimates", "modified_bic", "normalized_weights",
-    "poisson_sample", "rand_index_counts",
+    "location_estimates", "modified_bic", "poisson_sample", "rand_index_counts",
     "refit_oracle", "rmse_beta", "run_monte_carlo",
     "scad_value", "select_lambda", "zeta_proximal",
 ]

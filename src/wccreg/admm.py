@@ -38,11 +38,14 @@ iteration already has a zero primal residual, and the loop stops there.
 The loop has two branches, split by the pair count, and owns that gate.
 From ``_SUPPORT_MIN_PAIRS`` (4,096) pairs up the concave penalty leaves most
 slacks at exact zeros, and the loop works on their support, which it alone
-finds, once per iteration: the proximal map scales only the live columns,
-``D'u`` is carried through ``A'A = (mI - J) (x) I_p`` and only the live slack
-columns are scatter-added.  The two branches agree to 1e-12 in every fitted
-number, with equal iterations and partitions; :func:`fit` gives the measured
-reason for the gate.
+finds and holds, once per iteration: it gathers the live columns of kappa
+into one compact block, which the ordinary proximal map (it knows nothing of
+the support) maps whole; the loop writes the result once into a zero slack
+block, steps r and u from the compact block, and hands that same block to
+:meth:`_Bundle.difference_adjoint`, which gathers only the pair positions.
+``D'u`` is carried through ``A'A = (mI - J) (x) I_p``.  The two branches
+agree to 1e-12 in every fitted number, with equal iterations and partitions;
+:func:`fit` gives the measured reason for the gate.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 from .penalty import ScadSpec, check_prox_compatible, live_columns, prox_columns
-from .types import AdmmConfig, Dataset, FitResult, LocationBlock, SingularSystemError
+from .types import AdmmConfig, Dataset, FitResult, SingularSystemError
 
 logger = logging.getLogger(__name__)
 
@@ -95,24 +98,6 @@ def build_pair_index(m: int) -> PairIndex:
     i_idx, j_idx = np.triu_indices(m, k=1)
     i_idx.flags.writeable = j_idx.flags.writeable = False
     return PairIndex(m=m, i_idx=i_idx, j_idx=j_idx)
-
-
-def composite_weights(block: LocationBlock) -> np.ndarray:
-    """Per-row loss weights ``1/(N * pi)``, times ``1/sigma2`` when present."""
-    return _row_weights(block.N, block.pi, block.sigma2)
-
-
-def _row_weights(N, pi: np.ndarray, sigma2: np.ndarray | None) -> np.ndarray:
-    w = 1.0 / (N * pi)
-    if sigma2 is not None:
-        w = w / sigma2
-    return w
-
-
-def normalized_weights(block: LocationBlock) -> np.ndarray:
-    """Inverse inclusion probabilities normalized to sum to one in the block."""
-    w = 1.0 / block.pi
-    return w / w.sum()
 
 
 class _Bundle:
@@ -154,7 +139,9 @@ class _Bundle:
         bounds = data.offsets.tolist()
         self.row_location = np.repeat(np.arange(m), np.diff(data.offsets))
         self.y, self.X, self.Z = data.y, data.X, data.Z
-        self.w = _row_weights(data.N[self.row_location], data.pi, data.sigma2)
+        self.w = 1.0 / (data.N[self.row_location] * data.pi)
+        if data.sigma2 is not None:
+            self.w = self.w / data.sigma2
         inv_pi = 1.0 / data.pi
 
         # block pieces of the weighted normal equations (q may be 0) and the
@@ -224,15 +211,17 @@ class _Bundle:
         """``D'S'`` for a (p, n_pairs) block: +S_l added at row i, -S_l at row j.
 
         Entry (k, l) of S goes to flat entry (i_l, k) and (j_l, k) of the
-        (m, p) result, added in pair order.  With ``cols``, S is taken as zero
-        outside those columns and only they are read; the sums are the same.
+        (m, p) result, added in pair order.  With ``cols``, S is the compact
+        (p, len(cols)) block of those pair columns, in their order, and the
+        block it stands for is zero elsewhere; the sums are the same.  Only
+        the pair positions are gathered here: the caller (``fit``) already
+        holds the compact block.
         """
-        if cols is None:
-            pos_i, pos_j, flat = self._pos_i, self._pos_j, S.reshape(-1)
-        else:
-            pos_i = self._pos_i.reshape(self.p, -1)[:, cols].ravel()
-            pos_j = self._pos_j.reshape(self.p, -1)[:, cols].ravel()
-            flat = S[:, cols].ravel()
+        pos_i, pos_j = self._pos_i, self._pos_j
+        if cols is not None:
+            pos_i = pos_i.reshape(self.p, -1).take(cols, axis=1).reshape(-1)
+            pos_j = pos_j.reshape(self.p, -1).take(cols, axis=1).reshape(-1)
+        flat = S.reshape(-1)
         size = self.m * self.p
         return (np.bincount(pos_i, flat, size)
                 - np.bincount(pos_j, flat, size)).reshape(self.m, self.p)
@@ -353,10 +342,12 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
       and ``D'u_0 = 0``;
     * the loop finds the support once per iteration, before the proximal map:
       the live columns of ``kappa`` (:func:`penalty.live_columns`).  While
-      they are fewer than a quarter of all, the map scales only them, ``u``
-      becomes ``kappa`` off the support and on it steps with the float
-      operations above; ``D'zeta`` scatter-adds the support alone
-      (:meth:`_Bundle.difference_adjoint` on its columns), and ``D'u`` is
+      they are fewer than a quarter of all, they are taken once as a compact
+      (p, k) block and mapped whole by :func:`penalty.prox_columns`; the
+      mapped block is written once into a zero ``zeta``, ``u`` becomes
+      ``kappa`` off the support and on it steps from the compact blocks with
+      the float operations above; ``D'zeta`` scatter-adds the compact block
+      alone (:meth:`_Bundle.difference_adjoint` on its columns), and ``D'u`` is
       carried as ``D'u + m (beta - mean beta) - D'zeta``, written centred so
       that it does not cancel, and recomputed in full every 64 iterations.
       When the support is wider, that iteration is the plain one and the
@@ -404,19 +395,26 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
         # is counted several times faster than a dense one is indexed)
         mask = live_columns(kappa, spec, vt) if large else None
         live = np.flatnonzero(mask) if large and 4 * np.count_nonzero(mask) < mask.size else None
-        zeta_prev, zeta = zeta, prox_columns(kappa, spec, vt, live)
+        zeta_prev = zeta
         if live is None:
+            zeta = prox_columns(kappa, spec, vt)
             r -= zeta
             u += r
             Dz = Du = None
         else:
-            # off the support zeta is 0: r stays D beta, and u + r is kappa
-            r_live = r[:, live] - zeta[:, live]
+            # the live columns, gathered once C-ordered (like the full block, so
+            # their norms round alike), are mapped as one compact block, which
+            # every step below reads; off the support zeta is 0: r stays D beta,
+            # and u + r is kappa
+            zeta_live = prox_columns(kappa.take(live, axis=1), spec, vt)
+            zeta = np.zeros(kappa.shape)
+            zeta[:, live] = zeta_live
+            r_live = r.take(live, axis=1) - zeta_live
             r[:, live] = r_live
-            u_live = u[:, live] + r_live
+            u_live = u.take(live, axis=1) + r_live
             u = kappa
             u[:, live] = u_live
-            Dz = bundle.difference_adjoint(zeta, live)
+            Dz = bundle.difference_adjoint(zeta_live, live)
             if Du is None or (it + 1) % _REFRESH_CARRIED == 0:
                 Du = bundle.difference_adjoint(u)
             else:

@@ -4,8 +4,11 @@ The penalty on a pairwise difference of norm t is the integral of
 ``lam * min(1, (gamma - x/lam)_+ / (gamma - 1))`` from 0 to t, which is linear
 up to ``lam``, blends quadratically on ``(lam, gamma*lam]`` and is flat
 beyond.  The quadrature form lives only in the test oracles; everything here
-is the closed-form piecewise version.  Which pairs the proximal map scales is
-decided, once per iteration, by the ADMM loop (``admm.fit``) alone.
+is the closed-form piecewise version.  On the slack support the work is
+split three ways: :func:`live_columns` tells which pair columns the map may
+leave nonzero, the ADMM loop (``admm.fit``) alone decides, once per
+iteration, whether to gather them and scatters the result, and
+:func:`prox_columns` maps whatever block it is given, always in full.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .types import ValidationError
 
 @dataclass(frozen=True)
 class ScadSpec:
-    """Fusion strength ``lam`` (>= 0) and shape ``gamma`` (> 2).
+    """Fusion strength ``lam`` (>= 0) and shape ``gamma`` (> 2), both finite.
 
     Inside the solver ``gamma`` must additionally exceed ``1 + 1/vartheta``
     strictly, so that the middle branch of the proximal map stays a convex
@@ -33,10 +36,10 @@ class ScadSpec:
     gamma: float = 3.0
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ValidationError("lam must be nonnegative")
-        if not self.gamma > 2:
-            raise ValidationError("gamma must exceed 2")
+        if not 0 <= self.lam < np.inf:
+            raise ValidationError(f"lam must be nonnegative and finite, got {self.lam}")
+        if not 2 < self.gamma < np.inf:
+            raise ValidationError(f"gamma must be finite and exceed 2, got {self.gamma}")
 
 
 def check_prox_compatible(spec: ScadSpec, vartheta: float) -> None:
@@ -129,10 +132,9 @@ def live_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
     return ~(column_norms(kappa) <= spec.lam / vartheta)
 
 
-def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float,
-                 cols: np.ndarray | None = None) -> np.ndarray:
-    """Column-vectorized :func:`zeta_proximal` for a (p, n_pairs) block of
-    kappas, pair-major, one column per pair.
+def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarray:
+    """Column-vectorized :func:`zeta_proximal` for a (p, n) block of kappas,
+    pair-major, one column per pair.
 
     Each column is multiplied by one scale: ``max(0, 1 - t/||kappa||)`` with
     ``t = lam/vartheta`` on the soft-threshold branch, the same with
@@ -146,24 +148,15 @@ def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float,
     not underflow; for p > 1 a column whose norm underflows to 0 is zeroed,
     like a zero column.
 
-    With ``cols``, the indices of the live columns (:func:`live_columns`),
-    only those columns are scaled, into a zero block: they get the same float
-    operations as above, and a dead column is +0 where the full pass may
-    leave -0.  The map does not choose between the two; the caller does
-    (``admm.fit`` owns the support).
+    The map reads every column it is given.  Which columns those are (all
+    pairs, or only the live ones of :func:`live_columns`, gathered
+    C-ordered) and where the result goes is decided by ``admm.fit``.
     """
     check_prox_compatible(spec, vartheta)
     kappa = np.asarray(kappa, dtype=float)
-    lam, gam = spec.lam, spec.gamma
-    if lam == 0:
+    if spec.lam == 0:
         return kappa.copy()
-    if cols is None:
-        return kappa * _column_scale(column_norms(kappa), lam, gam, vartheta)
-    # np.take gathers C-ordered; kappa[:, cols] is F-ordered, its norms round otherwise
-    live = kappa.take(cols, axis=1)
-    out = np.zeros(kappa.shape)
-    out[:, cols] = live * _column_scale(column_norms(live), lam, gam, vartheta)
-    return out
+    return kappa * _column_scale(column_norms(kappa), spec.lam, spec.gamma, vartheta)
 
 
 def _column_scale(norms: np.ndarray, lam: float, gam: float, vartheta: float) -> np.ndarray:

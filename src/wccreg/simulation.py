@@ -306,12 +306,7 @@ def _run_rep(args) -> list:
     K_true = int(np.unique(pop.labels).size)
     out = []
     for meth in methods:
-        if meth == "wcc":
-            data = data_wcc
-        elif meth == "cc":
-            data = unweighted_copy(data_wcc, spec.expected_n / spec.H)
-        else:
-            raise ValidationError(f"unknown method {meth!r}")
+        data = data_wcc if meth == "wcc" else unweighted_copy(data_wcc, spec.expected_n / spec.H)
         try:
             lam_grid = selection.default_lambda_grid(data, solver_cfg)
             lam, fit, part, _ = selection.select_lambda(
@@ -333,8 +328,10 @@ def run_monte_carlo(spec: ScenarioSpec, solver_cfg: AdmmConfig = AdmmConfig(),
                     methods: Sequence[str] = ("wcc", "cc"), jobs: int = 1) -> McSummary:
     """Full study: generate, sample, select per method, aggregate.
 
-    Each replicate and method selects over the data-driven default grid
-    (:func:`selection.default_lambda_grid`) with the default penalty shape.
+    ``methods`` are distinct names from ``wcc`` and ``cc``, checked before any
+    replicate runs.  Each replicate and method selects over the data-driven
+    default grid (:func:`selection.default_lambda_grid`) with the default
+    penalty shape.
     ``jobs > 1`` distributes replicates over at most ``jobs`` processes, and
     never more than there are replicates or CPUs; results are identical to the
     sequential run because all streams are keyed by replicate.
@@ -342,6 +339,11 @@ def run_monte_carlo(spec: ScenarioSpec, solver_cfg: AdmmConfig = AdmmConfig(),
     if jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     methods = tuple(methods)
+    for meth in methods:
+        if meth not in ("wcc", "cc"):
+            raise ValidationError(f"unknown method {meth!r} (use wcc,cc)")
+    if len(set(methods)) < len(methods):
+        raise ValidationError(f"each method may be given once, got {','.join(methods)}")
     tasks = [(spec, solver_cfg, methods, rep) for rep in range(spec.reps)]
     workers = min(jobs, spec.reps, os.cpu_count() or 1)
     if workers > 1:

@@ -300,8 +300,8 @@ class AdmmConfig:
     def __post_init__(self):
         if not 0 < self.vartheta < np.inf:
             raise ValidationError(f"vartheta must be positive and finite, got {self.vartheta}")
-        if not self.tol > 0:
-            raise ValidationError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
         if not 0 <= self.init_ridge < np.inf:

@@ -38,11 +38,25 @@ def scad_quadrature(t: float, spec: w.ScadSpec) -> float:
     return val
 
 
-def weighted_ls(block: w.LocationBlock) -> np.ndarray:
-    """Closed-form (X'WX)^{-1} X'Wy with the composite row weights."""
+def row_weights(block: w.LocationBlock) -> np.ndarray:
+    """The loss weight of each row of a location: ``1/(N pi)``, divided by
+    ``sigma2`` when the location has known variances."""
     wt = 1.0 / (block.N * block.pi)
     if block.sigma2 is not None:
         wt = wt / block.sigma2
+    return wt
+
+
+def bic_weights(block: w.LocationBlock) -> np.ndarray:
+    """The BIC weight of each row of a location: its inverse inclusion
+    probability over the sum of them in the location."""
+    inv_pi = 1.0 / block.pi
+    return inv_pi / inv_pi.sum()
+
+
+def weighted_ls(block: w.LocationBlock) -> np.ndarray:
+    """Closed-form (X'WX)^{-1} X'Wy with the composite row weights."""
+    wt = row_weights(block)
     Xw = block.X * np.sqrt(wt)[:, None]
     yw = block.y * np.sqrt(wt)
     sol, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
@@ -160,9 +174,7 @@ def weighted_loss(data: w.Dataset, beta, eta) -> float:
     eta = np.atleast_1d(eta)
     total = 0.0
     for i, block in enumerate(data.locations):
-        wt = 1.0 / (block.N * block.pi)
-        if block.sigma2 is not None:
-            wt = wt / block.sigma2
+        wt = row_weights(block)
         resid = block.y - block.X @ beta[i]
         if data.q:
             resid = resid - block.Z @ eta
@@ -216,10 +228,7 @@ def collapsed_design(data: w.Dataset, assignment) -> tuple[np.ndarray, np.ndarra
         C[start:stop, :data.q] = block.Z
         off = data.q + int(assignment[i]) * data.p
         C[start:stop, off:off + data.p] = block.X
-        row_w = 1.0 / (block.N * block.pi)
-        if block.sigma2 is not None:
-            row_w = row_w / block.sigma2
-        wt.append(row_w)
+        wt.append(row_weights(block))
         ys.append(block.y)
         start = stop
     return C, np.concatenate(wt), np.concatenate(ys)

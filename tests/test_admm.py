@@ -106,14 +106,16 @@ class TestPairIndex:
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_adjoint_on_columns_matches_the_full_adjoint(self, rng, p):
-        # on a block that is zero off the given columns, the adjoint over
-        # those columns adds the same terms in the same order as the full one
+        # on a block that is zero off the given columns, the adjoint of its
+        # compact (p, len(cols)) block over those columns adds the same terms
+        # in the same order as the full one
         ds, _ = random_dataset(rng, m=9, p=p)
         bundle = admm.prepared(ds)
         for live in (np.array([], dtype=np.intp), np.array([0, 5, 35]), np.arange(36)):
+            S_live = rng.standard_normal((p, live.size))
             S = np.zeros((p, 36))
-            S[:, live] = rng.standard_normal((p, live.size))
-            assert np.array_equal(bundle.difference_adjoint(S, live), bundle.difference_adjoint(S))
+            S[:, live] = S_live
+            assert np.array_equal(bundle.difference_adjoint(S_live, live), bundle.difference_adjoint(S))
 
 
 class TestStructuredSolve:
@@ -182,7 +184,7 @@ class TestStructuredSolve:
                                         Z=np.column_stack([b.Z, np.zeros(b.n)]))
                         for b in ds1.locations])
         bundle = admm.prepared(ds)
-        ZtWZ = sum(b.Z.T @ (w.composite_weights(b)[:, None] * b.Z) for b in ds.locations)
+        ZtWZ = sum(b.Z.T @ (oracles.row_weights(b)[:, None] * b.Z) for b in ds.locations)
         tau = 1e-10 * np.trace(ZtWZ)
         for scale in (0.0, 1.5):
             rhs = rng.standard_normal(ds.m * ds.p)
@@ -225,18 +227,18 @@ class TestStructuredSolve:
 class TestCompositeWeights:
     def test_basic(self):
         b = w.LocationBlock("a", 100, y=[1.0], X=[[1.0]], Z=np.zeros((1, 0)), pi=[0.1])
-        assert w.composite_weights(b) == pytest.approx([0.1])
+        assert admm.prepared(w.Dataset([b])).w == pytest.approx([0.1])
 
     def test_with_sigma2(self):
         b = w.LocationBlock("a", 100, y=[1.0], X=[[1.0]], Z=np.zeros((1, 0)),
                             pi=[0.1], sigma2=[4.0])
-        assert w.composite_weights(b) == pytest.approx([0.025])
+        assert admm.prepared(w.Dataset([b])).w == pytest.approx([0.025])
 
     def test_census_reduces_to_inverse_population(self):
         n = 7
         b = w.LocationBlock("a", n, y=np.zeros(n), X=np.ones((n, 1)),
                             Z=np.zeros((n, 0)), pi=np.ones(n))
-        assert w.composite_weights(b) == pytest.approx(np.full(n, 1.0 / n))
+        assert admm.prepared(w.Dataset([b])).w == pytest.approx(np.full(n, 1.0 / n))
 
 
 class TestUpdates:
@@ -291,7 +293,7 @@ class TestUpdates:
         ds = w.Dataset([w.LocationBlock("a", 60, y=y, X=X, Z=Z, pi=pi)])
         bundle = admm.prepared(ds)
         eta = bundle.eta_update(truth[None, :])
-        wt = w.composite_weights(ds.locations[0])
+        wt = oracles.row_weights(ds.locations[0])
         expected = np.sum(wt * (y - X @ truth)) / np.sum(wt)
         assert eta[0] == pytest.approx(expected, abs=1e-12)
 
@@ -322,7 +324,7 @@ class TestUpdates:
             grad_beta = vt * D.T @ (D @ res.beta - zeta + v / vt)
             grad_eta = np.zeros(ds.q)
             for i, b in enumerate(ds.locations):
-                wr = w.composite_weights(b) * (b.X @ res.beta[i] + b.Z @ res.eta - b.y)
+                wr = oracles.row_weights(b) * (b.X @ res.beta[i] + b.Z @ res.eta - b.y)
                 grad_beta[i] += b.X.T @ wr
                 grad_eta += b.Z.T @ wr
             assert np.abs(grad_beta).max() < 1e-10
@@ -396,10 +398,10 @@ class TestPrecomputation:
         # locations' blocks, so its arrays are equal, not only close
         ds, _ = random_dataset(rng, m=7, p=p, q=q, sigma2=sigma2, n_range=(1, 30))
         bundle = admm.prepared(ds)
-        weights = [w.composite_weights(b) for b in ds.locations]
+        weights = [oracles.row_weights(b) for b in ds.locations]
         assert np.array_equal(bundle.w, np.concatenate(weights))
         assert np.array_equal(bundle.w_norm,
-                              np.concatenate([w.normalized_weights(b) for b in ds.locations]))
+                              np.concatenate([oracles.bic_weights(b) for b in ds.locations]))
         assert np.array_equal(bundle.XtWX, np.stack([b.X.T @ (wt[:, None] * b.X)
                                                      for b, wt in zip(ds.locations, weights)]))
         assert np.array_equal(bundle.XtWZ, np.stack([b.X.T @ (wt[:, None] * b.Z)
@@ -480,7 +482,7 @@ class TestObjective:
         beta = rng.standard_normal((3, 2))
         direct = 0.0
         for i, b in enumerate(ds.locations):
-            wt = w.composite_weights(b)
+            wt = oracles.row_weights(b)
             r = b.y - b.X @ beta[i]
             direct += 0.5 * np.sum(wt * r * r)
         assert oracles.objective(ds, beta, np.zeros(0), w.ScadSpec(lam=0.0)) == pytest.approx(direct)
@@ -515,7 +517,7 @@ class TestFit:
         assert part.K_hat == 1
         Xs = np.vstack([b.X for b in ds.locations])
         ys = np.concatenate([b.y for b in ds.locations])
-        wt = np.concatenate([w.composite_weights(b) for b in ds.locations])
+        wt = np.concatenate([oracles.row_weights(b) for b in ds.locations])
         pooled = np.linalg.solve(Xs.T @ (wt[:, None] * Xs), Xs.T @ (wt * ys))
         assert np.abs(part.alpha[0] - pooled).max() < 1e-6
 
@@ -601,11 +603,11 @@ class TestFit:
         branches = set()
         real = admm.prox_columns
 
-        def prox(kappa, spec, vartheta, cols=None):
+        def prox(kappa, spec, vartheta):
             # which proximal branch each column takes: zero, soft, middle, identity
             edges = [spec.lam / vartheta, spec.lam + spec.lam / vartheta, spec.gamma * spec.lam]
             branches.update(np.searchsorted(edges, np.linalg.norm(kappa, axis=0)).tolist())
-            return real(kappa, spec, vartheta, cols)
+            return real(kappa, spec, vartheta)
 
         monkeypatch.setattr(admm, "prox_columns", prox)
         for lam in np.sort(_start_distances(ds))[[0, 7, 14, 21]]:
@@ -777,7 +779,7 @@ class TestFit:
             big[r0:r0 + b.n, i * ds.p:(i + 1) * ds.p] = b.X
             big[r0:r0 + b.n, ds.m * ds.p:] = b.Z
             r0 += b.n
-        wt = np.concatenate([w.composite_weights(b) for b in ds.locations])
+        wt = np.concatenate([oracles.row_weights(b) for b in ds.locations])
         ys = np.concatenate([b.y for b in ds.locations])
         sol = np.linalg.solve(big.T @ (wt[:, None] * big), big.T @ (wt * ys))
         assert np.abs(res.beta.reshape(-1) - sol[:ds.m * ds.p]).max() < 1e-8

@@ -66,9 +66,11 @@ def test_initialize_layer_is_called_once_per_fit_and_grid(rng, monkeypatch):
 @pytest.mark.parametrize("m", [6, 100])
 def test_prox_layer_is_called_once_per_iteration_on_a_pair_block(rng, monkeypatch, m):
     # penalty.prox_calls counts the calls to admm.prox_columns, so one fit
-    # must make exactly one per iteration, each on the whole (p, n_pairs)
-    # block; also above the support gate (m = 100, 4,950 pairs), where most
-    # iterations work on the slack support
+    # must make exactly one per iteration: on the whole (p, n_pairs) block on
+    # a plain iteration, and above the support gate (m = 100, 4,950 pairs),
+    # where most iterations work on the slack support, on the (p, k) block of
+    # that iteration's k live columns, fewer than a quarter of all, which
+    # are the columns of its adjoint
     ds, _ = random_dataset(rng, m=m, p=2, noise=1.0, n_range=(8, 25) if m < 10 else (4, 9))
     start = admm.prepared(ds).differences(admm.initialize(ds, w.AdmmConfig()))
     spec = w.ScadSpec(lam=float(np.linalg.norm(start, axis=0).min() if m < 10 else 2.0))
@@ -80,10 +82,14 @@ def test_prox_layer_is_called_once_per_iteration_on_a_pair_block(rng, monkeypatc
     monkeypatch.setattr(admm._Bundle, "difference_adjoint",
                         lambda self, S, cols=None: adjoints.append(cols) or real_adjoint(self, S, cols))
     res = w.fit(ds, spec)
+    n_pairs = m * (m - 1) // 2
     assert res.iterations > 2
-    assert shapes == [(ds.p, m * (m - 1) // 2)] * res.iterations
+    assert len(shapes) == res.iterations
     narrow = [cols for cols in adjoints if cols is not None]
-    assert (len(narrow) > 0) == (m * (m - 1) // 2 >= admm._SUPPORT_MIN_PAIRS)
+    assert (len(narrow) > 0) == (n_pairs >= admm._SUPPORT_MIN_PAIRS)
+    compact = [shape for shape in shapes if shape != (ds.p, n_pairs)]
+    assert all(shape[0] == ds.p and 4 * shape[1] < n_pairs for shape in compact)
+    assert [shape[1] for shape in compact] == [cols.size for cols in narrow]
 
 
 @pytest.mark.parametrize("source", ["csv", "sample"])

@@ -89,12 +89,33 @@ class TestFit:
             capsys.readouterr().err
 
     @pytest.mark.parametrize("option, field", [("--zero-tol=-1", "zero_tol"), ("--zero-tol=nan", "zero_tol"),
-                                               ("--init-ridge=nan", "init_ridge"), ("--vartheta=inf", "vartheta")])
+                                               ("--init-ridge=nan", "init_ridge"), ("--vartheta=inf", "vartheta"),
+                                               ("--tol=inf", "tol")])
     def test_bad_solver_option_exits_validation(self, rng, tmp_path, capsys, option, field):
         csv_path = tmp_path / "d.csv"
         write_csv(csv_path, rng)
         assert run_fit(csv_path, option) == cli.EXIT_VALIDATION
         assert f"error: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, field", [("--lambda=inf", "lam"), ("--gamma=inf", "gamma")])
+    def test_nonfinite_penalty_exits_validation_without_a_report(self, rng, tmp_path, capsys, option, field):
+        # an infinite lambda would be written as Infinity, and an infinite
+        # gamma would fuse every pair at every candidate of a sweep
+        csv_path = tmp_path / "d.csv"
+        write_csv(csv_path, rng)
+        out = tmp_path / "r.json"
+        code = cli.main(["fit", str(csv_path), "--p", "1", "--q", "1", option, "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lambda_and_lambda_grid_are_exclusive(self, rng, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        write_csv(csv_path, rng)
+        with pytest.raises(SystemExit) as exc:
+            run_fit(csv_path, "--lambda-grid", "0.1:1:3")
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_selected_bic_is_scored_once_per_candidate(self, rng, tmp_path, monkeypatch):
         # the reported BIC is the selected candidate's path record, the same
@@ -231,6 +252,14 @@ class TestSimulate:
                          "--jobs", str(jobs), "--out-dir", str(tmp_path / "mc")])
         assert code == cli.EXIT_VALIDATION
         assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()
+
+    def test_repeated_method_rejected(self, tmp_path, capsys):
+        # methods are lowercased, so wcc,WCC names WCC twice
+        code = cli.main(["simulate", "--scenario", "mean", "--n", "6", "--reps", "2",
+                         "--methods", "wcc,WCC", "--out-dir", str(tmp_path / "mc")])
+        assert code == cli.EXIT_VALIDATION
+        assert "each method may be given once, got wcc,wcc" in capsys.readouterr().err
         assert not (tmp_path / "mc").exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):

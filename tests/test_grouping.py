@@ -201,7 +201,7 @@ class TestRefitOracle:
                                         Z=np.zeros((n, 0)), pi=pi)])
         part = w.extract_partition(w.fit(ds, w.ScadSpec(lam=0.0)))
         eta, alpha = w.refit_oracle(ds, part)
-        wt = w.composite_weights(ds.locations[0])
+        wt = oracles.row_weights(ds.locations[0])
         assert alpha[0, 0] == pytest.approx(np.sum(wt * y) / np.sum(wt), abs=1e-10)
 
     def test_singleton_partition_equals_wls(self, rng):

@@ -213,9 +213,10 @@ class TestZetaProximal:
     @pytest.mark.parametrize("vt", [1.0, 0.7])
     @pytest.mark.parametrize("live_share", [0.0, 0.1, 0.24, 0.5])
     def test_prox_columns_on_the_live_columns_match_branchwise_form(self, rng, monkeypatch, p, vt, live_share):
-        # given the live columns, only those are scaled, into a zero block;
-        # every column equals the branchwise form's (a dead column may be +0
-        # for -0), and so does the full pass, which scales every column
+        # the live columns, taken as a compact block, are scaled alone and
+        # equal the branchwise form's on those columns; the branchwise form is
+        # zero on the dead columns, and the full pass, which scales every
+        # column, equals it everywhere
         spec = w.ScadSpec(lam=0.37, gamma=3.7)
         n = 5000
         t = spec.lam / vt
@@ -235,18 +236,20 @@ class TestZetaProximal:
         real = penalty._column_scale
         monkeypatch.setattr(penalty, "_column_scale", lambda nr, *a: scaled.append(nr.size) or real(nr, *a))
         ref = oracles.prox_columns_branchwise(kappa, spec, vt)
-        out = prox_columns(kappa, spec, vt, np.flatnonzero(mask))
-        assert np.array_equal(out, ref)
-        assert not np.any(out[:, ~mask])
-        assert scaled == [np.count_nonzero(mask)]
+        live = np.flatnonzero(mask)
+        out = prox_columns(kappa.take(live, axis=1), spec, vt)
+        assert np.array_equal(out, ref[:, live])
+        assert not np.any(ref[:, ~mask])
+        assert scaled == [live.size]
         scaled.clear()
         assert np.array_equal(prox_columns(kappa, spec, vt), ref)
         assert scaled == [n]
 
     def test_prox_columns_keeps_nan_and_empty_blocks_on_the_live_columns(self):
-        # a NaN column is live, so scaling only the live columns gives the
-        # full pass's result; the (p, 0) block of a single location has no
-        # live column and is returned as is
+        # a NaN column is live, so mapping only the live columns gives the
+        # full pass's result on them, and the full pass is zero elsewhere; the
+        # (p, 0) block of a single location has no live column and is
+        # returned as is
         spec, vt = w.ScadSpec(lam=0.5), 1.0
         kappa = np.zeros((2, 5000))
         kappa[:, 7] = [np.nan, 1.0]
@@ -254,15 +257,17 @@ class TestZetaProximal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cols = np.flatnonzero(penalty.live_columns(kappa, spec, vt))
-            out = prox_columns(kappa, spec, vt, cols)
+            out = prox_columns(kappa.take(cols, axis=1), spec, vt)
+            full = prox_columns(kappa, spec, vt)
         assert cols.tolist() == [7, 9]
-        assert np.isnan(out[0, 7]) and np.array_equal(out[:, 9], [3.0, 0.0])
-        assert np.array_equal(out, prox_columns(kappa, spec, vt), equal_nan=True)
+        assert np.isnan(out[0, 0]) and np.array_equal(out[:, 1], [3.0, 0.0])
+        assert np.array_equal(out, full[:, cols], equal_nan=True)
+        assert not np.any(np.delete(full, cols, axis=1))
         for p in (1, 2):
             empty = np.zeros((p, 0))
             cols = np.flatnonzero(penalty.live_columns(empty, spec, vt))
             assert cols.size == 0
-            for got in (prox_columns(empty, spec, vt, cols), prox_columns(empty, spec, vt)):
+            for got in (prox_columns(empty.take(cols, axis=1), spec, vt), prox_columns(empty, spec, vt)):
                 assert got.shape == (p, 0)
                 assert np.array_equal(got, oracles.prox_columns_branchwise(empty, spec, vt))
 

@@ -85,6 +85,18 @@ def test_worker_count_is_capped_by_reps_and_cpus(monkeypatch, jobs, reps, cpus, 
     assert pooled.records == w.run_monte_carlo(spec, methods=("wcc",), jobs=1).records
 
 
+@pytest.mark.parametrize("methods, message", [(("wcc", "wcc"), "each method may be given once"),
+                                              (("cc", "ols"), "unknown method 'ols'")])
+def test_methods_are_checked_before_any_replicate(monkeypatch, methods, message):
+    # a repeated method would fit and report every replicate twice
+    drawn = []
+    monkeypatch.setattr(simulation, "generate_population", lambda *a: drawn.append(a))
+    spec = w.ScenarioSpec(kind="mean_model", expected_n=6, seed=3, reps=2, m=10)
+    with pytest.raises(w.ValidationError, match=message):
+        w.run_monte_carlo(spec, methods=methods)
+    assert drawn == []
+
+
 def test_table_generator_smoke(tmp_path):
     spec = w.ScenarioSpec(kind="mean_model", expected_n=6, seed=3, reps=2, m=10)
     summary = w.run_monte_carlo(spec)

@@ -143,6 +143,7 @@ class TestConfigs:
     @pytest.mark.parametrize("kw", [
         {"vartheta": 0.0}, {"tol": 0.0}, {"max_iter": 0}, {"init_ridge": -1.0},
         {"init_ridge": float("nan")}, {"init_ridge": float("inf")}, {"vartheta": float("inf")},
+        {"tol": float("inf")}, {"tol": float("nan")},
     ])
     def test_bad_config_rejected(self, kw):
         with pytest.raises(w.ValidationError, match=next(iter(kw))):
@@ -155,6 +156,11 @@ class TestConfigs:
             w.ScadSpec(lam=float("nan"))
         with pytest.raises(w.ValidationError):
             w.ScadSpec(lam=1.0, gamma=2.0)
+        # an infinite gamma makes the proximal map's threshold inf * 0 = nan
+        for kw, field in [({"lam": float("inf")}, "lam"), ({"lam": 1.0, "gamma": float("inf")}, "gamma"),
+                          ({"lam": 1.0, "gamma": float("nan")}, "gamma")]:
+            with pytest.raises(w.ValidationError, match=f"^{field} must be"):
+                w.ScadSpec(**kw)
 
 
 class TestPartitionContainer:
@@ -256,4 +262,4 @@ def test_public_names_are_unique_and_resolve():
     assert len(w.__all__) == len(set(w.__all__))
     for name in w.__all__:
         assert getattr(w, name) is not None, name
-    assert w.normalized_weights is admm.normalized_weights
+    assert w.fit is admm.fit
