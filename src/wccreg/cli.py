@@ -84,7 +84,17 @@ def _alpha_original_scale(alpha: np.ndarray, info: dict) -> list:
     return out
 
 
+def _check_out_file(path: Path) -> None:
+    """Fail before any work when the report could not be written to ``path``."""
+    if path.is_dir():
+        raise ValidationError(f"--out {path} is a directory")
+    if not path.parent.is_dir():
+        raise ValidationError(f"--out {path}: no directory {path.parent}")
+
+
 def cmd_fit(args) -> int:
+    if args.out:
+        _check_out_file(Path(args.out))
     data = wio.load_dataset_csv(args.csv, p=args.p, q=args.q)
     if args.unweighted:
         data = _unweighted_copy(data)
@@ -160,9 +170,13 @@ def cmd_simulate(args) -> int:
     methods = tuple(s.strip().lower() for s in args.methods.split(","))
 
     spec = simulation.ScenarioSpec(kind=kind, expected_n=args.n, seed=args.seed, reps=args.reps)
+    out_dir = Path(args.out_dir)
+    # the nearest existing part of the path must be a directory, before any replicate runs
+    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"--out-dir {out_dir}: {existing} is not a directory")
     summary = simulation.run_monte_carlo(spec, AdmmConfig(), methods=methods, jobs=args.jobs)
 
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     simulation.write_rep_csv(summary, out_dir / "reps.csv")
     (out_dir / "summary.json").write_text(wio.dumps(summary.to_dict()), encoding="utf-8")
@@ -241,7 +255,10 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a file that cannot be read or written names itself; other OS errors propagate
+        if exc.filename is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SingularSystemError as exc:

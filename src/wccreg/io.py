@@ -16,9 +16,11 @@ messages.
 JSON reports keep a fixed field order, so identical inputs produce
 byte-identical files.  Arrays whose length grows with m^2, the fit's pair-space
 slacks ``zeta`` and multipliers ``v``, are written as base64 strings of their
-little-endian float64 bytes in (p, n_pairs) C order.  Everything of size O(m)
-(coefficients, partition, lambda path, refit) is written as decimal numbers in
-shortest round-trip form.  Both forms read back bit for bit.
+little-endian float64 bytes in (p, n_pairs) C order, and :func:`dumps` splices
+them into the text without passing them through JSON's escaper.  Everything
+of size O(m) (coefficients, partition, lambda path, refit) is written as
+decimal numbers in shortest round-trip form.  Both forms read back bit for
+bit.  The CSV is read as UTF-8, with or without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from .types import Dataset, FitResult, Partition, ValidationError
 
 SCHEMA_VERSION = 2
 _PAIR_DTYPE = "<f8"
+# the pair blob fields of a fit report, and the placeholder :func:`dumps`
+# writes in the place of each
+_BLOB_FIELDS = ("zeta", "v")
+_BLOB_MARK = "@pairs:{}@"
 # characters that send a file to the row-by-row parser (see the module docstring)
 _ROW_PARSER_ONLY = '"\0\x1c\x1d\x1e\x1f'
 
@@ -51,6 +57,9 @@ def expected_columns(p: int, q: int, has_sigma2: bool) -> list[str]:
 def load_dataset_csv(path, p: int, q: int = 0) -> Dataset:
     """Read a dataset; locations ordered by first appearance in the file.
 
+    The file is UTF-8 text, with or without a byte-order mark (as spreadsheet
+    programs write it); other bytes fail with the path.
+
     The optional ``sigma2`` column is detected from the header.  Any missing
     or misnamed column fails with the offending name.  The numeric fields of
     every row are parsed into one table with the columns of
@@ -62,8 +71,12 @@ def load_dataset_csv(path, p: int, q: int = 0) -> Dataset:
         raise ValidationError("p must be at least 1")
     if q < 0:
         raise ValidationError("q must be nonnegative")
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                              f"{exc.reason})") from None
     reader = csv.reader(StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -141,8 +154,14 @@ def _parse_rows(reader, lid_at: int, value_at: list, width: int):
     return ids, np.array(table)
 
 
+class _PairBlob(str):
+    """Base64 text of a pair block, as :func:`_encode_pairs` makes it.  Its
+    characters (``A-Z a-z 0-9 + / =``) are written by JSON as they are, so
+    :func:`dumps` splices it in without the escaper."""
+
+
 def _encode_pairs(a: np.ndarray) -> str:
-    return base64.b64encode(np.asarray(a, dtype=_PAIR_DTYPE).tobytes()).decode("ascii")
+    return _PairBlob(base64.b64encode(np.asarray(a, dtype=_PAIR_DTYPE).tobytes()).decode("ascii"))
 
 
 def _decode_pairs(d: dict, name: str, p: int, npairs: int) -> np.ndarray:
@@ -224,5 +243,21 @@ def dumps(obj: dict) -> str:
 
     Written without indentation: an indent makes ``json`` fall back from its C
     encoder to the pure-Python one, which doubles the time for large reports.
+    The two pair blobs of a fit report (``obj["fit"]["zeta"]`` and ``["v"]``
+    as :func:`fit_result_to_dict` made them) are nearly all of its bytes and
+    need no escaping, which ``json`` would still check one character at a
+    time.  So the report is encoded with a short placeholder in the place of
+    each, and the blobs are spliced in where each placeholder occurs exactly
+    once.  The text is ``json.dumps(obj)``'s byte for byte; in every other
+    case (other values there, or a placeholder that occurs elsewhere, as in a
+    location id) it is ``json.dumps(obj)`` itself.
     """
+    fit = obj.get("fit")
+    if isinstance(fit, dict) and all(type(fit.get(k)) is _PairBlob for k in _BLOB_FIELDS):
+        marks = {k: _BLOB_MARK.format(k) for k in _BLOB_FIELDS}
+        text = json.dumps({**obj, "fit": {**fit, **marks}}, allow_nan=True) + "\n"
+        if all(text.count(f'"{mark}"') == 1 for mark in marks.values()):
+            for k, mark in marks.items():
+                text = text.replace(f'"{mark}"', f'"{fit[k]}"')
+            return text
     return json.dumps(obj, allow_nan=True) + "\n"

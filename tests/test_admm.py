@@ -104,6 +104,24 @@ class TestPairIndex:
         assert np.array_equal(bundle.differences(beta), (D @ beta).T)
         assert np.abs(bundle.difference_adjoint(S) - D.T @ S.T).max() < 1e-12
 
+    @pytest.mark.parametrize("m", [91, 92, 400])
+    def test_differences_repeat_the_i_side_above_the_gate_at_p1(self, rng, m):
+        # from the gate up (m = 92, 4,186 pairs; m = 91 has 4,095) the i side
+        # at p = 1 is repeated rather than gathered, with the gather's bytes,
+        # sign bits of zero differences included
+        ds, _ = random_dataset(rng, m=m, p=1, n_range=(2, 4))
+        bundle = admm.prepared(ds)
+        assert (bundle._i_repeats is not None) == (m * (m - 1) // 2 >= admm._SUPPORT_MIN_PAIRS)
+        beta = rng.standard_normal((m, 1))
+        beta[::7] = 0.0
+        beta[1::7] = -0.0
+        beta[2::5] = beta[3]
+        flat = beta.reshape(-1)
+        want = flat[bundle.pairs.i_idx] - flat[bundle.pairs.j_idx]
+        got = bundle.differences(beta)
+        assert got.shape == (1, want.size) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("p", [1, 3])
     def test_adjoint_on_columns_matches_the_full_adjoint(self, rng, p):
         # on a block that is zero off the given columns, the adjoint of its
@@ -699,6 +717,38 @@ class TestFit:
         assert res.iterations > 2
         n_pairs = m * (m - 1) // 2
         assert shapes == ([(1, n_pairs)] * res.iterations if n_pairs >= admm._SUPPORT_MIN_PAIRS else [])
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("vt", [1.0, 0.7])
+    def test_plain_first_iteration_above_the_gate_reports_the_start_slack_dual(self, rng, monkeypatch, p, vt):
+        # a small lam leaves most columns live, so the first iteration is the
+        # plain one, and a large tol stops the fit there; its dual residual
+        # reads the start slack D beta_0, which the loop forms only then
+        ds, _ = random_dataset(rng, m=100, p=p, q=1, n_range=(4, 9), noise=0.3)
+        supports = _record_support_adjoints(monkeypatch)
+        cfg = w.AdmmConfig(vartheta=vt, tol=1e6)
+        res = w.fit(ds, w.ScadSpec(lam=1e-3), cfg)
+        assert res.iterations == 1 and res.converged and supports == []
+        bundle = admm.prepared(ds)
+        start = bundle.differences(admm.initialize(ds, cfg))
+        assert res.final_dual_residual == vt * float(np.linalg.norm(bundle.difference_adjoint(res.zeta - start)))
+        assert res.final_dual_residual > 0
+
+    def test_all_dead_iterations_return_a_read_only_zero_slack(self, rng, monkeypatch):
+        # lam = 0.8 fuses every pair of the planted data above the gate: the
+        # later iterations have no live column, one after another, and each
+        # still maps its (p, 0) block once; the slacks come back all zero
+        ds, _ = random_dataset(rng, m=100, p=1, q=1, n_range=(4, 9), noise=0.3,
+                               groups=[(0.0,)] * 9 + [(1.5,)])
+        shapes = []
+        real = admm.prox_columns
+        monkeypatch.setattr(admm, "prox_columns",
+                            lambda kappa, *a: shapes.append(kappa.shape) or real(kappa, *a))
+        res = w.fit(ds, w.ScadSpec(lam=0.8))
+        assert res.converged and len(shapes) == res.iterations
+        dead = [shape == (1, 0) for shape in shapes]
+        assert any(a and b for a, b in zip(dead, dead[1:])) and dead[-1]
+        assert not np.any(res.zeta) and not res.zeta.flags.writeable
 
     def test_eta_computed_once_per_fit(self, rng, monkeypatch):
         # neither the start nor the coefficient update reads eta, so one fit

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from wccreg import cli, selection
+from wccreg import cli, selection, simulation
 from wccreg import io as wio
 from wccreg.grouping import extract_partition
 from wccreg.penalty import ScadSpec
@@ -141,6 +141,53 @@ class TestFit:
         write_csv(csv_path, rng, zero_z=True)
         assert run_fit(csv_path) == cli.EXIT_SOLVER
         assert "Z'WZ" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 2 with its path, before any work."""
+
+    @pytest.fixture
+    def no_fit(self, monkeypatch):
+        def fail(*a, **k):
+            raise AssertionError("fitted before the file error")
+        monkeypatch.setattr(cli, "admm_fit", fail)
+        monkeypatch.setattr(cli.selection, "select_lambda", fail)
+
+    def test_csv_that_is_not_utf8(self, rng, tmp_path, capsys, no_fit):
+        csv_path = tmp_path / "d.csv"
+        write_csv(csv_path, rng)
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"loc1", b"loc\xe91"))
+        assert run_fit(csv_path) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(csv_path) in err and "not UTF-8 text (byte 0xe9" in err
+
+    def test_directory_as_the_csv(self, tmp_path, capsys, no_fit):
+        assert run_fit(tmp_path) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "Is a directory" in err
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_before_the_fit(self, rng, tmp_path, capsys, no_fit, where):
+        csv_path = tmp_path / "d.csv"
+        write_csv(csv_path, rng)
+        out = tmp_path if where == "directory" else tmp_path / "no" / "r.json"
+        assert run_fit(csv_path, "--out", str(out)) == cli.EXIT_VALIDATION
+        assert str(out) in capsys.readouterr().err
+        assert not (tmp_path / "no").exists()
+
+    def test_simulate_out_dir_that_is_a_file(self, tmp_path, capsys, monkeypatch):
+        drawn = []
+        real = simulation.generate_population
+        monkeypatch.setattr(simulation, "generate_population",
+                            lambda *a: drawn.append(1) or real(*a))
+        target = tmp_path / "mc"
+        target.write_text("not a directory", encoding="utf-8")
+        for out_dir in (target, target / "sub"):
+            code = cli.main(["simulate", "--scenario", "mean", "--n", "6", "--reps", "1",
+                             "--out-dir", str(out_dir)])
+            assert code == cli.EXIT_VALIDATION
+            assert f"--out-dir {out_dir}: {target} is not a directory" in capsys.readouterr().err
+        assert drawn == [] and target.read_text(encoding="utf-8") == "not a directory"
 
 
 class TestReport:

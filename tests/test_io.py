@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import wccreg as w
+from wccreg import cli
 from wccreg import io as wio
 
 import oracles
@@ -29,6 +32,27 @@ class TestLoadDatasetCsv:
                 assert np.array_equal(got.sigma2, want.sigma2)
             else:
                 assert got.sigma2 is None
+
+    @pytest.mark.parametrize("variant", ["plain", "quoted"])
+    def test_a_byte_order_mark_is_read_past(self, rng, tmp_path, monkeypatch, variant):
+        # a UTF-8 byte-order mark (Excel's "CSV UTF-8") reads like no mark, in
+        # the array pass (plain) and in the row parser (a quoted field)
+        ds, _ = random_dataset(rng, m=4, p=2, q=1, sigma2=True)
+        path = tmp_path / "d.csv"
+        write_dataset_csv(path, ds, rng)
+        if variant == "quoted":
+            lines = path.read_text(encoding="utf-8").split("\n")
+            path.write_text("\n".join(_edit_fields(lines, _quote)), encoding="utf-8")
+        plain = wio.load_dataset_csv(path, p=2, q=1)
+        rows = []
+        real = wio._parse_rows
+        monkeypatch.setattr(wio, "_parse_rows", lambda *a: rows.append(1) or real(*a))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        got = wio.load_dataset_csv(path, p=2, q=1)
+        assert len(rows) == (variant == "quoted")
+        assert got.ids == plain.ids
+        for name in ("offsets", "N", "y", "X", "Z", "pi", "sigma2"):
+            assert np.array_equal(getattr(got, name), getattr(plain, name)), name
 
     def test_inconsistent_population_size_names_the_location(self, rng, tmp_path):
         ds, _ = random_dataset(rng, m=3, p=1)
@@ -179,3 +203,54 @@ class TestCsvCheckPrecedence:
     def test_population_size_must_be_a_finite_integer(self, tmp_path, value):
         rows = ["a,10,1.0,0.5,1.0,1.0", f"b,{value},1.0,0.5,1.0,1.0"]
         assert self._load(tmp_path, rows) == f"location 'b': N must be a finite integer, got {value}"
+
+
+class TestDumps:
+    """``dumps`` splices the pair blobs in unescaped, and its text is
+    ``json.dumps``'s byte for byte, on the splice and on the fallback."""
+
+    @pytest.fixture
+    def report(self, rng, tmp_path, monkeypatch):
+        # the report object of a real ``wccreg fit``, as the command passes it
+        ds, _ = random_dataset(rng, m=6, p=2, q=1, noise=0.5)
+        csv_path, out = tmp_path / "d.csv", tmp_path / "r.json"
+        write_dataset_csv(csv_path, ds)
+        seen = []
+        monkeypatch.setattr(wio, "dumps", lambda obj, real=wio.dumps: seen.append(obj) or real(obj))
+        assert cli.main(["fit", str(csv_path), "--p", "2", "--q", "1", "--lambda-grid", "0.01:1:3",
+                         "--refit-oracle", "--out", str(out)]) == cli.EXIT_OK
+        monkeypatch.undo()
+        assert out.read_text(encoding="utf-8") == wio.dumps(seen[0])
+        return seen[0]
+
+    def _same_as_json(self, obj):
+        text = wio.dumps(obj)
+        assert text == json.dumps(obj, allow_nan=True) + "\n"
+        back = wio.fit_result_from_dict(json.loads(text)["fit"])
+        want = wio.fit_result_from_dict(obj["fit"])
+        for name in ("beta", "eta", "zeta", "v"):
+            assert np.array_equal(getattr(back, name), getattr(want, name)), name
+        return text
+
+    def test_fit_report(self, report, monkeypatch):
+        # the blobs are spliced: json encodes only the placeholders
+        encoded = []
+        real = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda obj, **kw: encoded.append(obj) or real(obj, **kw))
+        text = self._same_as_json(report)
+        assert type(report["fit"]["zeta"]) is type(report["fit"]["v"]) is wio._PairBlob
+        assert encoded[0]["fit"]["zeta"] == wio._BLOB_MARK.format("zeta")
+        assert encoded[0]["fit"]["v"] == wio._BLOB_MARK.format("v")
+        assert list(encoded[0]) == list(report) and list(encoded[0]["fit"]) == list(report["fit"])
+        assert report["fit"]["zeta"] in text and "+" in report["fit"]["zeta"] + report["fit"]["v"]
+
+    def test_placeholder_as_a_location_id_falls_back(self, report):
+        report["location_ids"][0] = wio._BLOB_MARK.format("zeta")
+        report["partition"]["location_ids"][0] = wio._BLOB_MARK.format("v")
+        text = self._same_as_json(report)
+        assert text.count(f'"{wio._BLOB_MARK.format("zeta")}"') == 1
+
+    def test_plain_string_blob_falls_back(self, report):
+        report["fit"] = dict(report["fit"], zeta=str(report["fit"]["zeta"]))
+        assert type(report["fit"]["zeta"]) is str
+        self._same_as_json(report)

@@ -211,6 +211,35 @@ class TestZetaProximal:
 
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("vt", [1.0, 0.7])
+    def test_no_live_columns_is_an_empty_live_mask(self, rng, p, vt):
+        # the all-dead test agrees with the live mask on blocks whose norms
+        # sit at lam/vartheta, one ulp above it, on +-0 columns, with a NaN
+        # column and on a block of no columns; given the norms it reads them
+        spec = w.ScadSpec(lam=0.37, gamma=3.7)
+        t = spec.lam / vt
+        cases = []
+        for top in (t, np.nextafter(t, np.inf), np.nan):
+            for sign in (1.0, -1.0):
+                norms = np.concatenate([[0.0, -0.0, np.nextafter(t, -np.inf)], rng.uniform(0, t, 300)])
+                kappa = np.zeros((p, norms.size))
+                kappa[0] = norms * rng.choice([-1.0, 1.0], norms.size)  # the norm is the first entry
+                kappa[0, int(rng.integers(norms.size))] = sign * top
+                cases.append(kappa)
+        cases += [np.zeros((p, 50)), -np.zeros((p, 50)), np.zeros((p, 0))]
+        got = []
+        for kappa in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                dead = penalty.no_live_columns(kappa, spec, vt)
+                assert dead == penalty.no_live_columns(kappa, spec, vt, penalty.column_norms(kappa))
+            assert dead == (not penalty.live_columns(kappa, spec, vt).any())
+            got.append(dead)
+            # at lam = 0 every column is live, a zero one too
+            assert penalty.no_live_columns(kappa, w.ScadSpec(lam=0.0), vt) == (kappa.shape[1] == 0)
+        assert got == [True, True, False, False, False, False, True, True, True]
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("vt", [1.0, 0.7])
     @pytest.mark.parametrize("live_share", [0.0, 0.1, 0.24, 0.5])
     def test_prox_columns_on_the_live_columns_match_branchwise_form(self, rng, monkeypatch, p, vt, live_share):
         # the live columns, taken as a compact block, are scaled alone and
