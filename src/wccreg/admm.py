@@ -44,14 +44,13 @@ the support) maps whole; the loop writes the result once into a zero slack
 block, steps r and u from the compact block, and hands that same block to
 :meth:`_Bundle.difference_adjoint`, which gathers only the pair positions.
 ``D'u`` is carried through ``A'A = (mI - J) (x) I_p``.  Most such
-iterations have no live column at all (72% of them on the ``cli_large``
-bench workload), so the loop tests that first, without a mask, and keeps the
-zero slack block while the support stays empty; at p = 1 the differences
-repeat beta_i instead of gathering it.  What these large blocks cost is the
-number of passes over pair blocks larger than a core's cache, so each step
-here saves whole passes.  The two branches
-agree to 1e-12 in every fitted number, with equal iterations and partitions;
-:func:`fit` gives the measured reason for the gate.
+iterations have no live column at all, so the loop tests that first, without
+a mask, and keeps the zero slack block while the support stays empty; at
+p = 1 the differences repeat beta_i instead of gathering it.  What these
+large blocks cost is the number of passes over pair blocks larger than a
+core's cache, so each step here saves whole passes.  The two branches agree
+to 1e-12 in every fitted number, with equal iterations and partitions;
+:func:`fit` gives the reason for the gate.
 """
 
 from __future__ import annotations
@@ -391,16 +390,11 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
       carried sums when both are at hand.
 
     These sums round differently from the plain loop's, so on large blocks
-    beta, eta, zeta and v agree with it to 1e-12 (measured: up to 1e-13 after
-    ~860 carried iterations, 2e-14 on fits of about ten), with the same
-    iterations and partitions; where every pair fuses, zeta is the same zero
-    block.  The gate is where the support path starts to pay: its fixed cost
+    beta, eta, zeta and v agree with it to 1e-12, with the same iterations
+    and partitions; where every pair fuses, zeta is the same zero block.  The
+    gate is where the support path starts to pay: below it, its fixed cost
     per iteration (the live mask and its count, the support's index, the
-    scatter on it) exceeds the passes it skips on small blocks.  Per
-    iteration over a fusing 8-lambda grid of mean-model data (median of 7
-    alternating runs, 2 cores) it costs 1.37 times the plain loop at 1,176
-    pairs (the ``mc_mean`` cell), 1.07 at 2,415, 0.90 at 4,095, 0.72 at
-    8,128 and 0.50 at 79,800; over a whole ``mc_mean`` replicate, 1.10 times.
+    scatter on it) exceeds the passes it skips.
     """
     check_prox_compatible(spec, cfg.vartheta)
     bundle = prepared(data)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +66,7 @@ def _standardize(data: Dataset):
     info = {"y_mean": y_mean, "y_sd": y_sd, "x_mean": x_mean.tolist(),
             "x_sd": x_sd.tolist(), "constant_columns": constant.tolist(),
             "constant_value": float(Xs[0, constant][0])}
-    return Dataset.from_arrays(data.ids, data.offsets, data.N, (ys - y_mean) / y_sd,
-                               (Xs - x_mean) / x_sd, data.Z, data.pi, data.sigma2), info
+    return replace(data, y=(ys - y_mean) / y_sd, X=(Xs - x_mean) / x_sd), info
 
 
 def _alpha_original_scale(alpha: np.ndarray, info: dict) -> list:

@@ -5,7 +5,7 @@ The CSV schema is one row per sampled observation:
 The reader parses the numeric fields of all rows in one array pass
 (``np.loadtxt``), groups the rows by location (in order of first appearance,
 and in file order within a location) with a stable sort, and hands them to
-``Dataset.from_arrays``, whose one vectorized check validates the values.
+the ``Dataset`` constructor, whose one vectorized check validates the values.
 The array pass takes plain text only.  A file with a quote, a NUL or one of
 the separators U+001C..U+001F (which ``np.loadtxt`` strips as whitespace and
 ``float`` does not), or whose rows the pass refuses (``1_000``, non-ASCII
@@ -104,9 +104,9 @@ def load_dataset_csv(path, p: int, q: int = 0) -> Dataset:
     values = values[np.argsort(location, kind="stable")]
     offsets = np.concatenate(([0], np.cumsum(np.bincount(location))))
     x_at = 4 if has_sigma2 else 3  # columns: N, y, pi, [sigma2,] x..., z...
-    return Dataset.from_arrays(tuple(first_seen), offsets, N=values[:, 0], y=values[:, 1],
-                               X=values[:, x_at:x_at + p], Z=values[:, x_at + p:], pi=values[:, 2],
-                               sigma2=values[:, 3] if has_sigma2 else None)
+    return Dataset(tuple(first_seen), offsets, N=values[:, 0], y=values[:, 1],
+                   X=values[:, x_at:x_at + p], Z=values[:, x_at + p:], pi=values[:, 2],
+                   sigma2=values[:, 3] if has_sigma2 else None)
 
 
 def _parse_array(text: str, lid_at: int, value_at: list, width: int):

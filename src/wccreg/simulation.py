@@ -12,7 +12,7 @@ import csv
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -217,16 +217,15 @@ def poisson_sample(pop: Population, seed: int, rep: int = 0) -> Dataset:
             raise SimulationError(f"location {i} produced no sampled units after "
                                   f"{MAX_RESAMPLE_ATTEMPTS} attempts")
     n = int(keep.sum())
-    return Dataset.from_arrays([f"loc{i + 1:03d}" for i in range(pop.m)],
-                               np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
-                               N=np.full(pop.m, pop.H), y=pop.y[keep], X=pop.X[keep],
-                               Z=np.zeros((n, 0)), pi=pop.pi[keep])
+    return Dataset([f"loc{i + 1:03d}" for i in range(pop.m)],
+                   np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
+                   N=np.full(pop.m, pop.H), y=pop.y[keep], X=pop.X[keep], Z=np.zeros((n, 0)),
+                   pi=pop.pi[keep])
 
 
 def unweighted_copy(data: Dataset, constant_pi: float) -> Dataset:
     """Same rows with every inclusion probability replaced by one constant."""
-    return Dataset.from_arrays(data.ids, data.offsets, data.N, data.y, data.X, data.Z,
-                               np.full(data.n_total, constant_pi), data.sigma2)
+    return replace(data, pi=np.full(data.n_total, constant_pi))
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,14 @@ location after location, as contiguous read-only arrays ``y``, ``X``, ``Z``,
 ``N`` and CSR-style row offsets (location i owns rows
 ``offsets[i]:offsets[i + 1]``).  Unsampled population units are never
 represented.  The solver, the BIC, the refit and the Monte Carlo study read
-these arrays and never a list of blocks.
+these arrays.
 
-:class:`LocationBlock` is the constructor for small inputs, ``Dataset(blocks)``
-stacks blocks, and :meth:`Dataset.from_arrays` takes stacked rows as they come
-from a reader or a sampler.  All of them go through one vectorized check
-(:func:`_check_stacked`) that names the first offending location; that is the
-one check, also when reached through ``dataclasses.replace`` on a block, and
-nothing downstream repeats it.  ``Dataset.locations`` gives the locations back
-as read-only block views of the stacked rows, built on first read and not
-checked again.
+``Dataset(ids, offsets, N, y, X, Z, pi, sigma2=None)`` is the one way to
+build a dataset, from a reader, a sampler or ``dataclasses.replace`` alike.
+It runs one vectorized check (:func:`_check_stacked`) that names the first
+offending location, and nothing downstream repeats it.
+``Dataset.locations`` gives the locations back as :class:`LocationBlock`
+views of the stacked rows, built on first read.
 
 All containers are frozen dataclasses holding read-only numpy arrays, so they
 can be shared freely across threads.  A dataset also keeps the solver's
@@ -26,7 +24,7 @@ precomputation twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -47,40 +45,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _rows(y, X, Z, pi, sigma2) -> tuple:
-    """Row arrays as read-only contiguous float copies: y, pi and sigma2 1-D,
-    X and Z 2-D (a 1-D Z is read as one column per row)."""
-    y = _readonly(np.atleast_1d(y))
+    """Row arrays as read-only contiguous float copies (a 1-D Z is read as one
+    column per row)."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
-        Z = Z.reshape(len(y), -1)
-    return (y, _readonly(np.atleast_2d(X)), _readonly(Z), _readonly(np.atleast_1d(pi)),
-            None if sigma2 is None else _readonly(np.atleast_1d(sigma2)))
+        Z = Z.reshape(-1, 1)
+    return (_readonly(y), _readonly(X), _readonly(Z), _readonly(pi),
+            None if sigma2 is None else _readonly(sigma2))
 
 
 @dataclass(frozen=True)
 class LocationBlock:
-    """Sampled observations of one location.
-
-    Parameters
-    ----------
-    location_id : str
-        Opaque identifier; ordering of blocks inside a Dataset fixes the
-        pairwise index once and for all.
-    N : int
-        Population size of the location: a finite integer, at least the
-        number of sampled rows.  Kept as an ``int``.
-    y : (n,) array
-        Responses of the sampled units.
-    X : (n, p) array
-        Location-specific covariates (p >= 1).
-    Z : (n, q) array
-        Shared-effect covariates; q may be 0 (shape (n, 0)).
-    pi : (n,) array
-        First-order inclusion probabilities, each in (0, 1].
-    sigma2 : (n,) array, optional
-        Known per-row variances for the heteroscedastic weighting; when
-        present each row's weight picks up an extra 1/sigma2 factor.
-    """
+    """One location's rows: a read-only view of a dataset's stacked rows, as
+    :attr:`Dataset.locations` gives them (``N`` is an ``int``, ``y`` (n,),
+    ``X`` (n, p), ``Z`` (n, q), ``pi`` and ``sigma2`` (n,) or None)."""
 
     location_id: str
     N: int
@@ -90,45 +68,24 @@ class LocationBlock:
     pi: np.ndarray
     sigma2: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        rows = _rows(self.y, self.X, self.Z, self.pi, self.sigma2)
-        N = _check_stacked((self.location_id,), np.array([0, rows[0].shape[0]]),
-                           np.array([self.N], dtype=float), *rows)
-        for name, value in zip(("N", "y", "X", "Z", "pi", "sigma2"), (int(N[0]),) + rows):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _unchecked(cls, **fields) -> LocationBlock:
-        """A block of fields that were checked as part of a dataset."""
-        block = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(block, name, value)
-        return block
-
     @property
     def n(self) -> int:
         return self.y.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
 
-    @property
-    def q(self) -> int:
-        return self.Z.shape[1]
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """All sampled observations, stacked location after location.
 
-    ``Dataset(blocks)`` stacks a sequence of :class:`LocationBlock` whose p
-    and q agree; :meth:`from_arrays` takes stacked rows.  Location i owns rows
+    Location i, with id ``ids[i]`` and population size ``N[i]``, owns rows
     ``offsets[i]:offsets[i + 1]`` of ``y`` (n,), ``X`` (n, p), ``Z`` (n, q),
-    ``pi`` (n,) and ``sigma2`` (n,) or None; ``ids`` and ``N`` (population
-    sizes, integral float64) have one entry per location.  Every array is
-    read-only and C-contiguous.  Two datasets are equal only when they are the
-    same object.
+    ``pi`` (n,) and ``sigma2`` (n,) or None.  ``N`` may also be given once per
+    row, as a CSV carries it; then every row of a location must give the same
+    N, and the dataset keeps one per location (integral float64).  The
+    constructor copies the arrays into read-only C-contiguous float arrays
+    (offsets as integers) and runs :func:`_check_stacked`, also when reached
+    through ``dataclasses.replace``.  Two datasets are equal only when they
+    are the same object.
     """
 
     ids: tuple
@@ -138,61 +95,25 @@ class Dataset:
     X: np.ndarray
     Z: np.ndarray
     pi: np.ndarray
-    sigma2: Optional[np.ndarray]
+    sigma2: Optional[np.ndarray] = None
 
-    def __init__(self, locations):
-        blocks = tuple(locations)
-        for b in blocks:
-            if not isinstance(b, LocationBlock):
-                raise ValidationError("dataset locations must be LocationBlock instances")
-            if b.p != blocks[0].p:
-                raise ValidationError(
-                    f"location {b.location_id!r}: p={b.p} does not match dataset p={blocks[0].p}")
-            if b.q != blocks[0].q:
-                raise ValidationError(
-                    f"location {b.location_id!r}: q={b.q} does not match dataset q={blocks[0].q}")
-        if not blocks:
-            raise ValidationError("dataset has no locations")
-        stacked = [np.concatenate([getattr(b, name) for b in blocks]) for name in ("y", "X", "Z", "pi")]
-        # a block without known variances weighs its rows by 1/1, exactly as without the factor
-        sigma2 = None
-        if any(b.sigma2 is not None for b in blocks):
-            sigma2 = np.concatenate([np.ones(b.n) if b.sigma2 is None else b.sigma2 for b in blocks])
-        self._fill(tuple(b.location_id for b in blocks), np.cumsum([0] + [b.n for b in blocks]),
-                   [b.N for b in blocks], *stacked, sigma2)
-
-    @classmethod
-    def from_arrays(cls, ids, offsets, N, y, X, Z, pi, sigma2=None) -> Dataset:
-        """The checked dataset of stacked rows.
-
-        ``N`` holds one population size per location, or one per row (as a
-        CSV carries it); then every row of a location must give the same N.
-        The arrays are copied.
-        """
-        data = cls.__new__(cls)
-        data._fill(tuple(ids), offsets, N, y, X, Z, pi, sigma2)
-        return data
-
-    def _fill(self, ids, offsets, N, y, X, Z, pi, sigma2) -> None:
-        offsets = np.array(offsets, dtype=np.intp)
-        rows = _rows(y, X, Z, pi, sigma2)
-        N = _check_stacked(ids, offsets, np.array(N, dtype=float), *rows)
-        offsets.flags.writeable = N.flags.writeable = False
-        for name, value in zip(("ids", "offsets", "N", "y", "X", "Z", "pi", "sigma2"),
-                               (ids, offsets, N) + rows):
-            object.__setattr__(self, name, value)
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        rows = _rows(self.y, self.X, self.Z, self.pi, self.sigma2)
+        offsets, N = _check_stacked(ids, self.offsets, self.N, *rows)
+        for f, value in zip(fields(self), (ids, offsets, N) + rows):
+            object.__setattr__(self, f.name, value)
 
     @property
     def locations(self) -> tuple:
-        """The locations as read-only :class:`LocationBlock` views of the
-        stacked rows, built on first read and kept."""
+        """The locations as :class:`LocationBlock` views of the stacked rows,
+        built on first read and kept."""
         blocks = vars(self).get("_locations")
         if blocks is None:
             bounds = self.offsets.tolist()
             blocks = tuple(
-                LocationBlock._unchecked(
-                    location_id=lid, N=int(N), y=self.y[a:b], X=self.X[a:b], Z=self.Z[a:b],
-                    pi=self.pi[a:b], sigma2=None if self.sigma2 is None else self.sigma2[a:b])
+                LocationBlock(lid, int(N), self.y[a:b], self.X[a:b], self.Z[a:b], self.pi[a:b],
+                              None if self.sigma2 is None else self.sigma2[a:b])
                 for lid, N, a, b in zip(self.ids, self.N.tolist(), bounds, bounds[1:]))
             object.__setattr__(self, "_locations", blocks)
         return blocks
@@ -217,20 +138,34 @@ class Dataset:
         return list(self.ids)
 
 
-def _check_stacked(ids: tuple, offsets: np.ndarray, N: np.ndarray, y, X, Z, pi, sigma2) -> np.ndarray:
-    """The one check of stacked rows; returns the population size per location.
+def _check_stacked(ids: tuple, offsets, N, y, X, Z, pi, sigma2) -> tuple:
+    """The one check of stacked rows; returns the read-only row offsets (as
+    integers) and population sizes (one per location).
 
-    A failure names the first offending location, and within it the first
-    failing check in this order: N a finite integer (on every row, when N is
-    given per row), one N on all its rows, at least one row, equal row counts
-    in y, X, Z and pi, at least one X column, sigma2's length and sign, finite
-    y, X and Z, inclusion probabilities in (0, 1], and N >= n.  The shape
-    checks concern the whole stack and fall to its first location (a block is
-    a stack of one).  Distinct ids are checked last.
+    The stack as a whole is checked first, in this order: at least one
+    location; y, pi, sigma2 and N 1-D and X and Z 2-D; finite integral row
+    offsets; m + 1 nondecreasing offsets from 0 to n, and N per location or
+    per row.  Then a failure names the first offending location, and within
+    it the first failing check in this order: N a finite integer (on every
+    row, when N is given per row), one N on all its rows, at least one row,
+    equal row counts in y, X, Z and pi, at least one X column, sigma2's length
+    and sign, finite y, X and Z, inclusion probabilities in (0, 1], and
+    N >= n.  The shape checks concern the whole stack and fall to its first
+    location.  Distinct ids are checked last.
     """
-    m, n = len(ids), y.shape[0]
+    m = len(ids)
     if m < 1:
         raise ValidationError("dataset has no locations")
+    N = np.array(N, dtype=float)
+    for name, a, ndim in (("y", y, 1), ("X", X, 2), ("Z", Z, 2), ("pi", pi, 1),
+                          ("sigma2", sigma2, 1), ("N", N, 1)):
+        if a is not None and a.ndim != ndim:
+            raise ValidationError(f"{name} must be {ndim}-D, got shape {a.shape}")
+    offsets = np.array(offsets, dtype=float)
+    if not np.all(np.isfinite(offsets) & (np.floor(offsets) == offsets)):
+        raise ValidationError(f"row offsets must be finite integers, got {offsets.tolist()}")
+    offsets = offsets.astype(np.intp)
+    n = y.shape[0]
     if offsets.shape != (m + 1,) or offsets[0] != 0 or offsets[-1] != n \
             or np.any(offsets[1:] < offsets[:-1]) or N.shape[0] not in (m, n):
         raise ValidationError(f"{m} locations need {m + 1} nondecreasing row offsets from 0 "
@@ -279,7 +214,8 @@ def _check_stacked(ids: tuple, offsets: np.ndarray, N: np.ndarray, y, X, Z, pi, 
     if len(set(ids)) < m:
         lid = next(lid for k, lid in enumerate(ids) if lid in ids[:k])
         raise ValidationError(f"duplicate location id {lid!r}")
-    return N
+    offsets.flags.writeable = N.flags.writeable = False
+    return offsets, N
 
 
 @dataclass(frozen=True)

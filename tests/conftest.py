@@ -5,6 +5,17 @@ import wccreg as w
 from wccreg import io as wio
 
 
+def stack(blocks):
+    """The dataset of ``blocks`` (:class:`wccreg.LocationBlock` records, held
+    as given), stacked in order through the one constructor."""
+    blocks = tuple(blocks)
+    rows = {name: np.concatenate([np.asarray(getattr(b, name), dtype=float) for b in blocks])
+            for name in ("y", "X", "Z", "pi")}
+    sigma2 = None if blocks[0].sigma2 is None else np.concatenate([b.sigma2 for b in blocks])
+    return w.Dataset([b.location_id for b in blocks], np.cumsum([0] + [len(b.y) for b in blocks]),
+                     [b.N for b in blocks], sigma2=sigma2, **rows)
+
+
 def random_dataset(rng, m=None, p=None, q=0, n_range=(8, 25), spread=1.0,
                    noise=0.1, groups=None, sigma2=False):
     """Random survey dataset with optional planted group structure.
@@ -32,7 +43,7 @@ def random_dataset(rng, m=None, p=None, q=0, n_range=(8, 25), spread=1.0,
         pi = rng.uniform(0.15, 1.0, n)
         blocks.append(w.LocationBlock(f"loc{i}", N=n + int(rng.integers(5, 50)), y=y, X=X,
                                       Z=Z, pi=pi, sigma2=s2))
-    return w.Dataset(blocks), np.vstack(truths)
+    return stack(blocks), np.vstack(truths)
 
 
 def write_dataset_csv(path, ds, rng=None):

@@ -3,6 +3,7 @@ import logging
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from wccreg import admm, types
 from wccreg import io as wio
 
 import oracles
-from conftest import random_dataset, write_dataset_csv
+from conftest import random_dataset, stack, write_dataset_csv
 
 
 def _start_distances(ds):
@@ -163,7 +164,7 @@ class TestStructuredSolve:
         b = ds.locations[0]
         single = w.LocationBlock(b.location_id, b.N, y=b.y[:1], X=[[1.0, 0.0]], Z=b.Z[:1],
                                  pi=b.pi[:1])
-        ds = w.Dataset((single,) + ds.locations[1:])
+        ds = stack((single,) + ds.locations[1:])
         M = oracles.dense_update_matrix(ds, 0.0)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(M)
@@ -174,8 +175,7 @@ class TestStructuredSolve:
 
     def test_all_zero_design_is_fatal_and_named(self, rng):
         ds, _ = random_dataset(rng, m=3, p=2)
-        ds = w.Dataset([w.LocationBlock(b.location_id, b.N, y=b.y, X=np.zeros_like(b.X),
-                                        Z=b.Z, pi=b.pi) for b in ds.locations])
+        ds = replace(ds, X=np.zeros_like(ds.X))
         with pytest.raises(w.SingularSystemError, match="coefficient update matrix"):
             w.fit(ds, w.ScadSpec(lam=0.1))
         part = oracles.partition_from_groups([[0, 1], [2]], 3, 2)
@@ -198,9 +198,7 @@ class TestStructuredSolve:
         # diagonal, and the update matrix, eta and the group refit all read
         # that jittered Z'WZ
         ds1, _ = random_dataset(rng, m=5, p=2, q=1, noise=1.0)
-        ds = w.Dataset([w.LocationBlock(b.location_id, b.N, y=b.y, X=b.X, pi=b.pi,
-                                        Z=np.column_stack([b.Z, np.zeros(b.n)]))
-                        for b in ds1.locations])
+        ds = replace(ds1, Z=np.column_stack([ds1.Z, np.zeros(ds1.n_total)]))
         bundle = admm.prepared(ds)
         ZtWZ = sum(b.Z.T @ (oracles.row_weights(b)[:, None] * b.Z) for b in ds.locations)
         tau = 1e-10 * np.trace(ZtWZ)
@@ -245,18 +243,18 @@ class TestStructuredSolve:
 class TestCompositeWeights:
     def test_basic(self):
         b = w.LocationBlock("a", 100, y=[1.0], X=[[1.0]], Z=np.zeros((1, 0)), pi=[0.1])
-        assert admm.prepared(w.Dataset([b])).w == pytest.approx([0.1])
+        assert admm.prepared(stack([b])).w == pytest.approx([0.1])
 
     def test_with_sigma2(self):
         b = w.LocationBlock("a", 100, y=[1.0], X=[[1.0]], Z=np.zeros((1, 0)),
                             pi=[0.1], sigma2=[4.0])
-        assert admm.prepared(w.Dataset([b])).w == pytest.approx([0.025])
+        assert admm.prepared(stack([b])).w == pytest.approx([0.025])
 
     def test_census_reduces_to_inverse_population(self):
         n = 7
         b = w.LocationBlock("a", n, y=np.zeros(n), X=np.ones((n, 1)),
                             Z=np.zeros((n, 0)), pi=np.ones(n))
-        assert admm.prepared(w.Dataset([b])).w == pytest.approx(np.full(n, 1.0 / n))
+        assert admm.prepared(stack([b])).w == pytest.approx(np.full(n, 1.0 / n))
 
 
 class TestUpdates:
@@ -294,7 +292,7 @@ class TestUpdates:
             y = rng.standard_normal(12)
             blocks.append(w.LocationBlock(f"l{i}", 20, y=y, X=X,
                                           Z=np.zeros((12, 0)), pi=np.full(12, 0.6)))
-        ds = w.Dataset(blocks)
+        ds = stack(blocks)
         res = w.fit(ds, w.ScadSpec(lam=0.0))
         for i, b in enumerate(blocks):
             ols, *_ = np.linalg.lstsq(b.X, b.y, rcond=None)
@@ -308,7 +306,7 @@ class TestUpdates:
         Z = np.ones((n, 1))
         y = X @ truth + 0.5 + 0.01 * rng.standard_normal(n)
         pi = rng.uniform(0.3, 1.0, n)
-        ds = w.Dataset([w.LocationBlock("a", 60, y=y, X=X, Z=Z, pi=pi)])
+        ds = stack([w.LocationBlock("a", 60, y=y, X=X, Z=Z, pi=pi)])
         bundle = admm.prepared(ds)
         eta = bundle.eta_update(truth[None, :])
         wt = oracles.row_weights(ds.locations[0])
@@ -407,7 +405,7 @@ class TestPrecomputation:
         assert admm.prepared(ds) is bundle
         assert checked == [m]
         assert repr(ds) == text
-        assert admm.prepared(w.Dataset(ds.locations)) is not bundle
+        assert admm.prepared(replace(ds)) is not bundle
         assert checked == [m, m]
 
     @pytest.mark.parametrize("p, q, sigma2", [(1, 0, False), (1, 1, True), (2, 2, False), (3, 1, True)])
@@ -438,7 +436,7 @@ class TestPrecomputation:
                             lambda *a, **k: calls.append("structured") or real_structured(*a, **k))
         counts = []
         for num in (2, 6):
-            fresh = w.Dataset(ds.locations)
+            fresh = replace(ds)
             calls.clear()
             grid = w.default_lambda_grid(fresh, num=num)
             w.select_lambda(fresh, grid)
@@ -492,7 +490,7 @@ class TestObjective:
         truth = np.array([1.0, -2.0])
         b = w.LocationBlock("a", 20, y=X @ truth, X=X, Z=np.zeros((10, 0)),
                             pi=np.full(10, 0.5))
-        ds = w.Dataset([b])
+        ds = stack([b])
         assert oracles.objective(ds, truth[None, :], np.zeros(0), w.ScadSpec(lam=0.0)) == pytest.approx(0.0)
 
     def test_lam_zero_equals_half_wrss(self, rng):
@@ -777,7 +775,7 @@ class TestFit:
     def test_location_permutation_equivariance(self, rng):
         ds, _ = random_dataset(rng, m=5, p=2, noise=0.2)
         perm = np.array([3, 0, 4, 2, 1])
-        ds_perm = w.Dataset([ds.locations[i] for i in perm])
+        ds_perm = stack([ds.locations[i] for i in perm])
         spec = w.ScadSpec(lam=0.15)
         res = w.fit(ds, spec)
         res_perm = w.fit(ds_perm, spec)
@@ -802,7 +800,7 @@ class TestFit:
             blocks.append(w.LocationBlock(b.location_id, int(np.ceil(b.N / c)),
                                           y=b.y, X=b.X, Z=b.Z, pi=np.minimum(b.pi * c, 1.0)))
         # integer N rounding would break exactness; rebuild weights directly instead
-        scaled = w.Dataset(blocks)
+        scaled = stack(blocks)
         res = w.fit(ds, w.ScadSpec(lam=0.0))
         res_scaled = w.fit(scaled, w.ScadSpec(lam=0.0))
         ref = np.vstack([oracles.weighted_ls(b) for b in scaled.locations])
@@ -837,9 +835,7 @@ class TestFit:
 
     def test_sigma2_weighting_changes_fit(self, rng):
         ds, _ = random_dataset(rng, m=3, p=1, sigma2=True)
-        stripped = w.Dataset([
-            w.LocationBlock(b.location_id, b.N, y=b.y, X=b.X, Z=b.Z, pi=b.pi)
-            for b in ds.locations])
+        stripped = replace(ds, sigma2=None)
         res_sigma = w.fit(ds, w.ScadSpec(lam=0.0))
         res_plain = w.fit(stripped, w.ScadSpec(lam=0.0))
         assert np.abs(res_sigma.beta - res_plain.beta).max() > 1e-6

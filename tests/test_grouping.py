@@ -4,7 +4,7 @@ import pytest
 import wccreg as w
 
 import oracles
-from conftest import random_dataset
+from conftest import random_dataset, stack
 
 
 def fake_fit(beta, zeta_cols):
@@ -189,7 +189,7 @@ def _with_responses(ds, beta_rows):
     for i, b in enumerate(ds.locations):
         blocks.append(w.LocationBlock(b.location_id, b.N, y=b.X @ beta_rows[i],
                                       X=b.X, Z=b.Z, pi=b.pi))
-    return w.Dataset(blocks)
+    return stack(blocks)
 
 
 class TestRefitOracle:
@@ -197,8 +197,7 @@ class TestRefitOracle:
         n = 20
         y = rng.standard_normal(n) + 3.0
         pi = rng.uniform(0.2, 1.0, n)
-        ds = w.Dataset([w.LocationBlock("a", 40, y=y, X=np.ones((n, 1)),
-                                        Z=np.zeros((n, 0)), pi=pi)])
+        ds = stack([w.LocationBlock("a", 40, y=y, X=np.ones((n, 1)), Z=np.zeros((n, 0)), pi=pi)])
         part = w.extract_partition(w.fit(ds, w.ScadSpec(lam=0.0)))
         eta, alpha = w.refit_oracle(ds, part)
         wt = oracles.row_weights(ds.locations[0])

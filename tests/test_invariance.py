@@ -1,0 +1,78 @@
+"""Exact invariances of the whole lambda selection.
+
+Doubling the responses doubles every solution: the weighted loss and the
+SCAD penalty (with lambda doubled) are jointly homogeneous of degree 2, and
+multiplying by 2 is exact in binary floating point.  So with ``tol``, the
+grid and the fused-slack threshold doubled too, ``select_lambda`` must make
+the same decisions on the same floats, times two.  The grid is passed
+explicitly, because ``np.geomspace`` at 2a is not exactly twice the grid at a.
+Every BIC moves by log 4, to within 1e-15 or two units in the last place of
+the BIC, whichever is larger (at a BIC of 15 one unit is 1.8e-15).
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import wccreg as w
+from wccreg import simulation
+from wccreg.grouping import ZERO_TOL
+
+from conftest import random_dataset
+
+
+def _mean_cell():
+    """The paper's mean cell (seed 7, n = 10, m = 49), replicate 0."""
+    spec = w.ScenarioSpec(kind="mean_model", expected_n=10, m=49, seed=7)
+    return simulation.poisson_sample(simulation.generate_population(spec, 0), spec.seed, 0)
+
+
+def _assert_doubling(ds, grid, variant):
+    cfg = w.AdmmConfig()
+    lam, _, _, path = w.select_lambda(ds, grid, cfg=cfg, variant=variant)
+    lam2, _, _, path2 = w.select_lambda(replace(ds, y=2 * ds.y), 2 * np.asarray(grid),
+                                        cfg=replace(cfg, tol=2 * cfg.tol), variant=variant,
+                                        zero_tol=2 * ZERO_TOL)
+    assert lam2 == 2 * lam
+    assert len(path2.records) == len(path.records) == len(grid)
+    for rec, rec2 in zip(path.records, path2.records):
+        assert rec2.lam == 2 * rec.lam
+        for name in ("beta", "eta", "zeta", "v"):
+            assert np.array_equal(getattr(rec2.fit, name), 2 * getattr(rec.fit, name)), \
+                (rec.lam, name)
+        assert (rec2.fit.iterations, rec2.fit.converged) == (rec.fit.iterations, rec.fit.converged)
+        assert np.array_equal(rec2.partition.assignment, rec.partition.assignment)
+        # the residual average quadruples exactly, so the BIC moves by log 4
+        # up to the rounding of the logs and of the sums at the BIC's magnitude
+        tol = max(1e-15, 2 * np.spacing(abs(rec2.bic)))
+        assert abs(rec2.bic - rec.bic - math.log(4)) <= tol, rec.lam
+        assert (rec2.fit.final_residual, rec2.fit.final_dual_residual) == \
+            (2 * rec.fit.final_residual, 2 * rec.fit.final_dual_residual)
+    return path
+
+
+def test_mean_cell_selection_doubles_with_the_responses():
+    ds = _mean_cell()
+    path = _assert_doubling(ds, w.default_lambda_grid(ds), w.BicVariant(kind="mean_model"))
+    assert len({r.partition.K_hat for r in path.records}) > 2
+
+
+def test_regression_selection_with_variances_doubles_with_the_responses(rng):
+    # p = 2, q = 1 with known variances: the variances weigh the rows and stay
+    ds, _ = random_dataset(rng, m=12, p=2, q=1, sigma2=True, noise=0.5,
+                           groups=[[1.0, 1.0], [2.0, 1.5]])
+    path = _assert_doubling(ds, w.default_lambda_grid(ds, num=8), w.BicVariant())
+    assert len({r.partition.K_hat for r in path.records}) > 1
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_selection_above_the_support_gate_doubles_with_the_responses(rng, p):
+    # m = 100 has 4,950 pairs, so the solver works on the slack support; a
+    # short grid toward the fusing end of the default grid keeps the fits
+    # cheap, from two groups to one
+    ds, _ = random_dataset(rng, m=100, p=p, n_range=(4, 9), noise=0.3,
+                           groups=[np.zeros(p), np.full(p, 2.0)])
+    path = _assert_doubling(ds, w.default_lambda_grid(ds)[[17, 20, 23]], w.BicVariant())
+    assert [r.partition.K_hat for r in path.records] == [2, 1, 1]

@@ -7,7 +7,7 @@ import pytest
 import wccreg as w
 from wccreg import admm, selection
 
-from conftest import random_dataset
+from conftest import random_dataset, stack
 
 
 def _fit_and_partition(beta, eta, labels):
@@ -28,7 +28,7 @@ class TestModifiedBic:
                             pi=[0.5, 0.25])
         b = w.LocationBlock("b", 10, y=[1.0, 0.0, 3.0], X=[[1.0], [2.0], [1.0]],
                             Z=[[0.0], [0.0], [1.0]], pi=[1.0, 1.0, 0.5])
-        ds = w.Dataset([a, b])
+        ds = stack([a, b])
         fit, part = _fit_and_partition(np.array([[1.0], [0.5]]), np.array([2.0]), [0, 1])
         # a: residuals 4-1-2 = 1 and 2-1 = 1; weights 2, 4 normalized to 1/3, 2/3 -> 1
         # b: residuals 1-0.5 = 0.5, 0-1 = -1, 3-0.5-2 = 0.5; weights 1, 1, 2 -> 1/4, 1/4, 1/2

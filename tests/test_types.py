@@ -7,6 +7,8 @@ import wccreg as w
 from wccreg import admm
 from wccreg import io as wio
 
+from conftest import stack
+
 
 def block(n=5, p=2, q=0, pi=None, N=50, lid="a", sigma2=None):
     rng = np.random.default_rng(3)
@@ -20,119 +22,162 @@ def block(n=5, p=2, q=0, pi=None, N=50, lid="a", sigma2=None):
     )
 
 
+def rows(n=3, p=1):
+    """Stacked row arrays of n valid rows."""
+    return dict(y=np.zeros(n), X=np.ones((n, p)), Z=np.zeros((n, 0)), pi=np.full(n, 0.5))
+
+
 class TestInvariants:
     def test_wellformed_two_location_dataset(self):
-        ds = w.Dataset([block(lid="a"), block(lid="b")])
+        ds = stack([block(lid="a"), block(lid="b")])
         assert ds.m == 2 and ds.p == 2 and ds.q == 0
 
     def test_zero_inclusion_probability_names_location(self):
         with pytest.raises(w.ValidationError, match="badloc"):
-            block(pi=np.array([0.5, 0.0, 0.5, 0.5, 0.5]), lid="badloc")
+            stack([block(pi=np.array([0.5, 0.0, 0.5, 0.5, 0.5]), lid="badloc")])
 
     def test_replace_rechecks_and_names_location(self):
-        b = block(lid="badloc")
+        ds = stack([block(lid="badloc")])
         with pytest.raises(w.ValidationError, match="location 'badloc': inclusion probabilities"):
-            replace(b, pi=np.array([0.5, 0.0, 0.5, 0.5, 0.5]))
+            replace(ds, pi=np.array([0.5, 0.0, 0.5, 0.5, 0.5]))
 
     def test_pi_above_one_rejected(self):
         with pytest.raises(w.ValidationError, match="inclusion"):
-            block(pi=np.array([0.5, 1.2, 0.5, 0.5, 0.5]))
+            stack([block(pi=np.array([0.5, 1.2, 0.5, 0.5, 0.5]))])
 
     def test_empty_z_blocks_ok(self):
-        ds = w.Dataset([block(q=0)])
+        ds = stack([block(q=0)])
         assert ds.q == 0 and ds.locations[0].Z.shape == (5, 0)
 
     def test_population_smaller_than_sample_rejected(self):
         with pytest.raises(w.ValidationError, match="population size"):
-            block(n=5, N=3)
+            stack([block(n=5, N=3)])
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(w.ValidationError, match="ragged"):
-            w.LocationBlock("r", 50, y=np.zeros(4), X=np.zeros((5, 2)),
-                            Z=np.zeros((4, 0)), pi=np.full(4, 0.5))
-
-    def test_p_mismatch_across_blocks_rejected(self):
-        with pytest.raises(w.ValidationError, match="location 'b': p=3 does not match dataset p=2"):
-            w.Dataset((block(p=2, lid="a"), block(p=3, lid="b")))
-
-    def test_q_mismatch_across_blocks_rejected(self):
-        with pytest.raises(w.ValidationError, match="location 'c': q=0 does not match dataset q=1"):
-            w.Dataset((block(q=1, lid="a"), block(q=1, lid="b"), block(q=0, lid="c")))
+            stack([w.LocationBlock("r", 50, y=np.zeros(4), X=np.zeros((5, 2)),
+                                   Z=np.zeros((4, 0)), pi=np.full(4, 0.5))])
 
     def test_shape_is_read_off_the_blocks(self):
-        ds = w.Dataset((block(p=3, q=2, lid="a"), block(p=3, q=2, lid="b")))
+        ds = stack((block(p=3, q=2, lid="a"), block(p=3, q=2, lid="b")))
         assert (ds.m, ds.p, ds.q) == (2, 3, 2)
         with pytest.raises(w.ValidationError, match="no locations"):
-            w.Dataset(())
+            w.Dataset((), [0], [], **rows(0))
 
     def test_nonpositive_sigma2_rejected(self):
         with pytest.raises(w.ValidationError, match="sigma2"):
-            block(sigma2=np.array([1.0, 0.0, 1.0, 1.0, 1.0]))
+            stack([block(sigma2=np.array([1.0, 0.0, 1.0, 1.0, 1.0]))])
 
     def test_empty_block_rejected(self):
         with pytest.raises(w.ValidationError):
-            w.LocationBlock("e", 10, y=np.zeros(0), X=np.zeros((0, 1)),
-                            Z=np.zeros((0, 0)), pi=np.zeros(0))
+            stack([w.LocationBlock("e", 10, y=np.zeros(0), X=np.zeros((0, 1)),
+                                   Z=np.zeros((0, 0)), pi=np.zeros(0))])
 
     def test_duplicate_location_ids_rejected(self):
         with pytest.raises(w.ValidationError, match="duplicate"):
-            w.Dataset([block(lid="a"), block(lid="a")])
+            stack([block(lid="a"), block(lid="a")])
 
     def test_arrays_read_only(self):
-        b = block()
-        with pytest.raises(ValueError):
-            b.y[0] = 1.0
+        ds = stack([block()])
+        for arr in (ds.y, ds.locations[0].y):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     @pytest.mark.parametrize("N", [float("inf"), 10.5, float("nan")])
     def test_population_size_must_be_a_finite_integer(self, N):
         with pytest.raises(w.ValidationError) as err:
-            block(N=N)
+            stack([block(N=N)])
         assert str(err.value) == f"location 'a': N must be a finite integer, got {N}"
         with pytest.raises(w.ValidationError) as err:
-            w.Dataset.from_arrays(["a", "b"], [0, 5, 10], [50, N], np.zeros(10), np.ones((10, 1)),
-                                  np.zeros((10, 0)), np.full(10, 0.5))
+            w.Dataset(["a", "b"], [0, 5, 10], [50, N], np.zeros(10), np.ones((10, 1)),
+                      np.zeros((10, 0)), np.full(10, 0.5))
         assert str(err.value) == f"location 'b': N must be a finite integer, got {N}"
 
     def test_integral_population_size_is_kept_as_int(self):
-        assert type(block(N=50.0).N) is int and block(N=np.int64(7)).N == 7
+        assert type(stack([block(N=50.0)]).locations[0].N) is int
+        assert stack([block(N=np.int64(7))]).locations[0].N == 7
 
 
 class TestStackedDataset:
     def test_blocks_are_stacked_and_viewed_back(self):
-        a, b = block(n=3, q=1, lid="a", N=40), block(n=5, q=1, lid="b", sigma2=np.full(5, 2.0))
-        ds = w.Dataset([a, b])
+        a = block(n=3, q=1, lid="a", N=40, sigma2=np.ones(3))
+        b = block(n=5, q=1, lid="b", sigma2=np.full(5, 2.0))
+        ds = stack([a, b])
         assert ds.ids == ("a", "b") and ds.offsets.tolist() == [0, 3, 8]
         assert ds.N.tolist() == [40.0, 50.0] and ds.n_total == 8
-        # a block without variances stacks as variances of one
         assert ds.sigma2.tolist() == [1.0] * 3 + [2.0] * 5
         for got, want in zip(ds.locations, (a, b)):
             assert (got.location_id, got.N, got.n) == (want.location_id, want.N, want.n)
-            for name in ("y", "X", "Z", "pi"):
+            for name in ("y", "X", "Z", "pi", "sigma2"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
         for arr in (ds.offsets, ds.N, ds.y, ds.X, ds.Z, ds.pi, ds.sigma2, ds.locations[1].X):
             assert not arr.flags.writeable
             assert arr.flags.c_contiguous
 
-    def test_from_arrays_takes_population_sizes_per_row(self):
-        rows = dict(y=np.zeros(4), X=np.ones((4, 1)), Z=np.zeros((4, 0)), pi=np.full(4, 0.5))
-        ds = w.Dataset.from_arrays(["a", "b"], [0, 1, 4], [9, 7, 7, 7], **rows)
+    def test_the_constructor_is_the_one_way_in(self):
+        # a sequence of blocks is no dataset; replace builds a new, checked
+        # dataset with its own precomputation
+        with pytest.raises(TypeError):
+            w.Dataset([block(lid="a"), block(lid="b")])
+        ds = w.Dataset(["a"], [0, 3], [9], **rows())
+        bundle = admm.prepared(ds)
+        doubled = replace(ds, y=np.full(3, 2.0))
+        assert doubled.y.tolist() == [2.0] * 3 and ds.y.tolist() == [0.0] * 3
+        assert admm.prepared(doubled) is not bundle and admm.prepared(ds) is bundle
+        assert doubled.ids == ds.ids and doubled.N is not ds.N
+
+    def test_population_sizes_may_be_given_per_row(self):
+        ds = w.Dataset(["a", "b"], [0, 1, 4], [9, 7, 7, 7], **rows(4))
         assert ds.N.tolist() == [9.0, 7.0] and [b.N for b in ds.locations] == [9, 7]
         with pytest.raises(w.ValidationError, match="^location 'b': inconsistent N values "
                                                     r"\[7.0, 8.0\]$"):
-            w.Dataset.from_arrays(["a", "b"], [0, 1, 4], [9, 7, 8, 7], **rows)
+            w.Dataset(["a", "b"], [0, 1, 4], [9, 7, 8, 7], **rows(4))
 
     def test_the_first_offending_location_is_named(self):
         # a fails only the last check (N < n), b an earlier one: a is named
         y = np.array([0.0, 0.0, np.nan, 0.0])
         with pytest.raises(w.ValidationError, match="^location 'a': population size N=1 "
                                                     "smaller than sample size n=2$"):
-            w.Dataset.from_arrays(["a", "b"], [0, 2, 4], [1, 9], y, np.ones((4, 1)),
-                                  np.zeros((4, 0)), np.full(4, 0.5))
+            w.Dataset(["a", "b"], [0, 2, 4], [1, 9], y, np.ones((4, 1)),
+                      np.zeros((4, 0)), np.full(4, 0.5))
 
     def test_offsets_must_cover_the_rows(self):
         with pytest.raises(w.ValidationError, match="row offsets"):
-            w.Dataset.from_arrays(["a"], [0, 3], [9], np.zeros(4), np.ones((4, 1)),
-                                  np.zeros((4, 0)), np.full(4, 0.5))
+            w.Dataset(["a"], [0, 3], [9], **rows(4))
+
+    @pytest.mark.parametrize("middle", [1.7, 1.0000001, float("nan"), float("inf")])
+    def test_fractional_or_non_finite_offsets_are_rejected(self, middle):
+        # a fraction used to be truncated, so [0, 1.7, 3] read as [0, 1, 3],
+        # and a NaN failed in the integer conversion
+        with pytest.raises(w.ValidationError) as err:
+            w.Dataset(["a", "b"], [0, middle, 3], [9, 9], **rows())
+        assert str(err.value) == f"row offsets must be finite integers, got [0.0, {middle}, 3.0]"
+
+    def test_integral_float_offsets_are_read_as_integers(self):
+        ds = w.Dataset(["a", "b"], np.array([0.0, 1.0, 3.0]), [9, 9], **rows())
+        assert ds.offsets.dtype == np.intp and ds.offsets.tolist() == [0, 1, 3]
+
+    @pytest.mark.parametrize("name, value, shape", [
+        ("y", np.zeros((3, 3)), "(3, 3)"), ("pi", np.full((3, 1), 0.5), "(3, 1)"),
+        ("sigma2", np.ones((3, 1)), "(3, 1)"), ("X", np.ones(3), "(3,)"),
+        ("Z", np.zeros((3, 1, 1)), "(3, 1, 1)"), ("y", np.float64(0.0), "()"),
+        ("N", [[9]], "(1, 1)"),
+    ])
+    def test_arrays_of_the_wrong_rank_are_rejected(self, name, value, shape):
+        # a (3, 3) y used to pass the check and fail inside the first fit
+        fields = {**rows(), "ids": ["a"], "offsets": [0, 3], "N": [9], name: value}
+        ndim = 2 if name in ("X", "Z") else 1
+        with pytest.raises(w.ValidationError) as err:
+            w.Dataset(**fields)
+        assert str(err.value) == f"{name} must be {ndim}-D, got shape {shape}"
+
+    def test_rank_is_checked_before_the_offsets(self):
+        with pytest.raises(w.ValidationError, match="^y must be 1-D"):
+            w.Dataset(["a"], [0, 1.5], [9], **dict(rows(), y=np.zeros((3, 1))))
+
+    def test_a_one_dimensional_z_is_one_column(self):
+        ds = w.Dataset(["a"], [0, 3], [9], **dict(rows(), Z=np.arange(3.0)))
+        assert ds.q == 1 and ds.Z.tolist() == [[0.0], [1.0], [2.0]]
 
 
 class TestConfigs:
@@ -197,7 +242,7 @@ class TestSerializationRoundTrip:
         # m = 1, p = 2: the pair blocks are (2, 0) and come back with that shape
         b = w.LocationBlock("a", 40, y=rng.standard_normal(12), X=rng.standard_normal((12, 2)),
                             Z=rng.standard_normal((12, 1)), pi=rng.uniform(0.2, 1.0, 12))
-        fit = w.fit(w.Dataset([b]), w.ScadSpec(lam=0.5))
+        fit = w.fit(stack([b]), w.ScadSpec(lam=0.5))
         import json
         back = wio.fit_result_from_dict(json.loads(wio.dumps(wio.fit_result_to_dict(fit))))
         assert back.zeta.shape == back.v.shape == (2, 0)

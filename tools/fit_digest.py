@@ -19,7 +19,10 @@ Every candidate fit adds its beta, eta, zeta, v (shape and float64 bytes),
 iterations, both residuals and ``converged`` to the digest, and every
 ``cli_large`` task its JSON report bytes.  Prints the fit and report counts,
 one digest per part and one over all.  Run it on two trees and compare the
-last line.
+last line.  The path data is built with the stacked constructor
+``Dataset(ids, offsets, N, y, X, Z, pi, sigma2)``; a tree without it (before
+``Dataset.from_arrays`` was folded into the constructor) is digested by its
+own copy of this tool.
 """
 
 from __future__ import annotations
@@ -91,8 +94,8 @@ def _path_dataset(p: int):
     sigma2 = rng.uniform(0.5, 2.0, rows)
     y = np.sum(X * beta, axis=1) + 0.5 * Z[:, 0] + np.sqrt(sigma2) * rng.standard_normal(rows)
     N = n + rng.integers(5, 50, PATH_M)
-    return Dataset.from_arrays([f"loc{i}" for i in range(PATH_M)], np.r_[0, np.cumsum(n)], N,
-                               y, X, Z, rng.uniform(0.15, 1.0, rows), sigma2)
+    return Dataset([f"loc{i}" for i in range(PATH_M)], np.r_[0, np.cumsum(n)], N, y, X, Z,
+                   rng.uniform(0.15, 1.0, rows), sigma2)
 
 
 def main(argv=None) -> int:
