@@ -17,7 +17,7 @@ from .simulation import (
     Population,
     ScenarioSpec,
     generate_mean_population,
-    generate_regression_population,
+    generate_population,
     informative_probabilities,
     poisson_sample,
     run_monte_carlo,
@@ -37,7 +37,7 @@ __all__ = [
     "McSummary", "PairIndex", "Partition", "Population", "ScadSpec", "ScenarioSpec",
     "SingularSystemError", "ValidationError",
     "adjusted_rand_index", "build_pair_index", "default_lambda_grid",
-    "extract_partition", "fit", "generate_mean_population", "generate_regression_population",
+    "extract_partition", "fit", "generate_mean_population", "generate_population",
     "group_estimates", "group_soft_threshold", "informative_probabilities", "initialize",
     "location_estimates", "modified_bic", "poisson_sample", "rand_index_counts",
     "refit_oracle", "rmse_beta", "run_monte_carlo",

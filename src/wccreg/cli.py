@@ -24,10 +24,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
-CLAMP_RULE = ("design scores: nonfinite/nonpositive scores are replaced by the smallest "
-              "positive finite score in the location (1e-12 if none), normalized to sum "
-              "to the expected sample size, then clamped into [1e-6, 1]")
-
 
 def _parse_grid(text: str) -> np.ndarray:
     try:
@@ -193,10 +189,9 @@ def cmd_version(_args) -> int:
     print(f"defaults: gamma={ScadSpec.gamma:g}, vartheta={AdmmConfig.vartheta:g}, "
           f"tol={AdmmConfig.tol:g}, max_iter={AdmmConfig.max_iter}, zero_tol={ZERO_TOL:g}, "
           f"init_ridge={AdmmConfig.init_ridge:g}")
-    print("BIC: C_m = log(m*p+q), complexity C_m*(log m/m)*(K_hat*p + q); "
-          "mean_model variant drops q")
+    print(f"BIC: {selection.BIC_RULE}")
     print(f"lambda grid: {selection.GRID_RULE}")
-    print(f"clamping rule: {CLAMP_RULE}")
+    print(f"clamping rule: {simulation.CLAMP_RULE}")
     return EXIT_OK
 
 

@@ -21,6 +21,8 @@ _RESIDUAL_FLOOR = 1e-300
 MEAN_MODEL = "mean_model"
 REGRESSION = "regression"
 
+BIC_RULE = ("C_m = log(m*p+q), complexity C_m*(log m/m)*(K_hat*p + q); "
+            "mean_model variant drops q")
 GRID_RULE = ("30 log-spaced values in [0.01*anchor, anchor], anchor = largest pairwise "
              "distance between unpenalized per-location coefficient estimates")
 
@@ -86,7 +88,7 @@ def modified_bic(data: Dataset, fit: FitResult, partition: Partition,
 
     The residual term averages, over locations, the normalized-weight mean of
     squared residuals at the fitted per-location coefficients; the complexity
-    term is ``C_m * (log m / m)`` per counted parameter.
+    term is ``C_m * (log m / m)`` per counted parameter (:data:`BIC_RULE`).
     """
     m = data.m
     bundle = admm.prepared(data)

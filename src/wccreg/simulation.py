@@ -1,4 +1,4 @@
-"""Finite-population generators, Poisson sampling and the Monte Carlo driver.
+"""The finite-population generator, Poisson sampling and the Monte Carlo driver.
 
 Every random draw flows from a single 64-bit seed through keyed substreams:
 ``(seed, rep, purpose, location, ...)`` determines each generator, so any
@@ -27,6 +27,9 @@ logger = logging.getLogger(__name__)
 
 PI_FLOOR = 1e-6
 SCORE_FALLBACK = 1e-12
+CLAMP_RULE = ("design scores: nonfinite/nonpositive scores are replaced by the smallest "
+              "positive finite score in the location (1e-12 if none), normalized to sum "
+              "to the expected sample size, then clamped into [1e-6, 1]")
 MAX_RESAMPLE_ATTEMPTS = 100
 
 # substream purposes
@@ -47,7 +50,7 @@ class ScenarioSpec:
     ``m``.  The design is the class constants: ``H`` units per location, three
     groups of probability 1/3 with truths ``mean_values`` (noise sd
     ``mean_noise_sd``) or ``beta_values`` (noise sd ``sigma_scale *
-    exp(sigma_rate * x'beta)``); the generators give each group's scores.
+    exp(sigma_rate * x'beta)``); :func:`generate_population` gives the scores.
     """
 
     kind: str
@@ -125,78 +128,52 @@ def informative_probabilities(scores: np.ndarray, expected_n: float) -> tuple[np
     return pre, np.clip(pre, PI_FLOOR, 1.0)
 
 
-def generate_mean_population(spec: ScenarioSpec, rep: int = 0) -> Population:
-    """Location means drawn from three values; design informativeness varies
-    by group: scores exp(y) / constant / log(y)."""
-    if spec.kind != MEAN_MODEL:
-        raise ValidationError("spec.kind must be 'mean_model'")
-    m, H = spec.m, spec.H
+def generate_population(spec: ScenarioSpec, rep: int = 0) -> Population:
+    """The population of replicate ``rep``: each location draws its group, rows
+    and noise from its own substream.  Group scores, then :data:`CLAMP_RULE`:
+    mean model exp(y) / constant / log(y); regression eps^3 / constant /
+    exp(-eps^{-1/2}) (negative cubes, roots of nonpositive noise are invalid).
+    """
+    m, H, p = spec.m, spec.H, spec.p
+    regression = spec.kind == REGRESSION
     labels = np.empty(m, dtype=int)
-    truth = np.empty((m, 1))
+    truth = np.empty((m, p))
     y = np.empty((m, H))
+    X = np.ones((m, H, p))
+    sigma = np.empty((m, H)) if regression else None
     pis = np.empty((m, H))
     for i in range(m):
         rng = _rng(spec.seed, rep, _POPULATION, i)
-        k = int(rng.choice(len(spec.group_probs), p=spec.group_probs))
-        labels[i] = k
-        mu = spec.mean_values[k]
-        truth[i, 0] = mu
-        y[i] = mu + spec.mean_noise_sd * rng.standard_normal(H)
-        if k == 0:
-            scores = np.exp(y[i])
-        elif k == 1:
+        labels[i] = k = int(rng.choice(len(spec.group_probs), p=spec.group_probs))
+        truth[i] = spec.beta_values[k] if regression else spec.mean_values[k]
+        if regression:
+            X[i, :, 1] = rng.standard_normal(H)
+            lin = X[i] @ truth[i]
+            sigma[i] = spec.sigma_scale * np.exp(spec.sigma_rate * lin)
+            eps = sigma[i] * rng.standard_normal(H)
+            y[i] = lin + eps
+        else:
+            y[i] = truth[i, 0] + spec.mean_noise_sd * rng.standard_normal(H)
+        if k == 1:
             scores = np.ones(H)
+        elif k == 0:
+            scores = eps ** 3 if regression else np.exp(y[i])
+        elif regression:
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                scores = np.exp(-eps ** (-0.5))
         else:
             with np.errstate(invalid="ignore", divide="ignore"):
                 scores = np.log(y[i])
         _, pis[i] = informative_probabilities(scores, spec.expected_n)
-    X = np.ones((m, H, 1))
-    return Population(labels=labels, truth=truth, y=y, X=X, pi=pis)
-
-
-def generate_regression_population(spec: ScenarioSpec, rep: int = 0) -> Population:
-    """Intercept-plus-slope model with noise scale growing in the signal.
-
-    Group design scores: eps^3 / constant / exp(-eps^{-1/2}); invalid scores
-    (negative cubes, roots of nonpositive noise) go through the clamping rule.
-    """
-    if spec.kind != REGRESSION:
-        raise ValidationError("spec.kind must be 'regression'")
-    m, H, p = spec.m, spec.H, spec.p
-    labels = np.empty(m, dtype=int)
-    truth = np.empty((m, p))
-    y = np.empty((m, H))
-    X = np.empty((m, H, p))
-    sigma = np.empty((m, H))
-    pis = np.empty((m, H))
-    for i in range(m):
-        rng = _rng(spec.seed, rep, _POPULATION, i)
-        k = int(rng.choice(len(spec.group_probs), p=spec.group_probs))
-        labels[i] = k
-        beta = np.asarray(spec.beta_values[k], dtype=float)
-        truth[i] = beta
-        x = rng.standard_normal(H)
-        X[i, :, 0] = 1.0
-        X[i, :, 1] = x
-        lin = X[i] @ beta
-        sigma[i] = spec.sigma_scale * np.exp(spec.sigma_rate * lin)
-        eps = sigma[i] * rng.standard_normal(H)
-        y[i] = lin + eps
-        if k == 0:
-            scores = eps ** 3
-        elif k == 1:
-            scores = np.ones(H)
-        else:
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                scores = np.exp(-eps ** (-0.5))
-        _, pis[i] = informative_probabilities(scores, spec.expected_n)
     return Population(labels=labels, truth=truth, y=y, X=X, pi=pis, sigma=sigma)
 
 
-def generate_population(spec: ScenarioSpec, rep: int = 0) -> Population:
-    if spec.kind == MEAN_MODEL:
-        return generate_mean_population(spec, rep)
-    return generate_regression_population(spec, rep)
+def generate_mean_population(spec: ScenarioSpec, rep: int = 0) -> Population:
+    """:func:`generate_population` for a mean-model spec only; the benchmark's
+    workloads call it by this name."""
+    if spec.kind != MEAN_MODEL:
+        raise ValidationError("spec.kind must be 'mean_model'")
+    return generate_population(spec, rep)
 
 
 def poisson_sample(pop: Population, seed: int, rep: int = 0) -> Dataset:
@@ -277,14 +254,8 @@ class McSummary:
 
     def to_dict(self) -> dict:
         return {
-            "scenario": {
-                "kind": self.scenario.kind,
-                "expected_n": self.scenario.expected_n,
-                "m": self.scenario.m,
-                "H": self.scenario.H,
-                "reps": self.scenario.reps,
-                "seed": self.scenario.seed,
-            },
+            "scenario": {name: getattr(self.scenario, name)
+                         for name in ("kind", "expected_n", "m", "H", "reps", "seed")},
             "methods": {meth: self.summary(meth) for meth in self.methods},
         }
 
@@ -293,14 +264,18 @@ def _run_rep(args) -> list:
     """Run one replicate for every requested method (worker-safe)."""
     spec, solver_cfg, methods, rep = args
     variant = selection.BicVariant(kind=spec.kind)
+    nan = float("nan")
+
+    def failure(meth, K_true):
+        return RepRecord(rep=rep, method=meth, K_hat=0, K_true=K_true, ari=nan, rmse=nan,
+                         lambda_star=nan, converged=False, failed=True)
+
     try:
         pop = generate_population(spec, rep)
         data_wcc = poisson_sample(pop, spec.seed, rep)
     except SimulationError as exc:
         logger.warning("rep %d: sampling failed (%s)", rep, exc)
-        return [RepRecord(rep=rep, method=meth, K_hat=0, K_true=0, ari=float("nan"),
-                          rmse=float("nan"), lambda_star=float("nan"),
-                          converged=False, failed=True) for meth in methods]
+        return [failure(meth, 0) for meth in methods]
 
     K_true = int(np.unique(pop.labels).size)
     out = []
@@ -317,9 +292,7 @@ def _run_rep(args) -> list:
                 lambda_star=lam, converged=fit.converged))
         except SingularSystemError as exc:
             logger.warning("rep %d method %s: fatal fit error (%s)", rep, meth, exc)
-            out.append(RepRecord(rep=rep, method=meth, K_hat=0, K_true=K_true,
-                                 ari=float("nan"), rmse=float("nan"),
-                                 lambda_star=float("nan"), converged=False, failed=True))
+            out.append(failure(meth, K_true))
     return out
 
 

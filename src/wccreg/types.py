@@ -84,8 +84,8 @@ class Dataset:
     N, and the dataset keeps one per location (integral float64).  The
     constructor copies the arrays into read-only C-contiguous float arrays
     (offsets as integers) and runs :func:`_check_stacked`, also when reached
-    through ``dataclasses.replace``.  Two datasets are equal only when they
-    are the same object.
+    through ``dataclasses.replace`` or ``pickle`` (which keeps the fields
+    alone).  Two datasets are equal only when they are the same object.
     """
 
     ids: tuple
@@ -103,6 +103,9 @@ class Dataset:
         offsets, N = _check_stacked(ids, self.offsets, self.N, *rows)
         for f, value in zip(fields(self), (ids, offsets, N) + rows):
             object.__setattr__(self, f.name, value)
+
+    def __reduce__(self):
+        return Dataset, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def locations(self) -> tuple:

@@ -394,16 +394,16 @@ def unscaled_admm(data: w.Dataset, spec: w.ScadSpec, cfg: w.AdmmConfig) -> w.Fit
     It carries the multiplier v itself: the coefficient step solves against
     ``X'Qy + D'(vartheta zeta - v)``, the slack step maps ``D beta + v/vartheta``
     with :func:`prox_columns_branchwise`, the multiplier steps by
-    ``vartheta (D beta - zeta)``, differences gather with ``np.take`` and the
-    residuals are ``np.linalg.norm``.  Same start, stopping rule and reported
-    fields as :func:`wccreg.fit`.
+    ``vartheta (D beta - zeta)``, differences are taken over the oracle's own
+    ``np.triu_indices`` pair list and the residuals are ``np.linalg.norm``.
+    Same start, stopping rule and reported fields as :func:`wccreg.fit`.
     """
     bundle = admm.prepared(data)
     vt = cfg.vartheta
+    i, j = np.triu_indices(data.m, 1)
 
     def differences(beta):
-        flat = beta.reshape(-1)
-        return (np.take(flat, bundle._pos_i) - np.take(flat, bundle._pos_j)).reshape(data.p, -1)
+        return np.ascontiguousarray((beta[i] - beta[j]).T)
 
     beta = w.initialize(data, cfg)
     zeta = differences(beta)

@@ -283,6 +283,22 @@ class TestDefaults:
         assert lines[1] == ("defaults: gamma=3, vartheta=1, tol=1e-06, max_iter=2000, "
                             "zero_tol=1e-06, init_ridge=0")
 
+    def test_version_output_is_pinned(self, capsys):
+        # the rule texts live beside their code (selection, simulation); the
+        # printed lines stay as they were
+        assert cli.main(["version"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == (
+            "wccreg 0.1.0\n"
+            "defaults: gamma=3, vartheta=1, tol=1e-06, max_iter=2000, zero_tol=1e-06, "
+            "init_ridge=0\n"
+            "BIC: C_m = log(m*p+q), complexity C_m*(log m/m)*(K_hat*p + q); "
+            "mean_model variant drops q\n"
+            "lambda grid: 30 log-spaced values in [0.01*anchor, anchor], anchor = largest "
+            "pairwise distance between unpenalized per-location coefficient estimates\n"
+            "clamping rule: design scores: nonfinite/nonpositive scores are replaced by the "
+            "smallest positive finite score in the location (1e-12 if none), normalized to "
+            "sum to the expected sample size, then clamped into [1e-6, 1]\n")
+
 
 class TestSimulate:
     @pytest.mark.parametrize("n", [0, 121])

@@ -8,6 +8,15 @@ the same decisions on the same floats, times two.  The grid is passed
 explicitly, because ``np.geomspace`` at 2a is not exactly twice the grid at a.
 Every BIC moves by log 4, to within 1e-15 or two units in the last place of
 the BIC, whichever is larger (at a BIC of 15 one unit is 1.8e-15).
+
+Two rewritings of the sample leave the whole selection unchanged up to the
+order of float sums: a row with inclusion probability pi <= 1/2 split into
+two rows with 2 pi (its weight is shared, not changed), and the locations
+taken in another order.  Both must pick the same lambda after the same
+iterations and reach the same partitions; beta may move by 1e-13 and the BIC
+by 1e-14 (they move by up to 4.4e-14 and 8.9e-16 here).  Again one explicit
+grid goes to both sides, since the split moves the default grid (by 1.1e-15
+on the regression case here).
 """
 
 import math
@@ -76,3 +85,82 @@ def test_selection_above_the_support_gate_doubles_with_the_responses(rng, p):
                            groups=[np.zeros(p), np.full(p, 2.0)])
     path = _assert_doubling(ds, w.default_lambda_grid(ds)[[17, 20, 23]], w.BicVariant())
     assert [r.partition.K_hat for r in path.records] == [2, 1, 1]
+
+
+def _rebuilt(ds, ids, counts, N, rows, pi):
+    """``ds`` with its locations ``ids`` (``counts`` rows each, sizes ``N``)
+    holding rows ``rows`` of ``ds`` and the inclusion probabilities ``pi``."""
+    return w.Dataset(ids, np.concatenate(([0], np.cumsum(counts))), N, ds.y[rows],
+                     ds.X[rows], ds.Z[rows], pi,
+                     None if ds.sigma2 is None else ds.sigma2[rows])
+
+
+def _split_rows(ds):
+    """Every row with pi <= 1/2 as two equal rows with 2 pi, in place."""
+    copies = np.where(ds.pi <= 0.5, 2, 1)
+    rows = np.repeat(np.arange(ds.n_total), copies)
+    counts = np.add.reduceat(copies, ds.offsets[:-1])
+    return _rebuilt(ds, ds.ids, counts, ds.N, rows, (ds.pi * copies)[rows])
+
+
+def _permuted_locations(ds, order):
+    """The locations of ``ds`` in the order ``order``, each with its rows."""
+    rows = np.concatenate([np.arange(ds.offsets[k], ds.offsets[k + 1]) for k in order])
+    return _rebuilt(ds, [ds.ids[k] for k in order], np.diff(ds.offsets)[order], ds.N[order],
+                    rows, ds.pi[rows])
+
+
+def _assert_same_selection(ds, other, grid, variant, order=None):
+    """``other`` (``ds`` rewritten; its location j is location ``order[j]``
+    of ``ds``) selects as ``ds`` does."""
+    inverse = np.arange(ds.m) if order is None else np.argsort(order)
+    lam, _, _, path = w.select_lambda(ds, grid, variant=variant)
+    lam2, _, _, path2 = w.select_lambda(other, grid, variant=variant)
+    assert lam2 == lam
+    for rec, rec2 in zip(path.records, path2.records, strict=True):
+        assert (rec2.fit.iterations, rec2.fit.converged) == \
+            (rec.fit.iterations, rec.fit.converged), rec.lam
+        same = rec.partition.assignment
+        same2 = rec2.partition.assignment[inverse]
+        assert np.array_equal(same[:, None] == same, same2[:, None] == same2), rec.lam
+        assert np.abs(rec2.fit.beta[inverse] - rec.fit.beta).max() <= 1e-13, rec.lam
+        assert abs(rec2.bic - rec.bic) <= 1e-14, rec.lam
+    return path
+
+
+def _small_regression(rng):
+    ds, _ = random_dataset(rng, m=12, p=2, q=1, sigma2=True, noise=0.5,
+                           groups=[[1.0, 1.0], [2.0, 1.5]])
+    return ds, w.default_lambda_grid(ds, num=8), w.BicVariant()
+
+
+def test_splitting_rows_keeps_the_mean_cell_selection():
+    ds = _mean_cell()
+    split = _split_rows(ds)
+    assert split.n_total > ds.n_total
+    path = _assert_same_selection(ds, split, w.default_lambda_grid(ds),
+                                  w.BicVariant(kind="mean_model"))
+    assert len({r.partition.K_hat for r in path.records}) > 2
+
+
+def test_splitting_rows_keeps_the_regression_selection(rng):
+    ds, grid, variant = _small_regression(rng)
+    split = _split_rows(ds)
+    assert split.n_total > ds.n_total
+    path = _assert_same_selection(ds, split, grid, variant)
+    assert len({r.partition.K_hat for r in path.records}) > 1
+
+
+def test_reordering_locations_keeps_the_mean_cell_selection():
+    ds = _mean_cell()
+    order = np.random.default_rng(5).permutation(ds.m)
+    path = _assert_same_selection(ds, _permuted_locations(ds, order), w.default_lambda_grid(ds),
+                                  w.BicVariant(kind="mean_model"), order)
+    assert len({r.partition.K_hat for r in path.records}) > 2
+
+
+def test_reordering_locations_keeps_the_regression_selection(rng):
+    ds, grid, variant = _small_regression(rng)
+    order = np.random.default_rng(5).permutation(ds.m)
+    path = _assert_same_selection(ds, _permuted_locations(ds, order), grid, variant, order)
+    assert len({r.partition.K_hat for r in path.records}) > 1

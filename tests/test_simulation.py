@@ -148,6 +148,15 @@ class TestPopulationGenerators:
         # every group of the design appears in a population of this size
         assert set(pop.labels.tolist()) == {0, 1, 2}
 
+    def test_the_mean_generator_takes_a_mean_model_spec_only(self):
+        with pytest.raises(w.ValidationError, match="^spec.kind must be 'mean_model'$"):
+            simulation.generate_mean_population(w.ScenarioSpec(kind="regression", expected_n=10))
+        spec = w.ScenarioSpec(kind="mean_model", expected_n=10, seed=3, m=4)
+        mean = simulation.generate_mean_population(spec, 1)
+        pop = simulation.generate_population(spec, 1)
+        for name in ("labels", "truth", "y", "X", "pi"):
+            assert np.array_equal(getattr(mean, name), getattr(pop, name)), name
+
     def test_design_constants_are_fixed(self):
         spec = w.ScenarioSpec(kind="regression", expected_n=10)
         assert (spec.H, spec.p, spec.mean_noise_sd) == (120, 2, 0.25)

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import wccreg as w
 from wccreg import admm
 from wccreg import io as wio
 
-from conftest import stack
+from conftest import random_dataset, stack
 
 
 def block(n=5, p=2, q=0, pi=None, N=50, lid="a", sigma2=None):
@@ -251,6 +252,29 @@ class TestSerializationRoundTrip:
             assert np.array_equal(getattr(back, name), getattr(fit, name)), name
         assert (back.iterations, back.final_residual, back.converged, back.final_dual_residual) == (
             fit.iterations, fit.final_residual, fit.converged, fit.final_dual_residual)
+
+    def test_pickle_keeps_the_fields_alone_and_rebuilds_through_the_constructor(self, rng):
+        # the solver bundle and the location views stay behind, and the copy
+        # is read-only like any constructed dataset
+        ds, _ = random_dataset(rng, m=6, p=2, q=1, sigma2=True)
+        size = len(pickle.dumps(ds))
+        ds.locations
+        admm.prepared(ds)
+        assert len(pickle.dumps(ds)) == size
+        back = pickle.loads(pickle.dumps(ds))
+        assert "_prepared" not in vars(back) and "_locations" not in vars(back)
+        for f in fields(w.Dataset):
+            want, got = getattr(ds, f.name), getattr(back, f.name)
+            if isinstance(want, np.ndarray):
+                assert not got.flags.writeable and got.dtype == want.dtype, f.name
+                assert np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
+        spec = w.ScadSpec(lam=0.3)
+        fit, fit_back = w.fit(ds, spec), w.fit(back, spec)
+        for name in ("beta", "eta", "zeta", "v"):
+            assert np.array_equal(getattr(fit_back, name), getattr(fit, name)), name
+        assert (fit_back.iterations, fit_back.final_residual) == (fit.iterations, fit.final_residual)
 
     def test_dumps_is_byte_deterministic_and_keeps_nan(self, rng):
         import json

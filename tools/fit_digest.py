@@ -1,5 +1,6 @@
-"""One sha256 over the fits and reports of a fixed fit set, to show that a
-change leaves every fitted number and every report byte as it was.
+"""One sha256 over the fits, reports and populations of a fixed set, to show
+that a change leaves every fitted number, report byte and population as it
+was.
 
     python tools/fit_digest.py [--src DIR]
 
@@ -13,16 +14,19 @@ Runs the program in ``DIR`` (default: this checkout's ``src``) on:
   locations (4,950 pairs, above the solver's support gate) at p = 2 and
   p = 3, q = 1, with known variances, on data where 7 of 8 locations share
   one coefficient, so that most iterations run on a narrow or empty slack
-  support.
+  support;
+* the populations of both study designs (``generate_population``, m = 49)
+  at seeds 7 and 13, expected sample sizes 10 and 30 and replicates 0-3.
 
 Every candidate fit adds its beta, eta, zeta, v (shape and float64 bytes),
-iterations, both residuals and ``converged`` to the digest, and every
-``cli_large`` task its JSON report bytes.  Prints the fit and report counts,
-one digest per part and one over all.  Run it on two trees and compare the
-last line.  The path data is built with the stacked constructor
-``Dataset(ids, offsets, N, y, X, Z, pi, sigma2)``; a tree without it (before
-``Dataset.from_arrays`` was folded into the constructor) is digested by its
-own copy of this tool.
+iterations, both residuals and ``converged`` to the digest, every
+``cli_large`` task its JSON report bytes, and every population its labels,
+truth, y, X, pi and sigma (dtype, shape and bytes).  Prints one digest per
+part, the fit, report and population counts, and one digest over all.  Run
+it on two trees and compare the last line.  The path data is built with the
+stacked constructor ``Dataset(ids, offsets, N, y, X, Z, pi, sigma2)``; a tree
+without it (before ``Dataset.from_arrays`` was folded into the constructor)
+is digested by its own copy of this tool.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 PATH_M, PATH_GRID = 100, 6
+POP_SEEDS, POP_NS, POP_REPS = (7, 13), (10, 30), 4
 
 
 def _load_program(src: Path):
@@ -57,7 +62,7 @@ class Digest:
     def __init__(self):
         self.total = hashlib.sha256()
         self.part = hashlib.sha256()
-        self.fits = self.reports = 0
+        self.fits = self.reports = self.populations = 0
 
     def add(self, data: bytes) -> None:
         self.total.update(data)
@@ -71,6 +76,13 @@ class Digest:
         self.add(struct.pack("<qdd?", fit.iterations, fit.final_residual,
                              fit.final_dual_residual, bool(fit.converged)))
         self.fits += 1
+
+    def add_population(self, pop) -> None:
+        for name in ("labels", "truth", "y", "X", "pi", "sigma"):
+            a = getattr(pop, name)
+            self.add(b"None" if a is None else
+                     (a.dtype.str + repr(a.shape)).encode() + a.tobytes())
+        self.populations += 1
 
     def end_part(self, name: str) -> None:
         print(f"{name}: {self.part.hexdigest()}", flush=True)
@@ -104,7 +116,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     workloads = _load_program(args.src.resolve())
     import numpy as np
-    from wccreg import admm, selection
+    from wccreg import admm, selection, simulation
 
     digest = Digest()
     real_fit = admm.fit
@@ -138,7 +150,14 @@ def main(argv=None) -> int:
             digest.end_part(f"path m={PATH_M} p={p}")
     finally:
         admm.fit = real_fit
-    print(f"{digest.fits} fits, {digest.reports} reports")
+    for kind in (simulation.MEAN_MODEL, simulation.REGRESSION):
+        for seed in POP_SEEDS:
+            for n in POP_NS:
+                spec = simulation.ScenarioSpec(kind=kind, expected_n=n, seed=seed)
+                for rep in range(POP_REPS):
+                    digest.add_population(simulation.generate_population(spec, rep))
+    digest.end_part("populations")
+    print(f"{digest.fits} fits, {digest.reports} reports, {digest.populations} populations")
     print(f"digest {digest.total.hexdigest()}")
     return 0
 
