@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 import wccreg.admm as admm
@@ -39,8 +37,7 @@ def extract_partition(fit: FitResult, zero_tol: float = ZERO_TOL) -> Partition:
     fused = column_norms(fit.zeta) <= zero_tol
     if fused.all():
         labels = np.zeros(m, dtype=np.intp)
-        return Partition(assignment=labels, K_hat=1, alpha=group_estimates(fit.beta, labels, 1),
-                         group_sizes=np.array([m]))
+        return Partition(assignment=labels, alpha=group_estimates(fit.beta, labels))
     pairs = admm.build_pair_index(m)
     # edges between roots; at first every location is its own root
     a, b = pairs.i_idx[fused], pairs.j_idx[fused]
@@ -55,20 +52,16 @@ def extract_partition(fit: FitResult, zero_tol: float = ZERO_TOL) -> Partition:
         b = root[b]
         apart = a != b
         a, b = a[apart], b[apart]
-    _, labels, sizes = np.unique(root, return_inverse=True, return_counts=True)
-    K = sizes.size
-    alpha = group_estimates(fit.beta, labels, K)
-    return Partition(assignment=labels, K_hat=K, alpha=alpha, group_sizes=sizes)
+    labels = np.unique(root, return_inverse=True)[1]
+    return Partition(assignment=labels, alpha=group_estimates(fit.beta, labels))
 
 
-def group_estimates(beta: np.ndarray, assignment: np.ndarray, K: Optional[int] = None) -> np.ndarray:
-    """Unweighted mean of the member coefficient rows, one row per group."""
+def group_estimates(beta: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """Unweighted mean of the member coefficient rows, one row per label 0..max."""
     beta = np.atleast_2d(beta)
     assignment = np.asarray(assignment, dtype=int)
-    if K is None:
-        K = int(assignment.max()) + 1
-    alpha = np.zeros((K, beta.shape[1]))
-    counts = np.bincount(assignment, minlength=K).astype(float)
+    counts = np.bincount(assignment).astype(float)
+    alpha = np.zeros((counts.size, beta.shape[1]))
     np.add.at(alpha, assignment, beta)
     return alpha / counts[:, None]
 

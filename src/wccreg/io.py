@@ -229,13 +229,23 @@ def partition_to_dict(partition: Partition, location_ids: Optional[list[str]] = 
 
 
 def partition_from_dict(d: dict) -> Partition:
-    labels = np.asarray(d["assignment"], dtype=int) - 1
-    return Partition(
-        assignment=labels,
-        K_hat=int(d["K_hat"]),
-        alpha=np.asarray(d["alpha"], dtype=float),
-        group_sizes=np.asarray(d["group_sizes"], dtype=int),
-    )
+    """Integer labels 1..K_hat, one ``alpha`` row each, and ``K_hat`` and
+    ``group_sizes`` as they give them; each failure names the field."""
+    labels = np.asarray(d["assignment"])
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ValidationError(f"partition field 'assignment' must be a list of integer labels, "
+                              f"got {d['assignment']!r}")
+    alpha = np.atleast_2d(np.asarray(d["alpha"], dtype=float))
+    try:
+        part = Partition(assignment=labels - 1, alpha=alpha)
+    except ValidationError:
+        raise ValidationError(f"partition fields 'assignment' and 'alpha' disagree: labels "
+                              f"{np.unique(labels).tolist()} for {alpha.shape[0]} alpha rows") from None
+    for name, value in (("K_hat", part.K_hat), ("group_sizes", part.group_sizes.tolist())):
+        if not np.array_equal(d[name], value):
+            raise ValidationError(f"partition field {name!r} is {d[name]!r}, but the assignment "
+                                  f"gives {value}")
+    return part
 
 
 def dumps(obj: dict) -> str:

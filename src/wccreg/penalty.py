@@ -6,9 +6,8 @@ up to ``lam``, blends quadratically on ``(lam, gamma*lam]`` and is flat
 beyond.  The quadrature form lives only in the test oracles; everything here
 is the closed-form piecewise version.  On the slack support the work is
 split three ways: :func:`live_columns` tells which pair columns the map may
-leave nonzero (and :func:`no_live_columns`, without building that mask,
-whether there is any), the ADMM loop (``admm.fit``) alone decides, once per
-iteration, whether to gather them and scatters the result, and
+leave nonzero, or that none is, the ADMM loop (``admm.fit``) alone decides,
+once per iteration, whether to gather them and scatters the result, and
 :func:`prox_columns` maps whatever block it is given, always in full.
 """
 
@@ -124,37 +123,27 @@ def column_norms(block: np.ndarray) -> np.ndarray:
     return np.abs(block[0]) if block.shape[0] == 1 else np.sqrt(np.einsum("kl,kl->l", block, block))
 
 
-def live_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float,
-                 norms: np.ndarray | None = None) -> np.ndarray:
+def live_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarray | None:
     """Mask of the columns of a (p, n_pairs) block that :func:`prox_columns`
-    may leave nonzero: all but those with ``||kappa|| <= lam/vartheta``, which
-    every branch zeroes, so a NaN norm is live; all of them at ``lam == 0``.
-    ``norms`` are kappa's :func:`column_norms` when the caller has them."""
-    if spec.lam == 0:
-        return np.ones(kappa.shape[1], dtype=bool)
-    return ~((column_norms(kappa) if norms is None else norms) <= spec.lam / vartheta)
+    may leave nonzero, or None when there is none.
 
-
-def no_live_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float,
-                    norms: np.ndarray | None = None) -> bool:
-    """Whether no column of a (p, n_pairs) block is live: exactly
-    ``not live_columns(kappa, spec, vartheta).any()``, without building the mask.
-
-    At p = 1 the norm is ``abs``, which is exact, so the test is kappa's
-    largest and negated smallest entry against ``lam/vartheta``; at p > 1 it
-    is the largest of ``norms`` (kappa's :func:`column_norms`, computed when
-    not given).  A NaN makes either comparison false, like the live mask's.
-    At ``lam == 0`` every column is live, so only a block of no columns has
-    none.
+    A column is dead when ``||kappa|| <= lam/vartheta``, which every branch
+    zeroes, so a NaN norm is live; at ``lam == 0`` every column is live.  The
+    all-dead test builds no mask: at p = 1, where the norm is the exact
+    ``abs``, it compares kappa's largest and negated smallest entry, and at
+    p > 1 the largest :func:`column_norms`, which the mask then reuses.
     """
     if kappa.shape[1] == 0:
-        return True
+        return None
     if spec.lam == 0:
-        return False
+        return np.ones(kappa.shape[1], dtype=bool)
     t = spec.lam / vartheta
-    if kappa.shape[0] == 1:
-        return bool(kappa.max() <= t and -kappa.min() <= t)
-    return bool((column_norms(kappa) if norms is None else norms).max() <= t)
+    if kappa.shape[0] == 1 and kappa.max() <= t and -kappa.min() <= t:
+        return None
+    norms = column_norms(kappa)
+    if kappa.shape[0] > 1 and norms.max() <= t:
+        return None
+    return ~(norms <= t)
 
 
 def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarray:

@@ -150,8 +150,5 @@ def select_lambda(data: Dataset, grid: Sequence[float], gamma: float = ScadSpec.
         skipped = [r.lam for r in records if not r.converged]
         logger.warning("skipping %d non-converged candidates: %s", len(skipped), skipped)
 
-    best = candidates[0]
-    for rec in candidates[1:]:
-        if rec.bic < best.bic:
-            best = rec
+    best = min(candidates, key=lambda r: r.bic)   # the first of equal scores
     return best.lam, best.fit, best.partition, path

@@ -286,27 +286,29 @@ class FitResult:
 
 @dataclass(frozen=True)
 class Partition:
-    """Location-to-group assignment with the group-level coefficient means."""
+    """Location-to-group labels (m,), each of 0..K_hat-1 used at least once,
+    and the group-level coefficient means ``alpha`` (K_hat, p): ``K_hat`` is
+    its row count and ``group_sizes`` the count of each label."""
 
-    assignment: np.ndarray     # (m,) int labels 0..K_hat-1, by first appearance
-    K_hat: int
-    alpha: np.ndarray          # (K_hat, p)
-    group_sizes: np.ndarray    # (K_hat,) ints
+    assignment: np.ndarray
+    alpha: np.ndarray
 
     def __post_init__(self):
         lab = np.array(self.assignment, dtype=int, copy=True)
         lab.flags.writeable = False
         object.__setattr__(self, "assignment", lab)
         object.__setattr__(self, "alpha", _readonly(np.atleast_2d(self.alpha)))
-        sizes = np.array(self.group_sizes, dtype=int, copy=True)
-        sizes.flags.writeable = False
-        object.__setattr__(self, "group_sizes", sizes)
-        if len(np.unique(self.assignment)) != self.K_hat:
-            raise ValidationError("K_hat does not match the number of distinct groups")
-        if self.assignment.size and (self.assignment.min() < 0 or self.assignment.max() != self.K_hat - 1):
-            raise ValidationError("group labels must be 0..K_hat-1")
-        if int(self.group_sizes.sum()) != self.assignment.size:
-            raise ValidationError("group sizes must sum to the number of locations")
+        if not np.array_equal(np.unique(lab), np.arange(self.K_hat)):
+            raise ValidationError(f"group labels must be exactly 0..K_hat-1 for K_hat = {self.K_hat} "
+                                  f"alpha rows, got {np.unique(lab).tolist()}")
+
+    @property
+    def K_hat(self) -> int:
+        return self.alpha.shape[0]
+
+    @property
+    def group_sizes(self) -> np.ndarray:
+        return np.bincount(self.assignment, minlength=self.K_hat)
 
     @property
     def m(self) -> int:

@@ -162,10 +162,7 @@ def partition_from_groups(groups, m: int, p: int, data=None) -> w.Partition:
         if lab not in relabel:
             relabel[lab] = len(relabel)
         out[i] = relabel[lab]
-    K = len(relabel)
-    alpha = np.zeros((K, p))
-    sizes = np.bincount(out, minlength=K)
-    return w.Partition(assignment=out, K_hat=K, alpha=alpha, group_sizes=sizes)
+    return w.Partition(assignment=out, alpha=np.zeros((len(relabel), p)))
 
 
 def weighted_loss(data: w.Dataset, beta, eta) -> float:
@@ -204,8 +201,7 @@ def brute_force_partition(data: w.Dataset, spec: w.ScadSpec):
     for groups in set_partitions(range(m)):
         part = partition_from_groups(groups, m, data.p)
         eta, alpha = w.refit_oracle(data, part)
-        part = w.Partition(assignment=part.assignment, K_hat=part.K_hat,
-                           alpha=alpha, group_sizes=part.group_sizes)
+        part = w.Partition(assignment=part.assignment, alpha=alpha)
         beta = alpha[part.assignment]
         obj = objective(data, beta, eta, spec)
         if best is None or obj < best[1]:

@@ -704,17 +704,22 @@ class TestFit:
     def test_support_is_found_once_per_iteration_above_the_gate(self, rng, monkeypatch, m):
         # the loop alone finds the support: above the gate (m = 100, 4,950
         # pairs) it takes live_columns of the whole kappa block once per
-        # iteration, and below it (m = 8, 28 pairs) never
+        # iteration, also where no column is live (lam = 0.8 fuses every
+        # pair), and below it (m = 8, 28 pairs) never
         ds, _ = random_dataset(rng, m=m, p=1, q=1, n_range=(4, 9), noise=0.3,
                                groups=[(0.0,)] * 9 + [(1.5,)])
         shapes = []
         real = admm.live_columns
         monkeypatch.setattr(admm, "live_columns",
                             lambda kappa, *a: shapes.append(kappa.shape) or real(kappa, *a))
-        res = w.fit(ds, w.ScadSpec(lam=0.2))
-        assert res.iterations > 2
         n_pairs = m * (m - 1) // 2
-        assert shapes == ([(1, n_pairs)] * res.iterations if n_pairs >= admm._SUPPORT_MIN_PAIRS else [])
+        for lam in (0.2, 0.8):
+            shapes.clear()
+            res = w.fit(ds, w.ScadSpec(lam=lam))
+            assert res.iterations > 2
+            assert shapes == ([(1, n_pairs)] * res.iterations if n_pairs >= admm._SUPPORT_MIN_PAIRS else [])
+        if m == 100:
+            assert w.extract_partition(res).K_hat == 1 and not np.any(res.zeta)
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("vt", [1.0, 0.7])

@@ -130,7 +130,7 @@ class TestExtractPartition:
         assert built == []
         assert every.K_hat == 1 and np.array_equal(every.group_sizes, [m])
         assert np.array_equal(every.assignment, np.zeros(m, dtype=int))
-        assert np.array_equal(every.alpha, w.group_estimates(beta, np.zeros(m, dtype=int), 1))
+        assert np.array_equal(every.alpha, w.group_estimates(beta, np.zeros(m, dtype=int)))
         if m == 1:
             return
         part = w.extract_partition(fit, zero_tol=float(np.nextafter(tol, -np.inf)))
@@ -205,8 +205,7 @@ class TestRefitOracle:
 
     def test_singleton_partition_equals_wls(self, rng):
         ds, _ = random_dataset(rng, m=4, p=2)
-        part = w.Partition(assignment=np.arange(4), K_hat=4,
-                           alpha=np.zeros((4, 2)), group_sizes=np.ones(4, dtype=int))
+        part = w.Partition(assignment=np.arange(4), alpha=np.zeros((4, 2)))
         eta, alpha = w.refit_oracle(ds, part)
         ref = np.vstack([oracles.weighted_ls(b) for b in ds.locations])
         assert np.abs(alpha - ref).max() < 1e-9
@@ -217,8 +216,7 @@ class TestRefitOracle:
         ds, truth = random_dataset(rng, m=6, p=2, n_range=(60, 61), noise=0.1,
                                    groups=groups)
         labels = np.array([0, 1, 0, 1, 0, 1])
-        part = w.Partition(assignment=labels, K_hat=2, alpha=np.zeros((2, 2)),
-                           group_sizes=np.array([3, 3]))
+        part = w.Partition(assignment=labels, alpha=np.zeros((2, 2)))
         eta, alpha = w.refit_oracle(ds, part)
         # crude SE bound: noise / sqrt(total group rows)
         se = 0.1 / np.sqrt(3 * 60) * 3.0
@@ -260,7 +258,6 @@ class TestRefitOracle:
 
     def test_partition_size_mismatch_rejected(self, rng):
         ds, _ = random_dataset(rng, m=3, p=1)
-        part = w.Partition(assignment=np.arange(2), K_hat=2,
-                           alpha=np.zeros((2, 1)), group_sizes=np.ones(2, dtype=int))
+        part = w.Partition(assignment=np.arange(2), alpha=np.zeros((2, 1)))
         with pytest.raises(ValueError):
             w.refit_oracle(ds, part)

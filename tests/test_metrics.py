@@ -82,8 +82,7 @@ class TestAdjustedRandIndex:
         assert val == 1.0
 
     def test_partition_objects_accepted(self):
-        part = w.Partition(assignment=np.array([0, 0, 1]), K_hat=2,
-                           alpha=np.zeros((2, 1)), group_sizes=np.array([2, 1]))
+        part = w.Partition(assignment=np.array([0, 0, 1]), alpha=np.zeros((2, 1)))
         assert w.adjusted_rand_index(part, np.array([0, 0, 1])) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

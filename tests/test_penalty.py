@@ -211,10 +211,11 @@ class TestZetaProximal:
 
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("vt", [1.0, 0.7])
-    def test_no_live_columns_is_an_empty_live_mask(self, rng, p, vt):
-        # the all-dead test agrees with the live mask on blocks whose norms
+    def test_live_columns_is_none_exactly_when_the_mask_is_empty(self, rng, p, vt):
+        # no live column gives None, and otherwise the mask of the columns
+        # whose norm is not at or below lam/vartheta, on blocks whose norms
         # sit at lam/vartheta, one ulp above it, on +-0 columns, with a NaN
-        # column and on a block of no columns; given the norms it reads them
+        # column and on a block of no columns
         spec = w.ScadSpec(lam=0.37, gamma=3.7)
         t = spec.lam / vt
         cases = []
@@ -230,12 +231,14 @@ class TestZetaProximal:
         for kappa in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                dead = penalty.no_live_columns(kappa, spec, vt)
-                assert dead == penalty.no_live_columns(kappa, spec, vt, penalty.column_norms(kappa))
-            assert dead == (not penalty.live_columns(kappa, spec, vt).any())
-            got.append(dead)
+                mask = penalty.live_columns(kappa, spec, vt)
+            ref = ~(penalty.column_norms(kappa) <= t)
+            assert (mask is None) == (not ref.any())
+            assert mask is None or np.array_equal(mask, ref)
+            got.append(mask is None)
             # at lam = 0 every column is live, a zero one too
-            assert penalty.no_live_columns(kappa, w.ScadSpec(lam=0.0), vt) == (kappa.shape[1] == 0)
+            mask = penalty.live_columns(kappa, w.ScadSpec(lam=0.0), vt)
+            assert (mask is None) == (kappa.shape[1] == 0) and (mask is None or mask.all())
         assert got == [True, True, False, False, False, False, True, True, True]
 
     @pytest.mark.parametrize("p", [1, 3])
@@ -260,6 +263,8 @@ class TestZetaProximal:
         direction = rng.standard_normal((p, n))
         kappa = direction / np.linalg.norm(direction, axis=0) * norms     # exact norms at p = 1
         mask = penalty.live_columns(kappa, spec, vt)
+        assert (mask is None) == (n_live == 0)
+        mask = np.zeros(n, dtype=bool) if mask is None else mask
         assert np.array_equal(mask, penalty.column_norms(kappa) > t)
         scaled = []
         real = penalty._column_scale
@@ -294,8 +299,8 @@ class TestZetaProximal:
         assert not np.any(np.delete(full, cols, axis=1))
         for p in (1, 2):
             empty = np.zeros((p, 0))
-            cols = np.flatnonzero(penalty.live_columns(empty, spec, vt))
-            assert cols.size == 0
+            assert penalty.live_columns(empty, spec, vt) is None
+            cols = np.zeros(0, dtype=np.intp)
             for got in (prox_columns(empty.take(cols, axis=1), spec, vt), prox_columns(empty, spec, vt)):
                 assert got.shape == (p, 0)
                 assert np.array_equal(got, oracles.prox_columns_branchwise(empty, spec, vt))

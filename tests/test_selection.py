@@ -15,9 +15,7 @@ def _fit_and_partition(beta, eta, labels):
     npairs = m * (m - 1) // 2
     fit = w.FitResult(beta=beta, eta=eta, zeta=np.zeros((p, npairs)), v=np.zeros((p, npairs)),
                       iterations=1, final_residual=0.0, converged=True)
-    K = int(max(labels)) + 1
-    part = w.Partition(assignment=labels, K_hat=K, alpha=np.zeros((K, p)),
-                       group_sizes=np.bincount(labels, minlength=K))
+    part = w.Partition(assignment=labels, alpha=np.zeros((int(max(labels)) + 1, p)))
     return fit, part
 
 

@@ -211,14 +211,20 @@ class TestConfigs:
 
 class TestPartitionContainer:
     def test_rejects_inconsistent_k(self):
-        with pytest.raises(w.ValidationError):
-            w.Partition(assignment=np.array([0, 0, 1]), K_hat=3,
-                        alpha=np.zeros((3, 1)), group_sizes=np.array([2, 1, 0]))
+        # three alpha rows (K_hat = 3) for two labels
+        with pytest.raises(w.ValidationError, match="labels must be exactly 0..K_hat-1"):
+            w.Partition(assignment=np.array([0, 0, 1]), alpha=np.zeros((3, 1)))
+
+    def test_rejects_an_unused_label(self):
+        with pytest.raises(w.ValidationError, match="labels must be exactly 0..K_hat-1"):
+            w.Partition(assignment=np.array([0, 0, 2]), alpha=np.zeros((3, 1)))
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(w.ValidationError):
-            w.Partition(assignment=np.array([0, 1]), K_hat=2,
-                        alpha=np.zeros((2, 1)), group_sizes=np.array([2, 1]))
+        # a report's group sizes must be those of its assignment
+        d = {"K_hat": 2, "assignment": [1, 1, 2], "alpha": [[0.0], [1.0]], "group_sizes": [1, 2]}
+        with pytest.raises(w.ValidationError, match="partition field 'group_sizes' is \\[1, 2\\], "
+                                                    "but the assignment gives \\[2, 1\\]"):
+            wio.partition_from_dict(d)
 
 
 class TestSerializationRoundTrip:
@@ -317,14 +323,27 @@ class TestSerializationRoundTrip:
             wio.fit_result_from_dict(d)
 
     def test_partition_round_trip(self):
-        part = w.Partition(assignment=np.array([0, 1, 0, 2]), K_hat=3,
-                           alpha=np.array([[1.0], [2.0], [3.0]]),
-                           group_sizes=np.array([2, 1, 1]))
+        part = w.Partition(assignment=np.array([0, 1, 0, 2]), alpha=np.array([[1.0], [2.0], [3.0]]))
         import json
         back = wio.partition_from_dict(json.loads(wio.dumps(wio.partition_to_dict(part))))
         assert np.array_equal(back.assignment, part.assignment)
         assert back.K_hat == part.K_hat
         assert np.array_equal(back.alpha, part.alpha)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", [[0.0], [1.0], [2.0]], "fields 'assignment' and 'alpha' disagree: labels \\[1, 2\\] for 3"),
+        ("K_hat", 3, "field 'K_hat' is 3, but the assignment gives 2"),
+        ("assignment", [1.7, 2.2, 1], "field 'assignment' must be a list of integer labels"),
+        ("assignment", [[1, 1, 2]], "field 'assignment' must be a list of integer labels"),
+    ], ids=["alpha_rows", "k_hat", "float_labels", "nested_labels"])
+    def test_partition_report_that_disagrees_with_its_assignment_is_rejected(self, field, value, message):
+        # a report's K_hat and alpha rows must match its labels, which must be
+        # integers: 1.7 and 2.2 are not read as 1 and 2
+        d = {"K_hat": 2, "assignment": [1, 1, 2], "alpha": [[0.0], [1.0]], "group_sizes": [2, 1]}
+        assert wio.partition_from_dict(d).K_hat == 2
+        d[field] = value
+        with pytest.raises(w.ValidationError, match=f"^partition {message}"):
+            wio.partition_from_dict(d)
 
 
 def test_public_names_are_unique_and_resolve():
