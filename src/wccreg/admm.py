@@ -24,7 +24,11 @@ O(m p (p + q)) numpy passes.
 
 :func:`fit` is the one ADMM loop: each iteration is a coefficient solve, the
 proximal map on every pair (:func:`penalty.prox_columns`) and a multiplier
-step, written inline against the bundle.  It runs in the scaled form (Boyd et
+step, written inline against the bundle.  The map sorts the pair columns by
+norm into dead, identity and the two shrink bands, and does the shrink
+arithmetic, over the whole block, only in an iteration where some column is
+in a band; otherwise the slack is kappa times the 0/1 identity mask, byte
+for byte what the branchwise form gives.  It runs in the scaled form (Boyd et
 al. 2011, section 3.1.1): the loop carries the scaled multiplier
 ``u = v / vartheta``, which takes the products and quotients by vartheta off
 the pair blocks (one product on the (m, p) right-hand side is left) and, at
@@ -40,13 +44,13 @@ From ``_SUPPORT_MIN_PAIRS`` (4,096) pairs up the concave penalty leaves most
 slacks at exact zeros, and the loop works on their support, which it alone
 finds and holds, once per iteration: it gathers the live columns of kappa
 into one compact block, which the ordinary proximal map (it knows nothing of
-the support) maps whole; the loop writes the result once into a zero slack
-block, steps r and u from the compact block, and hands that same block to
-:meth:`_Bundle.difference_adjoint`, which gathers only the pair positions.
-``D'u`` is carried through ``A'A = (mI - J) (x) I_p``.  Most such
-iterations have no live column at all, so the loop tests that first, without
-a mask, and keeps the zero slack block while the support stays empty; at
-p = 1 the differences repeat beta_i instead of gathering it.  What these
+the support) maps like any other block; the loop writes the result once into
+a zero slack block, steps r and u from the compact block, and hands that same
+block to :meth:`_Bundle.difference_adjoint`, which gathers only the pair
+positions.  ``D'u`` is carried through ``A'A = (mI - J) (x) I_p``.  Most
+such iterations have no live column at all, so the loop tests that first,
+without a mask, and keeps the zero slack block while the support stays
+empty; at p = 1 the differences repeat beta_i instead of gathering it.  What these
 large blocks cost is the number of passes over pair blocks larger than a
 core's cache, so each step here saves whole passes.  The branches have equal
 iterations and partitions; :func:`fit` bounds how far their fitted numbers
@@ -366,7 +370,7 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
       whether any column of ``kappa`` is live at all and only then builds the
       mask of the live columns; the loop counts the mask.  While they are
       fewer than a quarter of all, they are taken once as a
-      compact (p, k) block and mapped whole by :func:`penalty.prox_columns`;
+      compact (p, k) block and handed whole to :func:`penalty.prox_columns`;
       the mapped block is written once into a zero ``zeta``, ``u`` becomes
       ``kappa`` off the support and on it steps from the compact blocks with
       the float operations above; ``D'zeta`` scatter-adds the compact block
@@ -480,7 +484,10 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
         logger.warning("solver hit max_iter=%d with primal residual %.3e (tol %.1e)",
                        cfg.max_iter, primal, cfg.tol)
     logger.debug("fit finished: %d iterations, primal %.3e, dual %.3e", iterations, primal, dual)
-    return FitResult(beta=beta, eta=eta, zeta=zeta, v=vt * u,
+    # zeta and v are this fit's own fresh arrays: frozen, FitResult keeps them uncopied
+    v = vt * u
+    zeta.flags.writeable = v.flags.writeable = False
+    return FitResult(beta=beta, eta=eta, zeta=zeta, v=v,
                      iterations=iterations, final_residual=primal,
                      converged=converged, final_dual_residual=dual)
 

@@ -8,7 +8,10 @@ is the closed-form piecewise version.  On the slack support the work is
 split three ways: :func:`live_columns` tells which pair columns the map may
 leave nonzero, or that none is, the ADMM loop (``admm.fit``) alone decides,
 once per iteration, whether to gather them and scatters the result, and
-:func:`prox_columns` maps whatever block it is given, always in full.
+:func:`prox_columns` maps whatever block it is given.  The map sorts every
+column by its norm into dead, identity and the two shrink bands; only when a
+band is occupied does it do the shrink arithmetic, over the whole block, and
+otherwise it multiplies the block by the 0/1 identity mask.
 """
 
 from __future__ import annotations
@@ -150,41 +153,67 @@ def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
     """Column-vectorized :func:`zeta_proximal` for a (p, n) block of kappas,
     pair-major, one column per pair.
 
-    Each column is multiplied by one scale: ``max(0, 1 - t/||kappa||)`` with
-    ``t = lam/vartheta`` on the soft-threshold branch, the same with
-    ``t = gamma*lam*shrink`` and divided by ``1 - shrink`` on the middle
-    branch, and exactly 1 on the identity branch: the columns with
-    ``||kappa|| > max(lam + lam/vartheta, gamma*lam)``, which for every norm
-    that is not NaN are those past ``gamma*lam`` and off the soft-threshold
-    branch.  One ``np.where`` picks the threshold and every later step writes
-    into the scale in place; every element gets the float operations of the
-    branchwise form, bit for bit.  For p = 1 the norm is ``abs``, which does
-    not underflow; for p > 1 a column whose norm underflows to 0 is zeroed,
-    like a zero column.
+    Each column falls in one class by its norm: dead (``||kappa|| <= t`` with
+    ``t = lam/vartheta``, or NaN), identity (past
+    ``max(lam + lam/vartheta, gamma*lam)``, which for every norm that is not
+    NaN means past ``gamma*lam`` and off the soft-threshold branch), or one of
+    the two shrink bands between.  When no column is in a band, the result is
+    ``kappa`` times the 0/1 identity mask.  Otherwise :func:`_band_scale`
+    gives every column one factor: ``max(0, 1 - t/||kappa||)`` on the
+    soft-threshold band, the same with ``t = gamma*lam*shrink`` and divided
+    by ``1 - shrink`` on the middle band, and exactly 0 or 1 on the dead and
+    identity columns.  Either way every element gets the float operations of
+    the branchwise form, bit for bit, signed zeros and NaN columns included.
+    For p = 1 the norm is ``abs``, which does not underflow; for p > 1 a
+    column whose norm underflows to 0 is dead, like a zero column.
 
-    The map reads every column it is given.  Which columns those are (all
-    pairs, or only the live ones of :func:`live_columns`, gathered
-    C-ordered) and where the result goes is decided by ``admm.fit``.
+    The map classifies every column it is given and picks its path from the
+    class counts.  Which columns those are (all pairs, or only the live ones
+    of :func:`live_columns`, gathered C-ordered) and where the result goes
+    is decided by ``admm.fit``.
     """
     check_prox_compatible(spec, vartheta)
     kappa = np.asarray(kappa, dtype=float)
     if spec.lam == 0:
         return kappa.copy()
-    return kappa * _column_scale(column_norms(kappa), spec.lam, spec.gamma, vartheta)
+    lam, gam = spec.lam, spec.gamma
+    t = lam / vartheta
+    norms = column_norms(kappa)
+    identity = norms > max(lam + t, gam * lam)
+    middle = norms > lam + t
+    n_identity = np.count_nonzero(identity)
+    n_middle = np.count_nonzero(middle) - n_identity
+    if not n_middle and np.count_nonzero(norms > t) == n_identity:
+        return kappa * identity
+    return kappa * _band_scale(norms, identity if n_identity else None,
+                               middle ^ identity if n_middle else None, lam, gam, vartheta)
 
 
-def _column_scale(norms: np.ndarray, lam: float, gam: float, vartheta: float) -> np.ndarray:
-    """The per-column factor of :func:`prox_columns` for columns of these norms."""
-    soft_top = lam + lam / vartheta
-    beyond_soft = norms > soft_top
+def _band_scale(norms: np.ndarray, identity: np.ndarray | None, middle: np.ndarray | None,
+                lam: float, gam: float, vartheta: float) -> np.ndarray:
+    """The per-column factor of :func:`prox_columns` for columns of these
+    norms, some of them in a shrink band, written over ``norms``.
+    ``identity`` and ``middle`` mark the identity and the middle-band
+    columns, each None when there is none.
+
+    Every column divides its threshold by ``max(||kappa||, lam/vartheta)``, so
+    a dead or NaN column gets ``1 - 1``, exactly 0, and no quotient overflows
+    or, unless lam/vartheta underflows to 0, has a zero divisor.  The last
+    ``fmax`` takes the identity columns, whose soft-threshold factor is at
+    most 1, to exactly 1.  The middle band's threshold and divisor are picked
+    only when a column is on it.
+    """
+    t = lam / vartheta
     shrink = 1.0 / ((gam - 1.0) * vartheta)
-    scale = np.where(beyond_soft, gam * lam * shrink, lam / vartheta)     # the threshold t
-    # a zero norm (also one that underflowed) gives 1 - t/0 = -inf, or nan
-    # where t underflowed too; fmax takes both to the soft-threshold zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(scale, norms, out=scale)
+    scale = np.fmax(norms, t, out=norms)
+    threshold = t if middle is None else np.where(middle, gam * lam * shrink, t)
+    if t > 0:
+        np.divide(threshold, scale, out=scale)
+    else:   # lam/vartheta underflowed to 0: a dead column divides 0 by 0, which fmax zeroes
+        with np.errstate(invalid="ignore"):
+            np.divide(threshold, scale, out=scale)
     np.subtract(1.0, scale, out=scale)
-    np.fmax(0.0, scale, out=scale)
-    np.divide(scale, 1.0 - shrink, out=scale, where=beyond_soft)
-    np.putmask(scale, norms > max(soft_top, gam * lam), 1.0)
+    np.fmax(0.0 if identity is None else identity, scale, out=scale)
+    if middle is not None:
+        np.divide(scale, np.where(middle, 1.0 - shrink, 1.0), out=scale)
     return scale

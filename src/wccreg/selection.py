@@ -51,8 +51,11 @@ class BicVariant:
         return math.log(data.m * data.p + data.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaRecord:
+    """One candidate of a lambda path: its fit, partition and BIC.  Two
+    records are equal only when they are the same object."""
+
     lam: float
     fit: FitResult
     partition: Partition

@@ -39,6 +39,12 @@ class SingularSystemError(RuntimeError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only C-contiguous float64 array: ``a`` itself when it is
+    one already and owns its data (as the solver's frozen results do),
+    otherwise a copy."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+            and not a.flags.writeable and a.flags.owndata):
+        return a
     out = np.array(a, dtype=float, order="C")
     out.flags.writeable = False
     return out
@@ -83,7 +89,8 @@ class Dataset:
     row, as a CSV carries it; then every row of a location must give the same
     N, and the dataset keeps one per location (integral float64).  The
     constructor copies the arrays into read-only C-contiguous float arrays
-    (offsets as integers) and runs :func:`_check_stacked`, also when reached
+    (offsets as integers; a row array that already is one and owns its data
+    is kept) and runs :func:`_check_stacked`, also when reached
     through ``dataclasses.replace`` or ``pickle`` (which keeps the fields
     alone).  Two datasets are equal only when they are the same object.
     """
@@ -247,7 +254,7 @@ class AdmmConfig:
             raise ValidationError(f"init_ridge must be nonnegative and finite, got {self.init_ridge}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Converged (or capped) solver state plus iteration diagnostics.
 
@@ -259,7 +266,10 @@ class FitResult:
     ``vartheta ||D'(zeta_k - zeta_{k-1})||`` of the last iteration, computed
     once after the loop (on large pair blocks from the loop's own sums
     ``D'zeta_k`` and ``D'zeta_{k-1}``); it is logged for diagnostics only and
-    never used for stopping.
+    never used for stopping.  The arrays are held read-only: one that already
+    is a read-only C-contiguous float64 array owning its data, as
+    ``admm.fit`` hands over zeta and v, is kept as is, and any other is
+    copied.  Two results are equal only when they are the same object.
     """
 
     beta: np.ndarray           # (m, p)
@@ -284,11 +294,12 @@ class FitResult:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Location-to-group labels (m,), each of 0..K_hat-1 used at least once,
     and the group-level coefficient means ``alpha`` (K_hat, p): ``K_hat`` is
-    its row count and ``group_sizes`` the count of each label."""
+    its row count and ``group_sizes`` the count of each label.  Two
+    partitions are equal only when they are the same object."""
 
     assignment: np.ndarray
     alpha: np.ndarray

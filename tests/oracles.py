@@ -369,7 +369,10 @@ def prox_columns_branchwise(kappa: np.ndarray, spec: w.ScadSpec, vartheta: float
     Same float operations per element as :func:`wccreg.penalty.prox_columns`:
     the threshold and the divisor each picked by ``np.where`` on the
     soft-threshold test, and the identity branch wherever a column is past
-    both ``lam + lam/vartheta`` and ``gamma*lam``.
+    both ``lam + lam/vartheta`` and ``gamma*lam``, which a NaN norm is not:
+    a NaN column gets the factor 0, as a dead one does.  It divides by the
+    norm itself, so a dead column's ``1 - t/norm`` is at most 0 (or nan),
+    which ``fmax`` takes to 0.
     """
     lam, gam = spec.lam, spec.gamma
     if lam == 0:
@@ -378,9 +381,10 @@ def prox_columns_branchwise(kappa: np.ndarray, spec: w.ScadSpec, vartheta: float
     low = norms <= lam + lam / vartheta
     shrink = 1.0 / ((gam - 1.0) * vartheta)
     thr = np.where(low, lam / vartheta, gam * lam * shrink)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero or subnormal norm gives t/norm = inf (or nan), which fmax zeroes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.fmax(0.0, 1.0 - thr / norms) / np.where(low, 1.0, 1.0 - shrink)
-    scale = np.where(low | (norms <= gam * lam), scale, 1.0)
+    scale = np.where((norms > lam + lam / vartheta) & (norms > gam * lam), 1.0, scale)
     return kappa * scale
 
 

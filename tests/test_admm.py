@@ -519,6 +519,21 @@ class TestObjective:
 
 
 class TestFit:
+    @pytest.mark.parametrize("m", [1, 6, 100])
+    def test_result_keeps_the_fits_own_slack_and_multiplier(self, rng, monkeypatch, m):
+        # the fit freezes the zeta and v it made, and the result keeps them
+        # without a copy, on the plain loop, on the support path and at m = 1
+        handed = []
+        real = admm.FitResult
+        monkeypatch.setattr(admm, "FitResult", lambda **kw: handed.append(kw) or real(**kw))
+        ds, _ = random_dataset(rng, m=m, p=1)
+        res = w.fit(ds, w.ScadSpec(lam=0.3), w.AdmmConfig(max_iter=50))
+        (kw,) = handed
+        for name in ("zeta", "v"):
+            kept = getattr(res, name)
+            assert kept is kw[name] and not kept.flags.writeable
+            assert m == 1 or np.shares_memory(kept, kw[name])
+
     def test_lam_zero_matches_wls_oracle(self, rng):
         for _ in range(10):
             ds, _ = random_dataset(rng, m=int(rng.integers(2, 10)), p=int(rng.integers(1, 4)))

@@ -14,6 +14,11 @@ import oracles
 SPEC = w.ScadSpec(lam=0.5, gamma=3.0)
 
 
+def same_bytes(a, b):
+    """Equal shape, dtype and bytes: tells -0.0 from 0.0, and NaN equals itself."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestScadValue:
     def test_zero(self):
         assert w.scad_value(0.0, SPEC) == 0.0
@@ -165,10 +170,15 @@ class TestZetaProximal:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("vt", [1.0, 2.0, 0.7])
     def test_prox_columns_bit_identical_to_branchwise_form(self, rng, p, vt):
-        # the in-place passes make the same float operations per element as
-        # one np.where per branch decision, on random and on boundary norms;
+        # the map makes the same float operations per element as one np.where
+        # per branch decision, on random and on boundary norms, on both signs
+        # and on NaN columns, byte for byte (so the sign of every zero too);
         # at gamma*lam the middle branch rounds to 1 + 2^-52 for (0.37, 3.7)
-        # and to 1 - 2.3e-15 for (0.123, 2.5) at vartheta = 0.7
+        # and to 1 - 2.3e-15 for (0.123, 2.5) at vartheta = 0.7.  Each block is
+        # mapped whole, with both bands, and as its columns of each class
+        # alone, which takes the 0/1 path and the single-band paths
+        nan_cols = np.full((p, 2), np.nan)
+        nan_cols[1:, 1] = -1.0      # at p > 1, NaN beside a finite entry
         for spec in (w.ScadSpec(lam=0.4, gamma=3.2), w.ScadSpec(lam=0.37, gamma=3.7),
                      w.ScadSpec(lam=0.123, gamma=2.5)):
             edges = [spec.lam / vt, spec.lam + spec.lam / vt, spec.gamma * spec.lam]
@@ -177,8 +187,18 @@ class TestZetaProximal:
             direction[0] = np.abs(direction[0]) + 1.0
             direction[1:] = 0.0     # the norm is the first entry, exactly
             kappa = direction / direction[0] * norms
-            kappa = np.concatenate([kappa, rng.standard_normal((p, 500)) * rng.uniform(0.01, 3.0, 500)], axis=1)
-            assert np.array_equal(prox_columns(kappa, spec, vt), oracles.prox_columns_branchwise(kappa, spec, vt))
+            kappa = np.concatenate([kappa, -kappa, nan_cols,
+                                    rng.standard_normal((p, 500)) * rng.uniform(0.01, 3.0, 500)], axis=1)
+            kappa[1:, :2 * len(norms)] = -0.0
+            nrm = penalty.column_norms(kappa)
+            classes = [~(nrm > edges[0]), (nrm > edges[0]) & ~(nrm > edges[1]),
+                       (nrm > edges[1]) & ~(nrm > max(edges[1:])), nrm > max(edges[1:])]
+            blocks = [kappa] + [kappa[:, c] for c in classes] + [kappa[:, classes[0] | classes[3]]]
+            for block in blocks:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = prox_columns(block, spec, vt)
+                assert same_bytes(got, oracles.prox_columns_branchwise(block, spec, vt))
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("vt", [1.0, 0.7])
@@ -245,10 +265,12 @@ class TestZetaProximal:
     @pytest.mark.parametrize("vt", [1.0, 0.7])
     @pytest.mark.parametrize("live_share", [0.0, 0.1, 0.24, 0.5])
     def test_prox_columns_on_the_live_columns_match_branchwise_form(self, rng, monkeypatch, p, vt, live_share):
-        # the live columns, taken as a compact block, are scaled alone and
-        # equal the branchwise form's on those columns; the branchwise form is
-        # zero on the dead columns, and the full pass, which scales every
-        # column, equals it everywhere
+        # the live columns, taken as a compact block, equal the branchwise
+        # form's on those columns, byte for byte; the branchwise form is zero
+        # on the dead columns, and the full block equals it everywhere.  The
+        # band factor is computed once, over every column given, exactly when
+        # one of them is in a shrink band; otherwise the map takes kappa times
+        # its 0/1 identity mask
         spec = w.ScadSpec(lam=0.37, gamma=3.7)
         n = 5000
         t = spec.lam / vt
@@ -266,18 +288,21 @@ class TestZetaProximal:
         assert (mask is None) == (n_live == 0)
         mask = np.zeros(n, dtype=bool) if mask is None else mask
         assert np.array_equal(mask, penalty.column_norms(kappa) > t)
+        nrm = penalty.column_norms(kappa)
+        band = (nrm > t) & ~(nrm > max(spec.lam + t, spec.gamma * spec.lam))
         scaled = []
-        real = penalty._column_scale
-        monkeypatch.setattr(penalty, "_column_scale", lambda nr, *a: scaled.append(nr.size) or real(nr, *a))
+        real = penalty._band_scale
+        monkeypatch.setattr(penalty, "_band_scale", lambda nr, *a: scaled.append(nr.size) or real(nr, *a))
         ref = oracles.prox_columns_branchwise(kappa, spec, vt)
         live = np.flatnonzero(mask)
         out = prox_columns(kappa.take(live, axis=1), spec, vt)
-        assert np.array_equal(out, ref[:, live])
+        assert same_bytes(out, ref[:, live])
         assert not np.any(ref[:, ~mask])
-        assert scaled == [live.size]
+        assert scaled == ([live.size] if band.any() else [])
         scaled.clear()
-        assert np.array_equal(prox_columns(kappa, spec, vt), ref)
-        assert scaled == [n]
+        assert same_bytes(prox_columns(kappa, spec, vt), ref)
+        assert scaled == ([n] if band.any() else [])
+        assert band.any() == (n_live > 0)
 
     def test_prox_columns_keeps_nan_and_empty_blocks_on_the_live_columns(self):
         # a NaN column is live, so mapping only the live columns gives the
@@ -295,7 +320,7 @@ class TestZetaProximal:
             full = prox_columns(kappa, spec, vt)
         assert cols.tolist() == [7, 9]
         assert np.isnan(out[0, 0]) and np.array_equal(out[:, 1], [3.0, 0.0])
-        assert np.array_equal(out, full[:, cols], equal_nan=True)
+        assert same_bytes(out, full[:, cols])
         assert not np.any(np.delete(full, cols, axis=1))
         for p in (1, 2):
             empty = np.zeros((p, 0))
@@ -324,14 +349,47 @@ class TestZetaProximal:
         assert np.all(out == 0.0)
 
     def test_prox_columns_zeroes_a_zero_column_when_the_threshold_underflows(self):
-        # lam/vartheta rounds to 0, so a zero column divides 0 by 0
+        # lam/vartheta rounds to 0, so a zero column divides 0 by 0 once a
+        # column is in a band: at p = 1, 5e-324 is on the soft-threshold band
+        # (0, lam] and 1e-323 on the middle band (lam, gamma*lam].  Those
+        # norms underflow in zeta_proximal's np.linalg.norm, so that block is
+        # checked against the branchwise form alone
         spec, vt = w.ScadSpec(lam=5e-324), 2.0
-        kappa = np.array([[0.0, 1e-170, 0.25], [0.0, 1e-170, 0.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = prox_columns(kappa, spec, vt)
-        for l in range(kappa.shape[1]):
-            assert np.array_equal(out[:, l], w.zeta_proximal(kappa[:, l], spec, vt)), l
+        assert spec.lam / vt == 0.0
+        for kappa in (np.array([[0.0, 1e-170, 0.25], [0.0, 1e-170, 0.0]]),
+                      np.array([[0.0, -0.0, 5e-324, -1e-323, 0.25, np.nan]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = prox_columns(kappa, spec, vt)
+            assert same_bytes(out, oracles.prox_columns_branchwise(kappa, spec, vt))
+            if kappa.shape[0] == 2:
+                for l in range(kappa.shape[1]):
+                    assert np.array_equal(out[:, l], w.zeta_proximal(kappa[:, l], spec, vt)), l
+            else:
+                assert out[0, [0, 1, 2, 4]].tolist() == [0.0, -0.0, 5e-324, 0.25]
+                assert -1e-323 < out[0, 3] < 0.0        # shrunk, not zeroed
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_prox_columns_on_subnormal_and_edge_norms_raises_no_warning(self, p):
+        # a subnormal dead column used to divide lam/vartheta by its norm,
+        # which overflows at p = 1; every column here, of norm 0, -0, a
+        # subnormal, lam/vartheta, one ulp above it or a band edge, with
+        # either sign, maps as zeta_proximal does and raises no warning
+        spec = w.ScadSpec(lam=0.5)
+        for vt in (1.0, 0.7):
+            t = spec.lam / vt
+            norms = [0.0, -0.0, 5e-324, 1e-320, t, np.nextafter(t, np.inf),
+                     spec.lam + t, spec.gamma * spec.lam]
+            kappa = np.zeros((p, 2 * len(norms)))
+            kappa[0] = np.concatenate([norms, np.negative(norms)])    # the norm is the first entry, exactly
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = prox_columns(kappa, spec, vt)
+                for l in range(kappa.shape[1]):
+                    ref = w.zeta_proximal(kappa[:, l], spec, vt)
+                    np.testing.assert_allclose(out[:, l], ref, rtol=1e-15, atol=0, err_msg=str(kappa[:, l]))
+            assert same_bytes(out, oracles.prox_columns_branchwise(kappa, spec, vt))
+            assert not np.any(out[:, [0, 1, 2, 3, 4, 8, 9, 10, 11, 12]])
 
     @pytest.mark.parametrize("vt", [0.09, 0.36, 0.53, 0.95])
     def test_check_prox_compatible_rejects_a_divisor_that_rounds_to_zero(self, vt):

@@ -7,6 +7,7 @@ import pytest
 import wccreg as w
 from wccreg import admm
 from wccreg import io as wio
+from wccreg.selection import LambdaRecord
 
 from conftest import random_dataset, stack
 
@@ -225,6 +226,46 @@ class TestPartitionContainer:
         with pytest.raises(w.ValidationError, match="partition field 'group_sizes' is \\[1, 2\\], "
                                                     "but the assignment gives \\[2, 1\\]"):
             wio.partition_from_dict(d)
+
+
+class TestResultContainers:
+    def test_results_compare_and_hash_by_identity(self):
+        # their fields are arrays, so a field-wise == would ask an array for
+        # its truth value; equality is identity, as for Dataset
+        def part():
+            return w.Partition(assignment=np.array([0, 1, 0]), alpha=np.zeros((2, 1)))
+
+        def fit():
+            return w.FitResult(beta=np.zeros((3, 1)), eta=np.zeros(0), zeta=np.zeros((1, 3)),
+                               v=np.zeros((1, 3)), iterations=1, final_residual=0.0, converged=True)
+
+        def record():
+            return LambdaRecord(lam=0.5, fit=fit(), partition=part(), bic=1.0)
+
+        for make in (part, fit, record):
+            a, b = make(), make()
+            assert a == a and a != b and not (a == b)
+            assert hash(a) == hash(a) and len({a, b}) == 2
+
+    def test_fit_result_keeps_frozen_owned_arrays_and_copies_the_rest(self):
+        zeta, v = np.array([[0.0, 1.0, 2.0]]), np.ones((1, 3))
+        zeta.flags.writeable = False
+        wide = np.zeros((1, 6))
+        view = wide[:, ::2]
+        view.flags.writeable = False
+        fit = w.FitResult(beta=np.zeros((3, 1)), eta=np.zeros(0), zeta=zeta, v=v,
+                          iterations=1, final_residual=0.0, converged=True)
+        assert fit.zeta is zeta and np.shares_memory(fit.zeta, zeta)
+        assert not np.shares_memory(fit.v, v) and not fit.v.flags.writeable
+        v[0, 0] = 5.0
+        assert fit.v[0, 0] == 1.0
+        # a read-only array that does not own its data, or is not float64, is copied
+        for other in (view, np.zeros((1, 3), dtype=np.float32)):
+            other.flags.writeable = False
+            fit = w.FitResult(beta=np.zeros((3, 1)), eta=np.zeros(0), zeta=other, v=v,
+                              iterations=1, final_residual=0.0, converged=True)
+            assert not np.shares_memory(fit.zeta, other)
+            assert fit.zeta.dtype == np.float64 and fit.zeta.flags.c_contiguous and fit.zeta.flags.owndata
 
 
 class TestSerializationRoundTrip:
