@@ -8,7 +8,7 @@ from .admm import (
     fit,
     initialize,
 )
-from .grouping import extract_partition, group_estimates, location_estimates, refit_oracle
+from .grouping import extract_partition, group_estimates, refit_oracle
 from .metrics import adjusted_rand_index, rand_index_counts, rmse_beta
 from .penalty import ScadSpec, group_soft_threshold, scad_value, zeta_proximal
 from .selection import BicVariant, LambdaPath, default_lambda_grid, modified_bic, select_lambda
@@ -39,7 +39,7 @@ __all__ = [
     "adjusted_rand_index", "build_pair_index", "default_lambda_grid",
     "extract_partition", "fit", "generate_mean_population", "generate_population",
     "group_estimates", "group_soft_threshold", "informative_probabilities", "initialize",
-    "location_estimates", "modified_bic", "poisson_sample", "rand_index_counts",
+    "modified_bic", "poisson_sample", "rand_index_counts",
     "refit_oracle", "rmse_beta", "run_monte_carlo",
     "scad_value", "select_lambda", "zeta_proximal",
 ]

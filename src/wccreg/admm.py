@@ -24,11 +24,7 @@ O(m p (p + q)) numpy passes.
 
 :func:`fit` is the one ADMM loop: each iteration is a coefficient solve, the
 proximal map on every pair (:func:`penalty.prox_columns`) and a multiplier
-step, written inline against the bundle.  The map sorts the pair columns by
-norm into dead, identity and the two shrink bands, and does the shrink
-arithmetic, over the whole block, only in an iteration where some column is
-in a band; otherwise the slack is kappa times the 0/1 identity mask, byte
-for byte what the branchwise form gives.  It runs in the scaled form (Boyd et
+step, written inline against the bundle.  It runs in the scaled form (Boyd et
 al. 2011, section 3.1.1): the loop carries the scaled multiplier
 ``u = v / vartheta``, which takes the products and quotients by vartheta off
 the pair blocks (one product on the (m, p) right-hand side is left) and, at
@@ -38,23 +34,8 @@ once after the loop.  The loop starts from the coefficients of
 :func:`initialize`, with slacks at their differences and multipliers at zero.
 A single location has no pairs: its pair blocks are (p, 0), the first
 iteration already has a zero primal residual, and the loop stops there.
-
-The loop has two branches, split by the pair count, and owns that gate.
-From ``_SUPPORT_MIN_PAIRS`` (4,096) pairs up the concave penalty leaves most
-slacks at exact zeros, and the loop works on their support, which it alone
-finds and holds, once per iteration: it gathers the live columns of kappa
-into one compact block, which the ordinary proximal map (it knows nothing of
-the support) maps like any other block; the loop writes the result once into
-a zero slack block, steps r and u from the compact block, and hands that same
-block to :meth:`_Bundle.difference_adjoint`, which gathers only the pair
-positions.  ``D'u`` is carried through ``A'A = (mI - J) (x) I_p``.  Most
-such iterations have no live column at all, so the loop tests that first,
-without a mask, and keeps the zero slack block while the support stays
-empty; at p = 1 the differences repeat beta_i instead of gathering it.  What these
-large blocks cost is the number of passes over pair blocks larger than a
-core's cache, so each step here saves whole passes.  The branches have equal
-iterations and partitions; :func:`fit` bounds how far their fitted numbers
-drift apart, and gives the reason for the gate.
+From ``_SUPPORT_MIN_PAIRS`` (4,096) pairs up the loop works on the slack
+support instead; :func:`fit` describes that path and its gate.
 """
 
 from __future__ import annotations
@@ -128,7 +109,7 @@ class _Bundle:
     one column per pair: their pair blocks are contiguous (p, n_pairs) arrays.
     The normal equations are kept as per-location blocks plus Z'WZ, with eta
     already profiled out of the right-hand side (``XtQy``); no (mp)^2 array
-    is built.
+    is built.  At q = 0 the Z blocks are empty and take the same steps.
     """
 
     def __init__(self, data: Dataset):
@@ -178,18 +159,15 @@ class _Bundle:
         ZtWZ = self.Z.T @ wZ
         self.ZtW = wZ.T                         # (q, n_total)
 
+        def factor_z(tau):
+            G = ZtWZ + tau * np.eye(q)
+            return G, cho_factor(G, lower=True)
+        # Z'WZ is kept as factored, with its jitter if it needed one, so the
+        # coefficient update, X'Qy and eta all read the same matrix
+        self.ZtWZ, self.gz_factor = _factor_spd(factor_z, lambda: np.trace(ZtWZ), "Z'WZ")
         # X'Qy = X'Wy - B (Z'WZ)^{-1} Z'Wy with B = X'WZ stacked
-        self.XtQy = XtWy.reshape(-1)
-        self.ZtWZ, self.gz_factor = ZtWZ, None
-        if q > 0:
-            def factor_z(tau):
-                G = ZtWZ + tau * np.eye(q)
-                return G, cho_factor(G, lower=True)
-            # Z'WZ is kept as factored, with its jitter if it needed one, so
-            # the coefficient update, X'Qy and eta all read the same matrix
-            self.ZtWZ, self.gz_factor = _factor_spd(factor_z, lambda: np.trace(ZtWZ), "Z'WZ")
-            ZtWy = self.Z.T @ wy
-            self.XtQy = self.XtQy - self.XtWZ.reshape(m * p, q) @ cho_solve(self.gz_factor, ZtWy)
+        ZtWy = self.Z.T @ wy
+        self.XtQy = XtWy.reshape(-1) - self.XtWZ.reshape(m * p, q) @ cho_solve(self.gz_factor, ZtWy)
         self._factors: dict[float, tuple] = {}
 
     def factor(self, scale: float) -> tuple:
@@ -202,18 +180,16 @@ class _Bundle:
                                                     "coefficient update matrix")
         return self._factors[key]
 
-    def solve_beta(self, scale: float, rhs: np.ndarray) -> np.ndarray:
-        return _structured_solve(self.factor(scale), rhs)
-
     def residuals(self, beta: np.ndarray, eta: np.ndarray | None = None) -> np.ndarray:
         """Stacked residuals ``y - x'beta_i - z'eta`` over all rows; the eta
-        term is left out when eta is None or q = 0."""
+        term is left out when eta is None."""
         resid = self.y - np.sum(self.X * beta[self.row_location], axis=1)
-        if self.q > 0 and eta is not None:
+        if eta is not None:
             resid = resid - self.Z @ eta
         return resid
 
     def eta_update(self, beta: np.ndarray) -> np.ndarray:
+        # the one q test: at q = 0 eta is empty, with no pass over the rows
         if self.q == 0:
             return np.zeros(0)
         return cho_solve(self.gz_factor, self.ZtW @ self.residuals(beta))
@@ -272,7 +248,7 @@ def _factor_spd(factor, trace, what: str):
 def _structured_factor(A: np.ndarray, B: np.ndarray, G: np.ndarray, G_factor, scale: float, what: str) -> tuple:
     """Factor of ``M = blockdiag(A_i) - B G^{-1} B' + scale (k I - J) (x) I_p`` for
     A (k, p, p), B (k, p, q), G (q, q) positive definite with Cholesky factor
-    G_factor (None when q = 0), by :func:`_factor_spd`.  ``M + tau I = D - U C U'``
+    G_factor (empty when q = 0), by :func:`_factor_spd`.  ``M + tau I = D - U C U'``
     with ``D = blockdiag(A_i + (scale k + tau) I)``, ``U = [B, sqrt(scale) 1_k (x) I_p]``
     (B at scale 0) and ``C = blockdiag(G^{-1}, I_p)``; its inverse is ``D^{-1} + V V'``
     (Woodbury), ``V = D^{-1} U L_K^{-T}``, L_K the Cholesky factor of ``K = C^{-1} - U'D^{-1}U``.
@@ -299,7 +275,7 @@ def _structured_factor(A: np.ndarray, B: np.ndarray, G: np.ndarray, G_factor, sc
     def trace():
         Bf = B.reshape(k * p, q)
         return (np.einsum("kii->", A) + scale * p * k * (k - 1)
-                - (np.sum(Bf.T * cho_solve(G_factor, Bf.T)) if q else 0.0))
+                - np.sum(Bf.T * cho_solve(G_factor, Bf.T)))
 
     return _factor_spd(factor, trace, what)
 
@@ -341,7 +317,7 @@ def initialize(data: Dataset, cfg: AdmmConfig) -> np.ndarray:
     weight replaced by ``2 * init_ridge``.
     """
     bundle = prepared(data)
-    return bundle.solve_beta(2.0 * cfg.init_ridge, bundle.XtQy)
+    return _structured_solve(bundle.factor(2.0 * cfg.init_ridge), bundle.XtQy)
 
 
 def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitResult:
@@ -392,12 +368,11 @@ def fit(data: Dataset, spec: ScadSpec, cfg: AdmmConfig = AdmmConfig()) -> FitRes
 
     These sums round differently from the plain loop's, so on large blocks
     beta, eta, zeta and v drift from it, with the same iterations and
-    partitions: by 4.5e-12 after 1,698 iterations (2e-12 after 556) on the
-    m = 100, p = 3 path of ``tools/support_drift.py``, 3.6e-13 at p = 2;
-    where every pair fuses, zeta is the same zero block.  The
-    gate is where the support path starts to pay: below it, its fixed cost
-    per iteration (the live mask and its count, the support's index, the
-    scatter on it) exceeds the passes it skips.
+    partitions; ``tools/support_drift.py`` prints how far, per lambda.  Where
+    every pair fuses, zeta is the same zero block.  The gate is where the
+    support path starts to pay: below it, its fixed cost per iteration (the
+    live mask and its count, the support's index, the scatter on it) exceeds
+    the passes it skips.
     """
     check_prox_compatible(spec, cfg.vartheta)
     bundle = prepared(data)

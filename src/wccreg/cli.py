@@ -37,11 +37,6 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _unweighted_copy(data: Dataset) -> Dataset:
-    """Replace every inclusion probability by the overall sampling fraction."""
-    return simulation.unweighted_copy(data, min(1.0, data.n_total / int(data.N.sum())))
-
-
 def _standardize(data: Dataset):
     """Center/scale y and the non-constant X columns, pooled over all rows.
 
@@ -93,7 +88,7 @@ def cmd_fit(args) -> int:
         _check_out_file(Path(args.out))
     data = wio.load_dataset_csv(args.csv, p=args.p, q=args.q)
     if args.unweighted:
-        data = _unweighted_copy(data)
+        data = simulation.unweighted_copy(data, min(1.0, data.n_total / int(data.N.sum())))
     std_info = None
     if args.standardize:
         data, std_info = _standardize(data)
@@ -110,7 +105,7 @@ def cmd_fit(args) -> int:
             "init_ridge": args.init_ridge, "bic_variant": args.bic_variant,
             "unweighted": bool(args.unweighted), "standardize": bool(args.standardize),
         },
-        "location_ids": data.location_ids(),
+        "location_ids": list(data.ids),
     }
 
     if args.lam is not None:
@@ -131,7 +126,7 @@ def cmd_fit(args) -> int:
 
     report["selection"] = {"lambda_star": float(lam_star), "bic": float(bic)}
     report["fit"] = wio.fit_result_to_dict(fit)
-    report["partition"] = wio.partition_to_dict(part, data.location_ids())
+    report["partition"] = wio.partition_to_dict(part, data.ids)
     if std_info is not None:
         report["standardization"] = std_info
         report["partition"]["alpha_original_scale"] = _alpha_original_scale(part.alpha, std_info)

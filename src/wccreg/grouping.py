@@ -66,11 +66,6 @@ def group_estimates(beta: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     return alpha / counts[:, None]
 
 
-def location_estimates(partition: Partition) -> np.ndarray:
-    """Per-location coefficients implied by the partition: alpha of its group."""
-    return partition.alpha[partition.assignment]
-
-
 def refit_oracle(data: Dataset, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Weighted least squares with coefficients tied inside each group.
 

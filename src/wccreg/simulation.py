@@ -18,7 +18,6 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 import wccreg.selection as selection
-from .grouping import location_estimates
 from .metrics import adjusted_rand_index, rmse_beta
 from .selection import MEAN_MODEL, REGRESSION
 from .types import AdmmConfig, Dataset, SingularSystemError, ValidationError
@@ -288,7 +287,7 @@ def _run_rep(args) -> list:
             out.append(RepRecord(
                 rep=rep, method=meth, K_hat=part.K_hat, K_true=K_true,
                 ari=adjusted_rand_index(part.assignment, pop.labels),
-                rmse=rmse_beta(location_estimates(part), pop.truth),
+                rmse=rmse_beta(part.alpha[part.assignment], pop.truth),
                 lambda_star=lam, converged=fit.converged))
         except SingularSystemError as exc:
             logger.warning("rep %d method %s: fatal fit error (%s)", rep, meth, exc)

@@ -51,11 +51,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _rows(y, X, Z, pi, sigma2) -> tuple:
-    """Row arrays as read-only contiguous float copies (a 1-D Z is read as one
-    column per row)."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z.reshape(-1, 1)
+    """Row arrays as read-only C-contiguous float arrays (:func:`_readonly`)."""
     return (_readonly(y), _readonly(X), _readonly(Z), _readonly(pi),
             None if sigma2 is None else _readonly(sigma2))
 
@@ -143,9 +139,6 @@ class Dataset:
     @property
     def n_total(self) -> int:
         return self.y.shape[0]
-
-    def location_ids(self) -> list[str]:
-        return list(self.ids)
 
 
 def _check_stacked(ids: tuple, offsets, N, y, X, Z, pi, sigma2) -> tuple:

@@ -408,8 +408,10 @@ def unscaled_admm(data: w.Dataset, spec: w.ScadSpec, cfg: w.AdmmConfig) -> w.Fit
     beta = w.initialize(data, cfg)
     zeta = differences(beta)
     v = np.zeros_like(zeta)
+    factor = bundle.factor(vt)
     for k in range(cfg.max_iter):
-        beta = bundle.solve_beta(vt, bundle.XtQy + bundle.difference_adjoint(vt * zeta - v).reshape(-1))
+        rhs = bundle.XtQy + bundle.difference_adjoint(vt * zeta - v).reshape(-1)
+        beta = admm._structured_solve(factor, rhs)
         diffs = differences(beta)
         zeta_prev, zeta = zeta, prox_columns_branchwise(diffs + v / vt, spec, vt)
         v = v + vt * (diffs - zeta)

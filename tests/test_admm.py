@@ -150,7 +150,7 @@ class TestStructuredSolve:
             for scale in (0.0, 1.5):
                 rhs = rng.standard_normal(m * p)
                 ref = np.linalg.solve(oracles.dense_update_matrix(ds, scale), rhs)
-                x = bundle.solve_beta(scale, rhs)
+                x = admm._structured_solve(bundle.factor(scale), rhs)
                 assert x.shape == (m, p)
                 np.testing.assert_allclose(x.reshape(-1), ref, rtol=0, atol=1e-10,
                                            err_msg=f"m={m}, scale={scale}")
@@ -170,7 +170,7 @@ class TestStructuredSolve:
             np.linalg.cholesky(M)
         jittered = M + 1e-10 * np.trace(M) * np.eye(M.shape[0])
         rhs = rng.standard_normal(M.shape[0])
-        x = admm.prepared(ds).solve_beta(0.0, rhs).reshape(-1)
+        x = admm._structured_solve(admm.prepared(ds).factor(0.0), rhs).reshape(-1)
         assert np.linalg.norm(jittered @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
     def test_all_zero_design_is_fatal_and_named(self, rng):
@@ -189,7 +189,7 @@ class TestStructuredSolve:
         rhs = rng.standard_normal((m, ds.p))
         mean = rhs.mean(axis=0)
         exact = (rhs - mean) / (s * m + tau) + mean / tau
-        x = admm.prepared(ds).solve_beta(s, rhs.reshape(-1))
+        x = admm._structured_solve(admm.prepared(ds).factor(s), rhs.reshape(-1))
         assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
 
     def test_singular_shared_covariate_gram_is_jittered(self, rng):
@@ -205,8 +205,8 @@ class TestStructuredSolve:
         for scale in (0.0, 1.5):
             rhs = rng.standard_normal(ds.m * ds.p)
             ref = np.linalg.solve(oracles.dense_update_matrix(ds, scale, z_jitter=tau), rhs)
-            np.testing.assert_allclose(bundle.solve_beta(scale, rhs).reshape(-1), ref, rtol=0, atol=1e-10,
-                                       err_msg=f"scale={scale}")
+            x = admm._structured_solve(bundle.factor(scale), rhs)
+            np.testing.assert_allclose(x.reshape(-1), ref, rtol=0, atol=1e-10, err_msg=f"scale={scale}")
         # the zero column's eta is exactly 0; the rest is the q = 1 fit up to tau
         spec = w.ScadSpec(lam=float(_start_distances(ds1).min()))
         cfg = w.AdmmConfig(max_iter=5, vartheta=1.5)
@@ -232,8 +232,7 @@ class TestStructuredSolve:
         rhs = rng.standard_normal(bundle.m * bundle.p)
         tracemalloc.start()
         try:
-            bundle.factor(1.0)
-            bundle.solve_beta(1.0, rhs)
+            admm._structured_solve(bundle.factor(1.0), rhs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

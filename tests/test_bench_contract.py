@@ -110,7 +110,7 @@ def test_dataset_fields_the_bench_reads(rng, tmp_path, source):
         want = [{"location_id": f"loc{i + 1:03d}", "N": pop.H} for i in range(pop.m)]
     assert (ds.m, ds.p, ds.q) == (len(want), 2 if source == "csv" else 1, 1 if source == "csv" else 0)
     assert all(type(v) is int for v in (ds.m, ds.p, ds.q))
-    assert ds.location_ids() == [loc["location_id"] for loc in want]
+    assert ds.ids == tuple(loc["location_id"] for loc in want)
     assert len(ds.locations) == ds.m
     for b, loc in zip(ds.locations, want):
         assert b.location_id == loc["location_id"]

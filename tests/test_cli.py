@@ -1,5 +1,6 @@
 import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from wccreg.grouping import extract_partition
 from wccreg.penalty import ScadSpec
 from wccreg.types import AdmmConfig
 
-from conftest import random_dataset
+from conftest import random_dataset, write_dataset_csv
 
 HEADER = "location_id,N,y,pi,x1,z1"
 
@@ -220,6 +221,43 @@ class TestReport:
         entries = json.loads(text)["lambda_path"]
         assert [e["final_dual_residual"] for e in entries] == \
             [r.fit.final_dual_residual for r in path.records]
+
+
+class TestUnweighted:
+    """``wccreg fit --unweighted`` selects on the CSV's rows with every
+    inclusion probability replaced by the overall sampling fraction
+    min(1, n_total / sum N).  The Monte Carlo's CC fit uses expected_n / H
+    instead: that is the open FOUND on CC's constant in CHANGES.md, a policy
+    choice left to ROADMAP item 1, and this test pins the CLI's side of it."""
+
+    @staticmethod
+    def report(path, tmp_path, *extra):
+        out = tmp_path / "r.json"
+        assert cli.main(["fit", str(path), "--p", "1", "--out", str(out), *extra]) == cli.EXIT_OK
+        return json.loads(out.read_text(encoding="utf-8"))
+
+    def test_report_is_the_selection_on_the_sampling_fraction(self, tmp_path):
+        # an informative mean-model sample (pi grows with y, so weighting
+        # matters) whose unweighted selection keeps two groups
+        spec = simulation.ScenarioSpec(kind=simulation.MEAN_MODEL, expected_n=10, m=6, seed=2)
+        csv_path = tmp_path / "d.csv"
+        write_dataset_csv(csv_path, simulation.poisson_sample(simulation.generate_population(spec, 0), 2, 0))
+        data = wio.load_dataset_csv(csv_path, p=1)
+        constant = min(1.0, data.n_total / float(data.N.sum()))
+        assert 0 < constant < 1
+        unweighted = replace(data, pi=np.full(data.n_total, constant))
+        lam, fit, part, path = selection.select_lambda(
+            unweighted, selection.default_lambda_grid(unweighted))
+        report = self.report(csv_path, tmp_path, "--unweighted")
+        assert report["config"]["unweighted"] is True
+        assert report["selection"] == {"lambda_star": lam,
+                                       "bic": next(r.bic for r in path.records if r.fit is fit)}
+        assert report["partition"] == json.loads(wio.dumps(wio.partition_to_dict(part, data.ids)))
+        assert report["partition"]["K_hat"] == 2
+        assert report["fit"] == json.loads(wio.dumps(wio.fit_result_to_dict(fit)))
+        weighted = self.report(csv_path, tmp_path)
+        assert weighted["selection"]["bic"] != report["selection"]["bic"]
+        assert not np.allclose(weighted["fit"]["beta"], report["fit"]["beta"])
 
 
 def write_intercept_csv(path, rng, columns):

@@ -9,14 +9,15 @@ explicitly, because ``np.geomspace`` at 2a is not exactly twice the grid at a.
 Every BIC moves by log 4, to within 1e-15 or two units in the last place of
 the BIC, whichever is larger (at a BIC of 15 one unit is 1.8e-15).
 
-Two rewritings of the sample leave the whole selection unchanged up to the
+Three rewritings of the sample leave the whole selection unchanged up to the
 order of float sums: a row with inclusion probability pi <= 1/2 split into
-two rows with 2 pi (its weight is shared, not changed), and the locations
-taken in another order.  Both must pick the same lambda after the same
-iterations and reach the same partitions; beta may move by 1e-13 and the BIC
-by 1e-14 (they move by up to 4.4e-14 and 8.9e-16 here).  Again one explicit
-grid goes to both sides, since the split moves the default grid (by 1.1e-15
-on the regression case here).
+two rows with 2 pi (its weight is shared, not changed), the locations taken
+in another order, and the rows of each location taken in another order.
+Each must pick the same lambda after the same iterations and reach the same
+partitions; beta may move by 1e-13 and the BIC by 1e-14 (they move by up to
+4.4e-14 and 1.8e-15 here).  Again one explicit grid goes to both sides,
+since the split moves the default grid (by 1.1e-15 on the regression case
+here) and so does a row permutation (by 8.9e-16 there).
 """
 
 import math
@@ -110,6 +111,12 @@ def _permuted_locations(ds, order):
                     rows, ds.pi[rows])
 
 
+def _permuted_rows(ds, rng):
+    """``ds`` with the rows of each location in a random order."""
+    rows = np.concatenate([a + rng.permutation(b - a) for a, b in zip(ds.offsets[:-1], ds.offsets[1:])])
+    return _rebuilt(ds, ds.ids, np.diff(ds.offsets), ds.N, rows, ds.pi[rows])
+
+
 def _assert_same_selection(ds, other, grid, variant, order=None):
     """``other`` (``ds`` rewritten; its location j is location ``order[j]``
     of ``ds``) selects as ``ds`` does."""
@@ -163,4 +170,21 @@ def test_reordering_locations_keeps_the_regression_selection(rng):
     ds, grid, variant = _small_regression(rng)
     order = np.random.default_rng(5).permutation(ds.m)
     path = _assert_same_selection(ds, _permuted_locations(ds, order), grid, variant, order)
+    assert len({r.partition.K_hat for r in path.records}) > 1
+
+
+def test_reordering_rows_keeps_the_mean_cell_selection():
+    ds = _mean_cell()
+    permuted = _permuted_rows(ds, np.random.default_rng(5))
+    assert not np.array_equal(permuted.y, ds.y)
+    path = _assert_same_selection(ds, permuted, w.default_lambda_grid(ds),
+                                  w.BicVariant(kind="mean_model"))
+    assert len({r.partition.K_hat for r in path.records}) > 2
+
+
+def test_reordering_rows_keeps_the_regression_selection(rng):
+    ds, grid, variant = _small_regression(rng)
+    permuted = _permuted_rows(ds, np.random.default_rng(5))
+    assert not np.array_equal(permuted.y, ds.y)
+    path = _assert_same_selection(ds, permuted, grid, variant)
     assert len({r.partition.K_hat for r in path.records}) > 1

@@ -20,7 +20,7 @@ class TestLoadDatasetCsv:
         write_dataset_csv(path, ds, rng)
         assert "\n\n" in path.read_text(encoding="utf-8")
         back = wio.load_dataset_csv(path, p=2, q=q)
-        assert back.location_ids() == ds.location_ids()
+        assert back.ids == ds.ids
         for got, want in zip(back.locations, ds.locations):
             assert got.N == want.N
             assert got.Z.shape == (want.n, q)
@@ -134,7 +134,7 @@ class TestCsvParsersAgree:
         path.write_bytes(ending.join(lines).encode("utf-8"))
         got = wio.load_dataset_csv(path, p=2, q=1)
         want = oracles.csv_locations(path, p=2, q=1)
-        assert got.location_ids() == [loc["location_id"] for loc in want]
+        assert got.ids == tuple(loc["location_id"] for loc in want)
         for block, loc in zip(got.locations, want):
             assert type(block.N) is int and block.N == loc["N"]
             for name in ("y", "X", "Z", "pi", "sigma2"):

@@ -97,6 +97,70 @@ def test_methods_are_checked_before_any_replicate(monkeypatch, methods, message)
     assert drawn == []
 
 
+class TestAggregates:
+    """``McSummary`` and ``write_rep_csv`` on hand-built records, against
+    values worked out by hand.  Four replicates: rep 2 failed for both
+    methods (its sampling failed), and CC failed its fit in reps 1 and 3, so
+    CC has a single good replicate.  Every value below is exact in binary."""
+
+    SPEC = w.ScenarioSpec(kind="mean_model", expected_n=10, seed=7, reps=4)
+
+    @classmethod
+    def summary(cls):
+        R, nan = simulation.RepRecord, float("nan")
+        failed = dict(ari=nan, rmse=nan, lambda_star=nan, converged=False, failed=True)
+        records = (
+            R(0, "wcc", K_hat=3, K_true=3, ari=1.0, rmse=0.5, lambda_star=0.25, converged=True),
+            R(0, "cc", K_hat=3, K_true=3, ari=0.25, rmse=2.0, lambda_star=0.5, converged=True),
+            R(1, "wcc", K_hat=2, K_true=3, ari=0.5, rmse=1.5, lambda_star=0.5, converged=False),
+            R(1, "cc", K_hat=0, K_true=3, **failed),
+            R(2, "wcc", K_hat=0, K_true=0, **failed),
+            R(2, "cc", K_hat=0, K_true=0, **failed),
+            R(3, "wcc", K_hat=4, K_true=3, ari=0.75, rmse=1.0, lambda_star=0.125, converged=True),
+            R(3, "cc", K_hat=0, K_true=3, **failed),
+        )
+        return simulation.McSummary(scenario=cls.SPEC, methods=("wcc", "cc"), records=records)
+
+    # WCC: K_hat 3, 2, 4 (one correct), ARI 1, 0.5, 0.75, RMSE 0.5, 1.5, 1.0 sorted
+    # 0.5, 1.0, 1.5 (quartiles by linear interpolation); sds with ddof = 1
+    WCC = {"n_reps": 3, "k_mean": 3.0, "k_sd": 1.0, "prop_k_correct": 1 / 3,
+           "ari_mean": 0.75, "ari_sd": 0.25, "rmse_mean": 1.0, "rmse_sd": 0.5,
+           "rmse_median": 1.0, "rmse_q25": 0.75, "rmse_q75": 1.25, "failures": 1}
+    CC = {"n_reps": 1, "k_mean": 3.0, "k_sd": None, "prop_k_correct": 1.0,
+          "ari_mean": 0.25, "ari_sd": None, "rmse_mean": 2.0, "rmse_sd": None,
+          "rmse_median": 2.0, "rmse_q25": 2.0, "rmse_q75": 2.0, "failures": 3}
+
+    def test_summary_per_method(self):
+        summary = self.summary()
+        for meth, want in (("wcc", self.WCC), ("cc", self.CC)):
+            got = summary.summary(meth)
+            assert got == want, meth
+            assert all(type(got[k]) is type(v) for k, v in want.items()), meth
+
+    def test_to_dict(self):
+        assert self.summary().to_dict() == {
+            "scenario": {"kind": "mean_model", "expected_n": 10, "m": 49, "H": 120,
+                         "reps": 4, "seed": 7},
+            "methods": {"wcc": self.WCC, "cc": self.CC},
+        }
+
+    def test_rep_csv_rows(self, tmp_path):
+        path = tmp_path / "reps.csv"
+        simulation.write_rep_csv(self.summary(), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [
+                ["rep", "method", "K_hat", "ARI", "RMSE", "lambda_star", "converged"],
+                ["0", "WCC", "3", "1.0", "0.5", "0.25", "1"],
+                ["0", "CC", "3", "0.25", "2.0", "0.5", "1"],
+                ["1", "WCC", "2", "0.5", "1.5", "0.5", "0"],
+                ["1", "CC", "0", "nan", "nan", "nan", "0"],
+                ["2", "WCC", "0", "nan", "nan", "nan", "0"],
+                ["2", "CC", "0", "nan", "nan", "nan", "0"],
+                ["3", "WCC", "4", "0.75", "1.0", "0.125", "1"],
+                ["3", "CC", "0", "nan", "nan", "nan", "0"],
+            ]
+
+
 def test_table_generator_smoke(tmp_path):
     spec = w.ScenarioSpec(kind="mean_model", expected_n=6, seed=3, reps=2, m=10)
     summary = w.run_monte_carlo(spec)

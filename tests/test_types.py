@@ -177,9 +177,11 @@ class TestStackedDataset:
         with pytest.raises(w.ValidationError, match="^y must be 1-D"):
             w.Dataset(["a"], [0, 1.5], [9], **dict(rows(), y=np.zeros((3, 1))))
 
-    def test_a_one_dimensional_z_is_one_column(self):
-        ds = w.Dataset(["a"], [0, 3], [9], **dict(rows(), Z=np.arange(3.0)))
-        assert ds.q == 1 and ds.Z.tolist() == [[0.0], [1.0], [2.0]]
+    def test_a_one_dimensional_z_is_rejected(self):
+        # Z is (n, q) even at q = 1: a 1-D Z is not read as one column
+        with pytest.raises(w.ValidationError) as err:
+            w.Dataset(["a"], [0, 3], [9], **dict(rows(), Z=np.arange(3.0)))
+        assert str(err.value) == "Z must be 2-D, got shape (3,)"
 
 
 class TestConfigs:

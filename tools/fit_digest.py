@@ -1,8 +1,9 @@
-"""One sha256 over the fits, reports and populations of a fixed set, to show
-that a change leaves every fitted number, report byte and population as it
-was.
+"""One sha256 over the fits, selections, reports and populations of a fixed
+set, to show that a change leaves every fitted number, BIC, partition,
+report byte and population as it was.
 
     python tools/fit_digest.py [--src DIR]
+    python tools/fit_digest.py --src A --src B
 
 Runs the program in ``DIR`` (default: this checkout's ``src``) on:
 
@@ -19,11 +20,14 @@ Runs the program in ``DIR`` (default: this checkout's ``src``) on:
   at seeds 7 and 13, expected sample sizes 10 and 30 and replicates 0-3.
 
 Every candidate fit adds its beta, eta, zeta, v (shape and float64 bytes),
-iterations, both residuals and ``converged`` to the digest, every
-``cli_large`` task its JSON report bytes, and every population its labels,
-truth, y, X, pi and sigma (dtype, shape and bytes).  Prints one digest per
-part, the fit, report and population counts, and one digest over all.  Run
-it on two trees and compare the last line.  The path data is built with the
+iterations, both residuals and ``converged`` to the digest; every
+``select_lambda`` call its selected lambda and each candidate's lambda, BIC,
+assignment and alpha; every ``cli_large`` task its JSON report bytes; and
+every population its labels, truth, y, X, pi and sigma (dtype, shape and
+bytes).  Prints one digest per part, the fit, selection, report and
+population counts, and one digest over all.  With two ``--src`` trees it
+runs each in its own process, prints both digests of every part side by
+side, and exits 1 if any line differs.  The path data is built with the
 stacked constructor ``Dataset(ids, offsets, N, y, X, Z, pi, sigma2)``; a tree
 without it (before ``Dataset.from_arrays`` was folded into the constructor)
 is digested by its own copy of this tool.
@@ -36,6 +40,7 @@ import hashlib
 import importlib
 import os
 import struct
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -62,7 +67,7 @@ class Digest:
     def __init__(self):
         self.total = hashlib.sha256()
         self.part = hashlib.sha256()
-        self.fits = self.reports = self.populations = 0
+        self.fits = self.selections = self.reports = self.populations = 0
 
     def add(self, data: bytes) -> None:
         self.total.update(data)
@@ -76,6 +81,15 @@ class Digest:
         self.add(struct.pack("<qdd?", fit.iterations, fit.final_residual,
                              fit.final_dual_residual, bool(fit.converged)))
         self.fits += 1
+
+    def add_selection(self, lam_star, path) -> None:
+        import numpy as np
+        self.add(struct.pack("<d", lam_star))
+        for rec in path.records:
+            self.add(struct.pack("<dd", rec.lam, rec.bic))
+            for a in (rec.partition.assignment.astype("<i8"), rec.partition.alpha.astype("<f8")):
+                self.add(repr(a.shape).encode() + np.ascontiguousarray(a).tobytes())
+        self.selections += 1
 
     def add_population(self, pop) -> None:
         for name in ("labels", "truth", "y", "X", "pi", "sigma"):
@@ -110,23 +124,54 @@ def _path_dataset(p: int):
                    rng.uniform(0.15, 1.0, rows), sigma2)
 
 
+def _compare(trees: list) -> int:
+    """Digest each tree in its own process; print every part's digests side by
+    side and return 1 if any output line differs."""
+    outputs = []
+    for src in trees:
+        run = subprocess.run([sys.executable, __file__, "--src", str(src)],
+                             stdout=subprocess.PIPE, text=True)
+        if run.returncode != 0:
+            raise SystemExit(f"error: the digest of {src} exited {run.returncode}")
+        outputs.append(run.stdout.splitlines())
+    print("trees: " + " | ".join(str(src) for src in trees))
+    differs = False
+    for lines in zip(*outputs, strict=True):
+        same = len(set(lines)) == 1
+        differs |= not same
+        print(("same     " if same else "DIFFERS  ") + " | ".join(lines))
+    return 1 if differs else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the program tree to run")
+    ap.add_argument("--src", type=Path, action="append",
+                    help="the program tree to run (default: this checkout's src); "
+                         "give it twice to compare two trees")
     args = ap.parse_args(argv)
-    workloads = _load_program(args.src.resolve())
+    trees = args.src or [ROOT / "src"]
+    if len(trees) > 2:
+        ap.error("--src takes one tree, or two to compare")
+    if len(trees) == 2:
+        return _compare([src.resolve() for src in trees])
+    workloads = _load_program(trees[0].resolve())
     import numpy as np
     from wccreg import admm, selection, simulation
 
     digest = Digest()
-    real_fit = admm.fit
+    real_fit, real_select = admm.fit, selection.select_lambda
 
     def fit(*a, **k):
         res = real_fit(*a, **k)
         digest.add_fit(res)
         return res
 
-    admm.fit = fit
+    def select_lambda(*a, **k):
+        res = real_select(*a, **k)
+        digest.add_selection(res[0], res[3])
+        return res
+
+    admm.fit, selection.select_lambda = fit, select_lambda
     try:
         with tempfile.TemporaryDirectory() as tmp:
             cli_large = workloads.CliLarge(Path(tmp))
@@ -149,7 +194,7 @@ def main(argv=None) -> int:
             selection.select_lambda(data, np.geomspace(0.05 * anchor, anchor, PATH_GRID))
             digest.end_part(f"path m={PATH_M} p={p}")
     finally:
-        admm.fit = real_fit
+        admm.fit, selection.select_lambda = real_fit, real_select
     for kind in (simulation.MEAN_MODEL, simulation.REGRESSION):
         for seed in POP_SEEDS:
             for n in POP_NS:
@@ -157,7 +202,8 @@ def main(argv=None) -> int:
                 for rep in range(POP_REPS):
                     digest.add_population(simulation.generate_population(spec, rep))
     digest.end_part("populations")
-    print(f"{digest.fits} fits, {digest.reports} reports, {digest.populations} populations")
+    print(f"{digest.fits} fits, {digest.selections} selections, {digest.reports} reports, "
+          f"{digest.populations} populations")
     print(f"digest {digest.total.hexdigest()}")
     return 0
 
