@@ -75,7 +75,6 @@ class PairIndex:
     blocks.
     """
 
-    m: int
     i_idx: np.ndarray
     j_idx: np.ndarray
 
@@ -91,7 +90,7 @@ def build_pair_index(m: int) -> PairIndex:
         raise ValueError("m must be at least 1")
     i_idx, j_idx = np.triu_indices(m, k=1)
     i_idx.flags.writeable = j_idx.flags.writeable = False
-    return PairIndex(m=m, i_idx=i_idx, j_idx=j_idx)
+    return PairIndex(i_idx=i_idx, j_idx=j_idx)
 
 
 class _Bundle:

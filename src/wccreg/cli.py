@@ -67,7 +67,7 @@ def _alpha_original_scale(alpha: np.ndarray, info: dict) -> list:
     x_sd = np.asarray(info["x_sd"])
     j0 = info["constant_columns"].index(True)
     out = []
-    for row in np.atleast_2d(alpha):
+    for row in alpha:
         raw = y_sd * row / x_sd
         shift = y_mean - float(np.sum(raw * x_mean))
         raw[j0] += shift / info["constant_value"]

@@ -6,7 +6,7 @@ import numpy as np
 
 import wccreg.admm as admm
 from .penalty import column_norms
-from .types import Dataset, FitResult, Partition, ValidationError
+from .types import Dataset, FitResult, Partition, ValidationError, _readonly
 
 # default slack norm at or below which a pair counts as fused
 ZERO_TOL = 1e-6
@@ -57,8 +57,8 @@ def extract_partition(fit: FitResult, zero_tol: float = ZERO_TOL) -> Partition:
 
 
 def group_estimates(beta: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """Unweighted mean of the member coefficient rows, one row per label 0..max."""
-    beta = np.atleast_2d(beta)
+    """Unweighted mean of the member rows of ``beta`` (m, p), one row per label 0..max."""
+    beta = _readonly(beta, 2, "beta")
     assignment = np.asarray(assignment, dtype=int)
     counts = np.bincount(assignment).astype(float)
     alpha = np.zeros((counts.size, beta.shape[1]))

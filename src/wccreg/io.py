@@ -29,11 +29,11 @@ import base64
 import csv
 import json
 from io import StringIO
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
-from .types import Dataset, FitResult, Partition, ValidationError
+from .types import Dataset, FitResult, Partition, ValidationError, _readonly
 
 SCHEMA_VERSION = 2
 _PAIR_DTYPE = "<f8"
@@ -215,17 +215,15 @@ def fit_result_from_dict(d: dict) -> FitResult:
     )
 
 
-def partition_to_dict(partition: Partition, location_ids: Optional[list[str]] = None) -> dict:
-    # groups are reported 1-based in the interchange format
-    out = {
+def partition_to_dict(partition: Partition, location_ids: Sequence[str]) -> dict:
+    # groups are reported 1-based in the interchange format, beside each location's id
+    return {
         "K_hat": int(partition.K_hat),
         "assignment": [int(g) + 1 for g in partition.assignment],
         "alpha": partition.alpha.tolist(),
         "group_sizes": [int(s) for s in partition.group_sizes],
+        "location_ids": list(location_ids),
     }
-    if location_ids is not None:
-        out["location_ids"] = list(location_ids)
-    return out
 
 
 def partition_from_dict(d: dict) -> Partition:
@@ -235,7 +233,7 @@ def partition_from_dict(d: dict) -> Partition:
     if labels.ndim != 1 or labels.dtype.kind not in "iu":
         raise ValidationError(f"partition field 'assignment' must be a list of integer labels, "
                               f"got {d['assignment']!r}")
-    alpha = np.atleast_2d(np.asarray(d["alpha"], dtype=float))
+    alpha = _readonly(d["alpha"], 2, "partition field 'alpha'")
     try:
         part = Partition(assignment=labels - 1, alpha=alpha)
     except ValidationError:

@@ -1,4 +1,4 @@
-"""Partition-agreement and estimation-accuracy metrics."""
+"""Partition agreement of two label arrays, and the RMSE of two (m, p) coefficient arrays."""
 
 from __future__ import annotations
 
@@ -6,13 +6,7 @@ import warnings
 
 import numpy as np
 
-from .types import Partition
-
-
-def _labels(p) -> np.ndarray:
-    if isinstance(p, Partition):
-        return np.asarray(p.assignment, dtype=int)
-    return np.asarray(p, dtype=int)
+from .types import _readonly
 
 
 def rand_index_counts(p1, p2) -> tuple[int, int, int, int]:
@@ -23,7 +17,7 @@ def rand_index_counts(p1, p2) -> tuple[int, int, int, int]:
     Kept as the O(m^2) reference path; the ARI below uses the equivalent
     contingency-table computation.
     """
-    a, b = _labels(p1), _labels(p2)
+    a, b = np.asarray(p1, dtype=int), np.asarray(p2, dtype=int)
     if a.shape != b.shape:
         raise ValueError("partitions cover different location sets")
     same1 = a[:, None] == a[None, :]
@@ -45,7 +39,7 @@ def adjusted_rand_index(p1, p2) -> float:
     degenerate (both partitions all-singletons or both one-group) the
     partitions are identical, so it returns 1, with a warning.
     """
-    a, b = _labels(p1), _labels(p2)
+    a, b = np.asarray(p1, dtype=int), np.asarray(p2, dtype=int)
     if a.shape != b.shape:
         raise ValueError("partitions cover different location sets")
     n = a.size
@@ -76,12 +70,11 @@ def adjusted_rand_index(p1, p2) -> float:
 
 
 def rmse_beta(beta_hat: np.ndarray, beta_true: np.ndarray) -> float:
-    """Root of the average squared row-wise coefficient error.
+    """Root of the average squared row-wise error of two (m, p) coefficient arrays.
 
     (m, 1) columns give the RMSE of scalar per-location estimates (mean model).
     """
-    bh = np.atleast_2d(np.asarray(beta_hat, dtype=float))
-    bt = np.atleast_2d(np.asarray(beta_true, dtype=float))
+    bh, bt = _readonly(beta_hat, 2, "beta_hat"), _readonly(beta_true, 2, "beta_true")
     if bh.shape != bt.shape:
         raise ValueError("shape mismatch")
     return float(np.sqrt(np.mean(np.sum((bh - bt) ** 2, axis=1))))

@@ -88,6 +88,11 @@ def scad_value(t, spec: ScadSpec):
     return out if t.ndim else float(out)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm; ``abs`` for one entry, whose square may underflow or overflow."""
+    return abs(v.item()) if v.size == 1 else float(np.linalg.norm(v))
+
+
 def group_soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
     """Shrink the whole vector toward zero: ``(1 - t/||w||)_+ w``.
 
@@ -96,7 +101,7 @@ def group_soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
     if t < 0:
         raise ValidationError("threshold must be nonnegative")
     w = np.asarray(w, dtype=float)
-    nrm = float(np.linalg.norm(w))
+    nrm = _norm(w)
     if nrm <= t:
         return np.zeros_like(w)
     return (1.0 - t / nrm) * w
@@ -112,7 +117,7 @@ def zeta_proximal(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndar
     check_prox_compatible(spec, vartheta)
     kappa = np.asarray(kappa, dtype=float)
     lam, gam = spec.lam, spec.gamma
-    nrm = float(np.linalg.norm(kappa))
+    nrm = _norm(kappa)
     if nrm > gam * lam:
         return kappa.copy()
     if nrm <= lam + lam / vartheta:

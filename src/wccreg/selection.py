@@ -33,7 +33,7 @@ class BicVariant:
 
     ``regression`` charges ``K_hat * p + q`` parameters, ``mean_model``
     charges ``K_hat * p`` (intended for intercept-only designs, where p = 1).
-    ``C_m`` defaults to ``log(m p + q)`` of the dataset being scored.
+    ``C_m`` (None: ``log(m p + q)`` of the scored dataset) is read by :func:`modified_bic`.
     """
 
     kind: str = REGRESSION
@@ -44,11 +44,6 @@ class BicVariant:
             raise ValidationError(f"unknown BIC variant kind {self.kind!r}")
         if self.C_m is not None and not self.C_m > 0:
             raise ValidationError("C_m must be positive")
-
-    def resolve_cm(self, data: Dataset) -> float:
-        if self.C_m is not None:
-            return self.C_m
-        return math.log(data.m * data.p + data.q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +96,8 @@ def modified_bic(data: Dataset, fit: FitResult, partition: Partition,
         logger.warning("BIC residual term clamped at %g (perfect interpolation?)", _RESIDUAL_FLOOR)
         avg = _RESIDUAL_FLOOR
     units = partition.K_hat * data.p + (data.q if variant.kind == REGRESSION else 0)
-    return math.log(avg) + variant.resolve_cm(data) * (math.log(m) / m) * units
+    C_m = math.log(m * data.p + data.q) if variant.C_m is None else variant.C_m
+    return math.log(avg) + C_m * (math.log(m) / m) * units
 
 
 def default_lambda_grid(data: Dataset, cfg: AdmmConfig = AdmmConfig(), num: int = 30) -> np.ndarray:

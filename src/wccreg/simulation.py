@@ -109,13 +109,13 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key)))
 
 
-def informative_probabilities(scores: np.ndarray, expected_n: float) -> tuple[np.ndarray, np.ndarray]:
+def informative_probabilities(scores: np.ndarray, expected_n: float) -> np.ndarray:
     """Turn raw (possibly invalid) design scores into inclusion probabilities.
 
     Nonfinite or nonpositive scores are replaced by the smallest positive
     finite score in the location (1e-12 if there is none), the result is
     normalized to sum to ``expected_n``, and finally each probability is
-    clamped into [1e-6, 1].  Returns (pre-clamp, clamped).
+    clamped into [1e-6, 1], so the result need not sum to ``expected_n``.
     """
     s = np.array(scores, dtype=float, copy=True)
     bad = ~np.isfinite(s) | (s <= 0)
@@ -123,8 +123,7 @@ def informative_probabilities(scores: np.ndarray, expected_n: float) -> tuple[np
         s[:] = SCORE_FALLBACK
     elif bad.any():
         s[bad] = s[~bad].min()
-    pre = expected_n * s / s.sum()
-    return pre, np.clip(pre, PI_FLOOR, 1.0)
+    return np.clip(expected_n * s / s.sum(), PI_FLOOR, 1.0)
 
 
 def generate_population(spec: ScenarioSpec, rep: int = 0) -> Population:
@@ -163,7 +162,7 @@ def generate_population(spec: ScenarioSpec, rep: int = 0) -> Population:
         else:
             with np.errstate(invalid="ignore", divide="ignore"):
                 scores = np.log(y[i])
-        _, pis[i] = informative_probabilities(scores, spec.expected_n)
+        pis[i] = informative_probabilities(scores, spec.expected_n)
     return Population(labels=labels, truth=truth, y=y, X=X, pi=pis, sigma=sigma)
 
 

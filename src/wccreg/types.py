@@ -16,14 +16,16 @@ offending location, and nothing downstream repeats it.
 views of the stacked rows, built on first read.
 
 All containers are frozen dataclasses holding read-only numpy arrays, so they
-can be shared freely across threads.  A dataset also keeps the solver's
-precomputation, attached on first use outside its dataclass fields (see
-``admm.prepared``); threads that race there only build an equal
-precomputation twice.
+can be shared freely across threads.  :func:`_readonly` fixes each float
+array's dimension: any other fails, named, and none is reshaped.  A dataset
+also keeps the solver's precomputation, attached on first use outside its
+dataclass fields (see ``admm.prepared``); threads that race there only build
+an equal precomputation twice.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -38,22 +40,17 @@ class SingularSystemError(RuntimeError):
     """Raised when a normal system stays singular even after diagonal jitter."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a, ndim: int, name: str) -> np.ndarray:
     """``a`` as a read-only C-contiguous float64 array: ``a`` itself when it is
     one already and owns its data (as the solver's frozen results do),
-    otherwise a copy."""
-    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+    otherwise a copy.  It must have ``ndim`` dimensions; ``name`` names it."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
             and not a.flags.writeable and a.flags.owndata):
-        return a
-    out = np.array(a, dtype=float, order="C")
-    out.flags.writeable = False
-    return out
-
-
-def _rows(y, X, Z, pi, sigma2) -> tuple:
-    """Row arrays as read-only C-contiguous float arrays (:func:`_readonly`)."""
-    return (_readonly(y), _readonly(X), _readonly(Z), _readonly(pi),
-            None if sigma2 is None else _readonly(sigma2))
+        a = np.array(a, dtype=float, order="C")
+        a.flags.writeable = False
+    if a.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-D, got shape {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,9 @@ class Dataset:
 
     def __post_init__(self):
         ids = tuple(self.ids)
-        rows = _rows(self.y, self.X, self.Z, self.pi, self.sigma2)
+        rows = (_readonly(self.y, 1, "y"), _readonly(self.X, 2, "X"), _readonly(self.Z, 2, "Z"),
+                _readonly(self.pi, 1, "pi"),
+                None if self.sigma2 is None else _readonly(self.sigma2, 1, "sigma2"))
         offsets, N = _check_stacked(ids, self.offsets, self.N, *rows)
         for f, value in zip(fields(self), (ids, offsets, N) + rows):
             object.__setattr__(self, f.name, value)
@@ -110,19 +109,15 @@ class Dataset:
     def __reduce__(self):
         return Dataset, tuple(getattr(self, f.name) for f in fields(self))
 
-    @property
+    @functools.cached_property
     def locations(self) -> tuple:
         """The locations as :class:`LocationBlock` views of the stacked rows,
-        built on first read and kept."""
-        blocks = vars(self).get("_locations")
-        if blocks is None:
-            bounds = self.offsets.tolist()
-            blocks = tuple(
-                LocationBlock(lid, int(N), self.y[a:b], self.X[a:b], self.Z[a:b], self.pi[a:b],
-                              None if self.sigma2 is None else self.sigma2[a:b])
-                for lid, N, a, b in zip(self.ids, self.N.tolist(), bounds, bounds[1:]))
-            object.__setattr__(self, "_locations", blocks)
-        return blocks
+        built on first read and kept (not pickled)."""
+        bounds = self.offsets.tolist()
+        return tuple(
+            LocationBlock(lid, int(N), self.y[a:b], self.X[a:b], self.Z[a:b], self.pi[a:b],
+                          None if self.sigma2 is None else self.sigma2[a:b])
+            for lid, N, a, b in zip(self.ids, self.N.tolist(), bounds, bounds[1:]))
 
     @property
     def m(self) -> int:
@@ -145,9 +140,10 @@ def _check_stacked(ids: tuple, offsets, N, y, X, Z, pi, sigma2) -> tuple:
     """The one check of stacked rows; returns the read-only row offsets (as
     integers) and population sizes (one per location).
 
-    The stack as a whole is checked first, in this order: at least one
-    location; y, pi, sigma2 and N 1-D and X and Z 2-D; finite integral row
-    offsets; m + 1 nondecreasing offsets from 0 to n, and N per location or
+    The row arrays' dimensions are checked before, by :func:`_readonly`, so
+    a wrong dimension is named before a missing location.  The stack as a
+    whole is checked first, in this order: at least one location; N 1-D;
+    finite integral row offsets; m + 1 nondecreasing offsets from 0 to n, and N per location or
     per row.  Then a failure names the first offending location, and within
     it the first failing check in this order: N a finite integer (on every
     row, when N is given per row), one N on all its rows, at least one row,
@@ -160,10 +156,8 @@ def _check_stacked(ids: tuple, offsets, N, y, X, Z, pi, sigma2) -> tuple:
     if m < 1:
         raise ValidationError("dataset has no locations")
     N = np.array(N, dtype=float)
-    for name, a, ndim in (("y", y, 1), ("X", X, 2), ("Z", Z, 2), ("pi", pi, 1),
-                          ("sigma2", sigma2, 1), ("N", N, 1)):
-        if a is not None and a.ndim != ndim:
-            raise ValidationError(f"{name} must be {ndim}-D, got shape {a.shape}")
+    if N.ndim != 1:
+        raise ValidationError(f"N must be 1-D, got shape {N.shape}")
     offsets = np.array(offsets, dtype=float)
     if not np.all(np.isfinite(offsets) & (np.floor(offsets) == offsets)):
         raise ValidationError(f"row offsets must be finite integers, got {offsets.tolist()}")
@@ -259,10 +253,11 @@ class FitResult:
     ``vartheta ||D'(zeta_k - zeta_{k-1})||`` of the last iteration, computed
     once after the loop (on large pair blocks from the loop's own sums
     ``D'zeta_k`` and ``D'zeta_{k-1}``); it is logged for diagnostics only and
-    never used for stopping.  The arrays are held read-only: one that already
-    is a read-only C-contiguous float64 array owning its data, as
-    ``admm.fit`` hands over zeta and v, is kept as is, and any other is
-    copied.  Two results are equal only when they are the same object.
+    never used for stopping.  The arrays (``eta`` 1-D, the rest 2-D) are
+    held read-only: one that already is a read-only C-contiguous float64
+    array owning its data, as ``admm.fit`` hands over zeta and v, is kept as
+    is, and any other is copied.  Two results are equal only when they are
+    the same object.
     """
 
     beta: np.ndarray           # (m, p)
@@ -275,10 +270,8 @@ class FitResult:
     final_dual_residual: float = float("nan")
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _readonly(np.atleast_2d(self.beta)))
-        object.__setattr__(self, "eta", _readonly(np.atleast_1d(self.eta)))
-        object.__setattr__(self, "zeta", _readonly(np.atleast_2d(self.zeta)))
-        object.__setattr__(self, "v", _readonly(np.atleast_2d(self.v)))
+        for name, ndim in (("beta", 2), ("eta", 1), ("zeta", 2), ("v", 2)):
+            object.__setattr__(self, name, _readonly(getattr(self, name), ndim, name))
         m, p = self.beta.shape
         npairs = m * (m - 1) // 2
         if self.zeta.shape != (p, npairs) or self.v.shape != (p, npairs):
@@ -299,9 +292,11 @@ class Partition:
 
     def __post_init__(self):
         lab = np.array(self.assignment, dtype=int, copy=True)
+        if lab.ndim != 1:
+            raise ValidationError(f"assignment must be 1-D, got shape {lab.shape}")
         lab.flags.writeable = False
         object.__setattr__(self, "assignment", lab)
-        object.__setattr__(self, "alpha", _readonly(np.atleast_2d(self.alpha)))
+        object.__setattr__(self, "alpha", _readonly(self.alpha, 2, "alpha"))
         if not np.array_equal(np.unique(lab), np.arange(self.K_hat)):
             raise ValidationError(f"group labels must be exactly 0..K_hat-1 for K_hat = {self.K_hat} "
                                   f"alpha rows, got {np.unique(lab).tolist()}")

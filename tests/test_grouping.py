@@ -160,6 +160,12 @@ class TestGroupEstimates:
         alpha = w.group_estimates(beta, [0, 1, 2])
         assert np.array_equal(alpha, beta)
 
+    def test_a_one_dimensional_beta_is_named(self):
+        # a 1-D beta used to be read as one row, so both groups got all of it
+        with pytest.raises(w.ValidationError) as err:
+            w.group_estimates(np.array([1.0, 2.0, 3.0]), [0, 0, 1])
+        assert str(err.value) == "beta must be 2-D, got shape (3,)"
+
     def test_pair_mean(self):
         alpha = w.group_estimates(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 0])
         assert alpha[0] == pytest.approx([2.0, 3.0])

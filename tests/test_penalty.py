@@ -348,12 +348,31 @@ class TestZetaProximal:
         assert np.array_equal(out[:, 0], w.zeta_proximal(kappa[:, 0], spec, vt))
         assert np.all(out == 0.0)
 
+    @pytest.mark.parametrize("kappa, lam, vt", [
+        (5e-324, 5e-324, 2.0), (-5e-324, 5e-324, 2.0), (1e-320, 5e-324, 2.0),
+        (1e200, 1e200, 1.0), (2.5e200, 1e200, 1.0), (5e200, 1e200, 1.0)])
+    def test_scalar_maps_match_prox_columns_on_one_entry_extremes(self, kappa, lam, vt):
+        # the norm of a one-entry vector is abs in all three maps: the squared
+        # entry underflows to 0 at 5e-324 and overflows past about 1.3e154.
+        # At lam = 5e-324, vartheta = 2, lam/vartheta rounds to 0, so every
+        # case there is on the soft-threshold branch at threshold 0; at
+        # lam = 1e200, vartheta = 1, the three cases are soft-thresholded to
+        # 0, on the middle band and unshrunk
+        spec = w.ScadSpec(lam=lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = w.zeta_proximal(np.array([kappa]), spec, vt)
+            soft = w.group_soft_threshold(np.array([kappa]), lam / vt)
+        assert same_bytes(got, prox_columns(np.array([[kappa]]), spec, vt)[:, 0])
+        if abs(kappa) <= lam + lam / vt:
+            assert same_bytes(soft, got)
+
     def test_prox_columns_zeroes_a_zero_column_when_the_threshold_underflows(self):
         # lam/vartheta rounds to 0, so a zero column divides 0 by 0 once a
         # column is in a band: at p = 1, 5e-324 is on the soft-threshold band
-        # (0, lam] and 1e-323 on the middle band (lam, gamma*lam].  Those
-        # norms underflow in zeta_proximal's np.linalg.norm, so that block is
-        # checked against the branchwise form alone
+        # (0, lam] and 1e-323 on the middle band (lam, gamma*lam].  The p = 1
+        # block holds a NaN beside finite entries, on which zeta_proximal
+        # differs, so it is checked against the branchwise form alone
         spec, vt = w.ScadSpec(lam=5e-324), 2.0
         assert spec.lam / vt == 0.0
         for kappa in (np.array([[0.0, 1e-170, 0.25], [0.0, 1e-170, 0.0]]),

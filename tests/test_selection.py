@@ -7,6 +7,7 @@ import pytest
 import wccreg as w
 from wccreg import admm, selection
 
+import oracles
 from conftest import random_dataset, stack
 
 
@@ -77,6 +78,21 @@ class TestDefaultLambdaGrid:
         anchor = float(_start_distances(ds).max())
         assert np.array_equal(w.default_lambda_grid(ds, num=6), np.geomspace(0.01 * anchor, anchor, 6))
         assert np.array_equal(w.default_lambda_grid(ds, num=1), [anchor])
+
+    @pytest.mark.parametrize("p, q, sigma2", [(1, 0, False), (2, 0, False), (2, 1, True),
+                                              (1, 2, True)])
+    def test_anchor_is_the_widest_distance_of_the_dense_singleton_refit(self, rng, p, q, sigma2):
+        # the unpenalized fit is the group refit at the singleton partition;
+        # the oracle solves it as one dense least-squares problem, not
+        # through the structured solve
+        ds, _ = random_dataset(rng, m=6, p=p, q=q, sigma2=sigma2)
+        singletons = w.Partition(assignment=np.arange(ds.m), alpha=np.zeros((ds.m, p)))
+        _, alpha = oracles.collapsed_wls(ds, singletons)
+        i, j = np.triu_indices(ds.m, k=1)
+        widest = np.linalg.norm(alpha[i] - alpha[j], axis=1).max()
+        (anchor,) = w.default_lambda_grid(ds, num=1)
+        assert anchor == pytest.approx(widest, rel=1e-10, abs=0)
+        assert w.default_lambda_grid(ds)[-1] == anchor
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_single_location_anchors_at_one(self, rng, p):

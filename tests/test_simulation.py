@@ -14,31 +14,28 @@ from oracles import keyed_rng, population_location
 
 class TestInformativeProbabilities:
     def test_invalid_scores_take_the_smallest_positive_score(self):
+        # the six invalid scores become 0.5, so the scores sum to 8 and pi is
+        # 4 s / 8, exact in binary: the 1.5 of the score 3 is clamped to 1
         scores = np.array([2.0, np.nan, 0.5, -1.0, np.inf, 0.0, -np.inf, 3.0])
-        pre, _ = w.informative_probabilities(scores, expected_n=4.0)
-        fixed = np.array([2.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 3.0])
-        assert np.array_equal(pre, 4.0 * fixed / fixed.sum())
-        assert pre.sum() == pytest.approx(4.0, rel=1e-14)
+        pi = w.informative_probabilities(scores, expected_n=4.0)
+        assert np.array_equal(pi, [1.0, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 1.0])
 
     def test_all_invalid_location_takes_the_fallback(self):
         scores = np.array([np.nan, -2.0, 0.0, -np.inf])
-        pre, pi = w.informative_probabilities(scores, expected_n=2.0)
+        pi = w.informative_probabilities(scores, expected_n=2.0)
         fallback = np.full(4, simulation.SCORE_FALLBACK)
-        assert np.array_equal(pre, 2.0 * fallback / fallback.sum())
-        assert pre == pytest.approx(np.full(4, 0.5), rel=1e-14)
-        assert np.array_equal(pi, pre)
+        assert np.array_equal(pi, 2.0 * fallback / fallback.sum())
+        assert pi == pytest.approx(np.full(4, 0.5), rel=1e-14)
 
     def test_clamped_into_floor_and_one(self):
-        # one dominant score pushes its probability past 1, one tiny score
-        # pushes its probability below the floor
+        # one dominant score pushes its probability past 1 (150/53), one tiny
+        # score pushes its probability below the floor (3e-9/53); the rest are
+        # 3 s / sum(s), unclamped, and the result sums to less than 3
         scores = np.array([1e-9, 1.0, 1.0, 1.0, 50.0])
-        pre, pi = w.informative_probabilities(scores, expected_n=3.0)
-        assert pre.sum() == pytest.approx(3.0, rel=1e-14)
-        assert pre.max() > 1.0 and pre.min() < simulation.PI_FLOOR
-        assert pi.max() == 1.0 and pi.min() == simulation.PI_FLOOR
-        assert np.all((pi >= simulation.PI_FLOOR) & (pi <= 1.0))
-        inside = (pre >= simulation.PI_FLOOR) & (pre <= 1.0)
-        assert np.array_equal(pi[inside], pre[inside])
+        pi = w.informative_probabilities(scores, expected_n=3.0)
+        total = 1e-9 + 1.0 + 1.0 + 1.0 + 50.0
+        assert np.array_equal(pi, [simulation.PI_FLOOR, 3.0 / total, 3.0 / total, 3.0 / total, 1.0])
+        assert pi.sum() < 3.0
 
     def test_input_is_not_modified(self):
         scores = np.array([np.nan, 1.0])

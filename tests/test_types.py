@@ -177,6 +177,10 @@ class TestStackedDataset:
         with pytest.raises(w.ValidationError, match="^y must be 1-D"):
             w.Dataset(["a"], [0, 1.5], [9], **dict(rows(), y=np.zeros((3, 1))))
 
+    def test_rank_is_checked_before_the_location_count(self):
+        with pytest.raises(w.ValidationError, match="^X must be 2-D, got shape \\(0,\\)"):
+            w.Dataset([], [0], [], np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros(0))
+
     def test_a_one_dimensional_z_is_rejected(self):
         # Z is (n, q) even at q = 1: a 1-D Z is not read as one column
         with pytest.raises(w.ValidationError) as err:
@@ -222,6 +226,17 @@ class TestPartitionContainer:
         with pytest.raises(w.ValidationError, match="labels must be exactly 0..K_hat-1"):
             w.Partition(assignment=np.array([0, 0, 2]), alpha=np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("assignment, alpha, message", [
+        ([0, 0, 1], [0.0, 1.0], "alpha must be 2-D, got shape (2,)"),
+        ([[0, 1]], [[0.0], [1.0]], "assignment must be 1-D, got shape (1, 2)"),
+    ])
+    def test_rejects_an_array_of_another_dimension(self, assignment, alpha, message):
+        # a 1-D alpha used to be read as one row (K_hat = 1), and a 2-D
+        # assignment passed and then failed in group_sizes
+        with pytest.raises(w.ValidationError) as err:
+            w.Partition(assignment=np.array(assignment), alpha=np.array(alpha))
+        assert str(err.value) == message
+
     def test_rejects_bad_sizes(self):
         # a report's group sizes must be those of its assignment
         d = {"K_hat": 2, "assignment": [1, 1, 2], "alpha": [[0.0], [1.0]], "group_sizes": [1, 2]}
@@ -248,6 +263,20 @@ class TestResultContainers:
             a, b = make(), make()
             assert a == a and a != b and not (a == b)
             assert hash(a) == hash(a) and len({a, b}) == 2
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("beta", np.zeros(3), "beta must be 2-D, got shape (3,)"),
+        ("eta", np.float64(0.0), "eta must be 1-D, got shape ()"),
+        ("zeta", np.zeros(3), "zeta must be 2-D, got shape (3,)"),
+        ("v", np.zeros((1, 1, 3)), "v must be 2-D, got shape (1, 1, 3)"),
+    ])
+    def test_fit_result_rejects_an_array_of_another_dimension(self, name, value, message):
+        # a 1-D beta of m = 3 locations used to be read as one location of p = 3
+        arrays = {"beta": np.zeros((3, 1)), "eta": np.zeros(0), "zeta": np.zeros((1, 3)),
+                  "v": np.zeros((1, 3)), name: value}
+        with pytest.raises(w.ValidationError) as err:
+            w.FitResult(**arrays, iterations=1, final_residual=0.0, converged=True)
+        assert str(err.value) == message
 
     def test_fit_result_keeps_frozen_owned_arrays_and_copies_the_rest(self):
         zeta, v = np.array([[0.0, 1.0, 2.0]]), np.ones((1, 3))
@@ -311,7 +340,8 @@ class TestSerializationRoundTrip:
         admm.prepared(ds)
         assert len(pickle.dumps(ds)) == size
         back = pickle.loads(pickle.dumps(ds))
-        assert "_prepared" not in vars(back) and "_locations" not in vars(back)
+        assert "_prepared" in vars(ds) and "locations" in vars(ds)
+        assert "_prepared" not in vars(back) and "locations" not in vars(back)
         for f in fields(w.Dataset):
             want, got = getattr(ds, f.name), getattr(back, f.name)
             if isinstance(want, np.ndarray):
@@ -368,7 +398,9 @@ class TestSerializationRoundTrip:
     def test_partition_round_trip(self):
         part = w.Partition(assignment=np.array([0, 1, 0, 2]), alpha=np.array([[1.0], [2.0], [3.0]]))
         import json
-        back = wio.partition_from_dict(json.loads(wio.dumps(wio.partition_to_dict(part))))
+        d = json.loads(wio.dumps(wio.partition_to_dict(part, ("a", "b", "c", "d"))))
+        assert d["location_ids"] == ["a", "b", "c", "d"]
+        back = wio.partition_from_dict(d)
         assert np.array_equal(back.assignment, part.assignment)
         assert back.K_hat == part.K_hat
         assert np.array_equal(back.alpha, part.alpha)
@@ -378,7 +410,8 @@ class TestSerializationRoundTrip:
         ("K_hat", 3, "field 'K_hat' is 3, but the assignment gives 2"),
         ("assignment", [1.7, 2.2, 1], "field 'assignment' must be a list of integer labels"),
         ("assignment", [[1, 1, 2]], "field 'assignment' must be a list of integer labels"),
-    ], ids=["alpha_rows", "k_hat", "float_labels", "nested_labels"])
+        ("alpha", [0.0, 1.0], "field 'alpha' must be 2-D, got shape \\(2,\\)"),
+    ], ids=["alpha_rows", "k_hat", "float_labels", "nested_labels", "flat_alpha"])
     def test_partition_report_that_disagrees_with_its_assignment_is_rejected(self, field, value, message):
         # a report's K_hat and alpha rows must match its labels, which must be
         # integers: 1.7 and 2.2 are not read as 1 and 2
