@@ -16,7 +16,7 @@ from . import __version__
 from . import io as wio
 from . import selection, simulation
 from .admm import fit as admm_fit
-from .grouping import ZERO_TOL, extract_partition, refit_oracle
+from .grouping import ZERO_TOL, check_zero_tol, extract_partition, refit_oracle
 from .penalty import ScadSpec
 from .types import AdmmConfig, Dataset, SingularSystemError, ValidationError
 
@@ -86,6 +86,7 @@ def _check_out_file(path: Path) -> None:
 def cmd_fit(args) -> int:
     if args.out:
         _check_out_file(Path(args.out))
+    check_zero_tol(args.zero_tol)
     data = wio.load_dataset_csv(args.csv, p=args.p, q=args.q)
     if args.unweighted:
         data = simulation.unweighted_copy(data, min(1.0, data.n_total / int(data.N.sum())))
@@ -133,7 +134,7 @@ def cmd_fit(args) -> int:
     if path is not None:
         report["lambda_path"] = [
             {"lambda": r.lam, "bic": r.bic, "K_hat": int(r.partition.K_hat),
-             "converged": bool(r.converged), "iterations": int(r.fit.iterations),
+             "converged": bool(r.fit.converged), "iterations": int(r.fit.iterations),
              "final_residual": float(r.fit.final_residual),
              "final_dual_residual": float(r.fit.final_dual_residual)}
             for r in path.records

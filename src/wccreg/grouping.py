@@ -12,6 +12,12 @@ from .types import Dataset, FitResult, Partition, ValidationError, _readonly
 ZERO_TOL = 1e-6
 
 
+def check_zero_tol(zero_tol: float) -> None:
+    """Reject a negative or NaN fused-pair tolerance."""
+    if not zero_tol >= 0:
+        raise ValidationError(f"zero_tol must be nonnegative, got {zero_tol}")
+
+
 def extract_partition(fit: FitResult, zero_tol: float = ZERO_TOL) -> Partition:
     """Group locations whose pairwise slack vanished, closing transitively.
 
@@ -31,8 +37,7 @@ def extract_partition(fit: FitResult, zero_tol: float = ZERO_TOL) -> Partition:
     fused (at the fusing end of a lambda path, and at m = 1) the one group is
     returned directly, equal to what the propagation would give.
     """
-    if not zero_tol >= 0:
-        raise ValidationError(f"zero_tol must be nonnegative, got {zero_tol}")
+    check_zero_tol(zero_tol)
     m = fit.beta.shape[0]
     fused = column_norms(fit.zeta) <= zero_tol
     if fused.all():

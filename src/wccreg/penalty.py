@@ -96,14 +96,15 @@ def _norm(v: np.ndarray) -> float:
 def group_soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
     """Shrink the whole vector toward zero: ``(1 - t/||w||)_+ w``.
 
-    Returns the zero vector when ``||w|| <= t`` (including ``w = 0``).
+    A dead vector, ``||w|| <= t`` (``w = 0`` too) or of NaN norm, returns
+    ``w * 0``, keeping signed zeros and NaN entries as :func:`prox_columns` does.
     """
     if t < 0:
         raise ValidationError("threshold must be nonnegative")
     w = np.asarray(w, dtype=float)
     nrm = _norm(w)
-    if nrm <= t:
-        return np.zeros_like(w)
+    if not nrm > t:
+        return w * 0.0
     return (1.0 - t / nrm) * w
 
 
@@ -140,9 +141,8 @@ def live_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
     all-dead test builds no mask: at p = 1, where the norm is the exact
     ``abs``, it compares kappa's largest and negated smallest entry, and at
     p > 1 the largest :func:`column_norms`, which the mask then reuses.
+    ``admm.fit`` has checked (spec, vartheta); its blocks are nonempty float64.
     """
-    if kappa.shape[1] == 0:
-        return None
     if spec.lam == 0:
         return np.ones(kappa.shape[1], dtype=bool)
     t = spec.lam / vartheta
@@ -172,13 +172,10 @@ def prox_columns(kappa: np.ndarray, spec: ScadSpec, vartheta: float) -> np.ndarr
     For p = 1 the norm is ``abs``, which does not underflow; for p > 1 a
     column whose norm underflows to 0 is dead, like a zero column.
 
-    The map classifies every column it is given and picks its path from the
-    class counts.  Which columns those are (all pairs, or only the live ones
-    of :func:`live_columns`, gathered C-ordered) and where the result goes
-    is decided by ``admm.fit``.
+    ``admm.fit`` has checked (spec, vartheta), picks the float64 block (all
+    pairs, none, or the live columns of :func:`live_columns`, C-ordered) and
+    places the result; the map picks its path from the class counts.
     """
-    check_prox_compatible(spec, vartheta)
-    kappa = np.asarray(kappa, dtype=float)
     if spec.lam == 0:
         return kappa.copy()
     lam, gam = spec.lam, spec.gamma

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 import wccreg.admm as admm
-from .grouping import ZERO_TOL, extract_partition
+from .grouping import ZERO_TOL, check_zero_tol, extract_partition
 from .penalty import ScadSpec, column_norms
 from .types import AdmmConfig, Dataset, FitResult, Partition, ValidationError
 
@@ -58,26 +58,15 @@ class LambdaRecord:
 
     @property
     def converged(self) -> bool:
+        """``fit.converged``, read only by ``perfbench/``."""
         return self.fit.converged
 
 
 @dataclass(frozen=True)
 class LambdaPath:
-    """Per-candidate records, ordered by increasing fusion strength."""
+    """One record per grid value of a sweep, by increasing ``lam``."""
 
-    grid: tuple
-    records: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        g = tuple(float(x) for x in self.grid)
-        if not g:
-            raise ValidationError("lambda grid must be nonempty")
-        if not all(x > 0 for x in g):
-            raise ValidationError("lambda grid values must be positive")
-        if any(b <= a for a, b in zip(g, g[1:])):
-            raise ValidationError("lambda grid must be strictly increasing")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "records", tuple(self.records))
+    records: tuple
 
 
 def modified_bic(data: Dataset, fit: FitResult, partition: Partition,
@@ -127,27 +116,32 @@ def select_lambda(data: Dataset, grid: Sequence[float], gamma: float = ScadSpec.
     """Fit every candidate, score with the modified BIC, return the argmin.
 
     Every candidate has penalty shape ``gamma``; ties break toward the smaller
-    candidate.  Candidates whose solver hit the iteration cap are skipped
-    (with a warning) as long as at least one converged; fatal solver errors
-    propagate.
+    candidate.  The grid and ``zero_tol`` are checked before the first fit.
+    Candidates whose solver hit the iteration cap are skipped (with a
+    warning) as long as at least one converged; fatal solver errors propagate.
     """
-    # the grid is validated before the first fit
-    path = LambdaPath(grid=np.sort(np.asarray(list(grid), dtype=float)))
+    grid = sorted(float(x) for x in grid)
+    if not grid:
+        raise ValidationError("lambda grid must be nonempty")
+    if not all(0 < x < math.inf for x in grid):
+        raise ValidationError("lambda grid values must be positive and finite")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError("lambda grid must be strictly increasing")
+    check_zero_tol(zero_tol)
     records = []
-    for lam in path.grid:
+    for lam in grid:
         fit = admm.fit(data, ScadSpec(lam=lam, gamma=gamma), cfg)
         part = extract_partition(fit, zero_tol)
         bic = modified_bic(data, fit, part, variant)
         records.append(LambdaRecord(lam=lam, fit=fit, partition=part, bic=bic))
 
-    path = replace(path, records=tuple(records))
-    candidates = [r for r in records if r.converged]
+    candidates = [r for r in records if r.fit.converged]
     if not candidates:
         logger.warning("no candidate converged; selecting among capped fits")
         candidates = records
     elif len(candidates) < len(records):
-        skipped = [r.lam for r in records if not r.converged]
+        skipped = [r.lam for r in records if not r.fit.converged]
         logger.warning("skipping %d non-converged candidates: %s", len(skipped), skipped)
 
     best = min(candidates, key=lambda r: r.bic)   # the first of equal scores
-    return best.lam, best.fit, best.partition, path
+    return best.lam, best.fit, best.partition, LambdaPath(records=tuple(records))

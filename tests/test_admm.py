@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wccreg as w
-from wccreg import admm, types
+from wccreg import admm, penalty, types
 from wccreg import io as wio
 
 import oracles
@@ -191,6 +191,15 @@ class TestStructuredSolve:
         exact = (rhs - mean) / (s * m + tau) + mean / tau
         x = admm._structured_solve(admm.prepared(ds).factor(s), rhs.reshape(-1))
         assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
+
+    def test_a_matrix_still_singular_after_the_jitter_is_fatal_and_named(self):
+        # M is indefinite (eigenvalues 3 and -1), so 1e-10 tr(M) on its
+        # diagonal leaves it without a Cholesky factor
+        M = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(w.SingularSystemError) as err:
+            admm._factor_spd(lambda tau: np.linalg.cholesky(M + tau * np.eye(2)), lambda: np.trace(M), "M")
+        assert str(err.value) == \
+            "M is singular even after diagonal jitter; use vartheta > 0 or a positive init_ridge"
 
     def test_singular_shared_covariate_gram_is_jittered(self, rng):
         # with q = 2 and an all-zero Z column, Z'WZ is singular but has a
@@ -785,6 +794,18 @@ class TestFit:
         assert iterations[0] == 2 < iterations[1]
         assert counts == [1, 1]
         assert np.array_equal(res.eta, real(admm.prepared(ds), res.beta))
+
+    def test_gamma_vartheta_checked_once_per_fit(self, rng, monkeypatch):
+        # fit checks (gamma, vartheta) at its entry; the proximal map of
+        # every iteration trusts that check
+        ds, _ = random_dataset(rng, m=5, p=1, spread=2.0)
+        calls = []
+        real = penalty.check_prox_compatible
+        counting = lambda *a: calls.append(1) or real(*a)
+        monkeypatch.setattr(admm, "check_prox_compatible", counting)
+        monkeypatch.setattr(penalty, "check_prox_compatible", counting)
+        res = w.fit(ds, w.ScadSpec(lam=float(_start_distances(ds).max())))
+        assert res.iterations >= 3 and calls == [1]
 
     def test_gamma_vartheta_incompatibility_fatal(self, rng):
         ds, _ = random_dataset(rng, m=2, p=1)

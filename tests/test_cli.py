@@ -98,6 +98,33 @@ class TestFit:
         assert run_fit(csv_path, option) == cli.EXIT_VALIDATION
         assert f"error: {field} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("select", [["--lambda", "0.1"], ["--lambda-grid", "0.1:1:3"]])
+    @pytest.mark.parametrize("zero_tol", ["-1", "nan"])
+    def test_bad_zero_tol_exits_before_the_csv_is_read(self, rng, tmp_path, capsys, monkeypatch,
+                                                       select, zero_tol):
+        csv_path = tmp_path / "d.csv"
+        write_csv(csv_path, rng)
+        calls = []
+
+        def spy(name, owner, attr):
+            real = getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        spy("load", cli.wio, "load_dataset_csv")
+        spy("fit", cli, "admm_fit")
+        spy("select", cli.selection, "select_lambda")
+        code = cli.main(["fit", str(csv_path), "--p", "1", "--q", "1", *select, f"--zero-tol={zero_tol}"])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: zero_tol must be nonnegative, got {float(zero_tol)}\n"
+        assert calls == []
+
+    def test_unparseable_lambda_grid_rejected(self, rng, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        write_csv(csv_path, rng)
+        code = cli.main(["fit", str(csv_path), "--p", "1", "--q", "1", "--lambda-grid", "abc"])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --lambda-grid expects lo:hi:count, got 'abc'\n"
+
     @pytest.mark.parametrize("option, field", [("--lambda=inf", "lam"), ("--gamma=inf", "gamma")])
     def test_nonfinite_penalty_exits_validation_without_a_report(self, rng, tmp_path, capsys, option, field):
         # an infinite lambda would be written as Infinity, and an infinite
@@ -362,6 +389,31 @@ class TestSimulate:
         assert code == cli.EXIT_VALIDATION
         assert "each method may be given once, got wcc,wcc" in capsys.readouterr().err
         assert not (tmp_path / "mc").exists()
+
+    def test_unknown_scenario_rejected(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--scenario", "bogus", "--n", "6", "--reps", "1",
+                         "--out-dir", str(tmp_path / "mc")])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: unknown scenario 'bogus' (use mean|regression)\n"
+        assert not (tmp_path / "mc").exists()
+
+    @pytest.mark.parametrize("reps", [2, 1])
+    def test_study_writes_its_records_and_summary(self, tmp_path, capsys, reps):
+        # the files hold what the library writes for the same study, and
+        # stdout is its table, the single-replicate note and the paths
+        out_dir = tmp_path / "mc" / "sub"
+        code = cli.main(["simulate", "--scenario", "mean", "--n", "6", "--reps", str(reps),
+                         "--seed", "3", "--out-dir", str(out_dir)])
+        assert code == cli.EXIT_OK
+        summary = simulation.run_monte_carlo(simulation.ScenarioSpec(
+            kind=simulation.MEAN_MODEL, expected_n=6, seed=3, reps=reps))
+        simulation.write_rep_csv(summary, tmp_path / "reps.csv")
+        assert (out_dir / "reps.csv").read_bytes() == (tmp_path / "reps.csv").read_bytes()
+        assert (out_dir / "summary.json").read_text(encoding="utf-8") == wio.dumps(summary.to_dict())
+        note = ["note: single replicate, standard deviations reported as n/a"] if reps == 1 else []
+        assert capsys.readouterr().out.splitlines() == \
+            simulation.format_summary_table(summary).splitlines() + note + \
+            [f"wrote {out_dir / 'reps.csv'} and {out_dir / 'summary.json'}"]
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code = cli.main(["simulate", "--scenario", "mean", "--n", "6", "--reps", "1",

@@ -171,6 +171,20 @@ class TestCsvParsersAgree:
 HEADER = "location_id,N,y,pi,sigma2,x1"
 
 
+class TestCsvShape:
+    @pytest.mark.parametrize("text, kw, message", [
+        ("", {"p": 0}, "p must be at least 1"),
+        ("", {"p": 1, "q": -1}, "q must be nonnegative"),
+        ("", {"p": 1}, "empty CSV: header row required"),
+        ("location_id,N,y,pi,x1\n", {"p": 1}, "CSV contains no data rows")])
+    def test_bad_sizes_and_files_without_rows_are_named(self, tmp_path, text, kw, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(w.ValidationError) as err:
+            wio.load_dataset_csv(path, **kw)
+        assert str(err.value) == message
+
+
 class TestCsvCheckPrecedence:
     def _load(self, tmp_path, rows):
         path = tmp_path / "d.csv"

@@ -9,6 +9,7 @@ from wccreg import penalty
 from wccreg.penalty import check_prox_compatible, prox_columns
 
 import oracles
+from conftest import random_dataset
 
 
 SPEC = w.ScadSpec(lam=0.5, gamma=3.0)
@@ -234,8 +235,8 @@ class TestZetaProximal:
     def test_live_columns_is_none_exactly_when_the_mask_is_empty(self, rng, p, vt):
         # no live column gives None, and otherwise the mask of the columns
         # whose norm is not at or below lam/vartheta, on blocks whose norms
-        # sit at lam/vartheta, one ulp above it, on +-0 columns, with a NaN
-        # column and on a block of no columns
+        # sit at lam/vartheta, one ulp above it, on +-0 columns and with a NaN
+        # column
         spec = w.ScadSpec(lam=0.37, gamma=3.7)
         t = spec.lam / vt
         cases = []
@@ -246,7 +247,7 @@ class TestZetaProximal:
                 kappa[0] = norms * rng.choice([-1.0, 1.0], norms.size)  # the norm is the first entry
                 kappa[0, int(rng.integers(norms.size))] = sign * top
                 cases.append(kappa)
-        cases += [np.zeros((p, 50)), -np.zeros((p, 50)), np.zeros((p, 0))]
+        cases += [np.zeros((p, 50)), -np.zeros((p, 50))]
         got = []
         for kappa in cases:
             with warnings.catch_warnings():
@@ -257,9 +258,8 @@ class TestZetaProximal:
             assert mask is None or np.array_equal(mask, ref)
             got.append(mask is None)
             # at lam = 0 every column is live, a zero one too
-            mask = penalty.live_columns(kappa, w.ScadSpec(lam=0.0), vt)
-            assert (mask is None) == (kappa.shape[1] == 0) and (mask is None or mask.all())
-        assert got == [True, True, False, False, False, False, True, True, True]
+            assert penalty.live_columns(kappa, w.ScadSpec(lam=0.0), vt).all()
+        assert got == [True, True, False, False, False, False, True, True]
 
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("vt", [1.0, 0.7])
@@ -307,7 +307,7 @@ class TestZetaProximal:
     def test_prox_columns_keeps_nan_and_empty_blocks_on_the_live_columns(self):
         # a NaN column is live, so mapping only the live columns gives the
         # full pass's result on them, and the full pass is zero elsewhere; the
-        # (p, 0) block of a single location has no live column and is
+        # (p, 0) block of a single location, or of an empty support, is
         # returned as is
         spec, vt = w.ScadSpec(lam=0.5), 1.0
         kappa = np.zeros((2, 5000))
@@ -324,7 +324,6 @@ class TestZetaProximal:
         assert not np.any(np.delete(full, cols, axis=1))
         for p in (1, 2):
             empty = np.zeros((p, 0))
-            assert penalty.live_columns(empty, spec, vt) is None
             cols = np.zeros(0, dtype=np.intp)
             for got in (prox_columns(empty.take(cols, axis=1), spec, vt), prox_columns(empty, spec, vt)):
                 assert got.shape == (p, 0)
@@ -348,24 +347,32 @@ class TestZetaProximal:
         assert np.array_equal(out[:, 0], w.zeta_proximal(kappa[:, 0], spec, vt))
         assert np.all(out == 0.0)
 
-    @pytest.mark.parametrize("kappa, lam, vt", [
-        (5e-324, 5e-324, 2.0), (-5e-324, 5e-324, 2.0), (1e-320, 5e-324, 2.0),
-        (1e200, 1e200, 1.0), (2.5e200, 1e200, 1.0), (5e200, 1e200, 1.0)])
-    def test_scalar_maps_match_prox_columns_on_one_entry_extremes(self, kappa, lam, vt):
+    @pytest.mark.parametrize("kappa, lam, gamma, vt, want", [
+        ([5e-324], 5e-324, 3.0, 2.0, None), ([-5e-324], 5e-324, 3.0, 2.0, None),
+        ([1e-320], 5e-324, 3.0, 2.0, None), ([1e200], 1e200, 3.0, 1.0, None),
+        ([2.5e200], 1e200, 3.0, 1.0, None), ([5e200], 1e200, 3.0, 1.0, None),
+        ([-0.1], 0.5, 3.0, 1.0, [-0.0]), ([np.nan, -1.0], 0.4, 3.2, 1.0, [np.nan, -0.0]),
+        ([-1e200], 1e200, 3.0, 1.0, [-0.0])])
+    def test_scalar_maps_match_prox_columns_on_one_entry_extremes(self, kappa, lam, gamma, vt, want):
         # the norm of a one-entry vector is abs in all three maps: the squared
         # entry underflows to 0 at 5e-324 and overflows past about 1.3e154.
         # At lam = 5e-324, vartheta = 2, lam/vartheta rounds to 0, so every
         # case there is on the soft-threshold branch at threshold 0; at
-        # lam = 1e200, vartheta = 1, the three cases are soft-thresholded to
-        # 0, on the middle band and unshrunk
-        spec = w.ScadSpec(lam=lam)
+        # lam = 1e200, vartheta = 1, the first three cases are soft-thresholded
+        # to 0, on the middle band and unshrunk.  A dead column is kappa * 0 in
+        # every map, so a negative entry gives -0.0, and a column of NaN norm
+        # is dead: its NaN stays and its other entries become signed zeros
+        spec = w.ScadSpec(lam=lam, gamma=gamma)
+        kappa = np.array(kappa)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = w.zeta_proximal(np.array([kappa]), spec, vt)
-            soft = w.group_soft_threshold(np.array([kappa]), lam / vt)
-        assert same_bytes(got, prox_columns(np.array([[kappa]]), spec, vt)[:, 0])
-        if abs(kappa) <= lam + lam / vt:
+            got = w.zeta_proximal(kappa, spec, vt)
+            soft = w.group_soft_threshold(kappa, lam / vt)
+        assert same_bytes(got, prox_columns(kappa[:, None], spec, vt)[:, 0])
+        if not penalty._norm(kappa) > lam + lam / vt:
             assert same_bytes(soft, got)
+        if want is not None:
+            assert same_bytes(got, np.array(want))
 
     def test_prox_columns_zeroes_a_zero_column_when_the_threshold_underflows(self):
         # lam/vartheta rounds to 0, so a zero column divides 0 by 0 once a
@@ -411,16 +418,18 @@ class TestZetaProximal:
             assert not np.any(out[:, [0, 1, 2, 3, 4, 8, 9, 10, 11, 12]])
 
     @pytest.mark.parametrize("vt", [0.09, 0.36, 0.53, 0.95])
-    def test_check_prox_compatible_rejects_a_divisor_that_rounds_to_zero(self, vt):
+    def test_check_prox_compatible_rejects_a_divisor_that_rounds_to_zero(self, rng, vt):
         # gamma one ulp above 1 + 1/vartheta passes the bound, but
-        # 1 - 1/((gamma - 1) vartheta) rounds to 0, and the middle branch divides by it
+        # 1 - 1/((gamma - 1) vartheta) rounds to 0, and the middle branch divides by it.
+        # fit and zeta_proximal reject it; prox_columns trusts fit's check
         spec = w.ScadSpec(lam=1.0, gamma=float(np.nextafter(1.0 + 1.0 / vt, np.inf)))
         assert spec.gamma > 1.0 + 1.0 / vt
         assert 1.0 - 1.0 / ((spec.gamma - 1.0) * vt) == 0.0
-        with pytest.raises(w.ValidationError):
-            check_prox_compatible(spec, vt)
-        with pytest.raises(w.ValidationError):
-            prox_columns(np.ones((1, 3)), spec, vt)
+        ds, _ = random_dataset(rng, m=3, p=1)
+        for reject in (lambda: check_prox_compatible(spec, vt), lambda: w.zeta_proximal(np.ones(1), spec, vt),
+                       lambda: w.fit(ds, spec, w.AdmmConfig(vartheta=vt))):
+            with pytest.raises(w.ValidationError, match=f"^gamma={spec.gamma!r} must exceed"):
+                reject()
 
     def test_check_prox_compatible_boundary(self):
         check_prox_compatible(w.ScadSpec(lam=1.0, gamma=3.0), 1.0)

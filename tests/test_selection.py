@@ -67,6 +67,28 @@ class TestModifiedBic:
             (2.0 - math.log(4 + 1)) * math.log(4) / 4 * units, abs=1e-12)
 
 
+    def test_residual_floor_on_a_fit_that_interpolates_every_row(self, caplog):
+        # every row is y = 2 x exactly at beta_i = 2, so the weighted residual
+        # average is 0, and the log term is clamped at log(1e-300)
+        blocks = [w.LocationBlock(lid, 10, y=[2.0, 4.0], X=[[1.0], [2.0]], Z=np.zeros((2, 0)),
+                                  pi=[0.5, 0.25]) for lid in ("a", "b", "c")]
+        ds = stack(blocks)
+        fit, part = _fit_and_partition(np.full((3, 1), 2.0), np.zeros(0), [0, 0, 0])
+        with caplog.at_level(logging.WARNING, logger="wccreg.selection"):
+            bic = w.modified_bic(ds, fit, part)
+        assert bic == math.log(1e-300) + math.log(3) * (math.log(3) / 3) * 1
+        assert "BIC residual term clamped at 1e-300 (perfect interpolation?)" in caplog.text
+
+    @pytest.mark.parametrize("kw, message", [({"kind": "aic"}, "unknown BIC variant kind 'aic'"),
+                                             ({"C_m": 0.0}, "C_m must be positive"),
+                                             ({"C_m": -1.0}, "C_m must be positive"),
+                                             ({"C_m": float("nan")}, "C_m must be positive")])
+    def test_bad_variant_rejected(self, kw, message):
+        with pytest.raises(w.ValidationError) as err:
+            w.BicVariant(**kw)
+        assert str(err.value) == message
+
+
 def _start_distances(ds):
     bundle = admm.prepared(ds)
     return np.linalg.norm(bundle.differences(w.initialize(ds, w.AdmmConfig())), axis=0)
@@ -103,14 +125,30 @@ class TestDefaultLambdaGrid:
 
 
 class TestSelectLambda:
-    @pytest.mark.parametrize("grid", [[0.5, 0.5, 1.0], [0.0, 1.0], [1.0, -0.5], [1.0, float("nan")], []])
-    def test_invalid_grid_rejected_before_any_fit(self, rng, monkeypatch, grid):
+    @pytest.mark.parametrize("grid, message", [
+        ([0.5, 0.5, 1.0], "lambda grid must be strictly increasing"),
+        ([0.0, 1.0], "lambda grid values must be positive and finite"),
+        ([1.0, -0.5], "lambda grid values must be positive and finite"),
+        ([1.0, float("nan")], "lambda grid values must be positive and finite"),
+        ([1.0, float("inf")], "lambda grid values must be positive and finite"),
+        ([], "lambda grid must be nonempty")])
+    def test_invalid_grid_rejected_before_any_fit(self, rng, monkeypatch, grid, message):
         ds, _ = random_dataset(rng, m=4, p=1)
         fits = []
         real = admm.fit
         monkeypatch.setattr(admm, "fit", lambda *a, **k: fits.append(1) or real(*a, **k))
-        with pytest.raises(w.ValidationError):
+        with pytest.raises(w.ValidationError, match=f"^{message}$"):
             selection.select_lambda(ds, grid)
+        assert fits == []
+
+    @pytest.mark.parametrize("zero_tol", [-1.0, float("nan")])
+    def test_invalid_zero_tol_rejected_before_any_fit(self, rng, monkeypatch, zero_tol):
+        ds, _ = random_dataset(rng, m=4, p=1)
+        fits = []
+        real = admm.fit
+        monkeypatch.setattr(admm, "fit", lambda *a, **k: fits.append(1) or real(*a, **k))
+        with pytest.raises(w.ValidationError, match=f"^zero_tol must be nonnegative, got {zero_tol}$"):
+            selection.select_lambda(ds, [0.01, 0.1], zero_tol=zero_tol)
         assert fits == []
 
     def test_tie_breaks_toward_smaller_lambda(self, rng, monkeypatch):
@@ -118,8 +156,8 @@ class TestSelectLambda:
         monkeypatch.setattr(selection, "modified_bic", lambda *args: 0.5)
         grid = [0.4, 0.2, 0.1, 0.05]
         lam, _, _, path = w.select_lambda(ds, grid)
-        assert all(r.converged for r in path.records)
-        assert path.grid == (0.05, 0.1, 0.2, 0.4)
+        assert all(r.fit.converged for r in path.records)
+        assert [r.lam for r in path.records] == [0.05, 0.1, 0.2, 0.4]
         assert lam == 0.05
 
     def test_skips_non_converged_candidates(self, rng, monkeypatch, caplog):
@@ -135,7 +173,7 @@ class TestSelectLambda:
         cfg = w.AdmmConfig(max_iter=2)
         with caplog.at_level(logging.WARNING, logger="wccreg.selection"):
             lam, fit, _, path = w.select_lambda(ds, [small] + large, cfg=cfg)
-        assert [r.converged for r in path.records] == [True, False, False]
+        assert [r.fit.converged for r in path.records] == [True, False, False]
         assert lam == small and fit.converged and fit.iterations == 1
         assert "skipping 2 non-converged candidates" in caplog.text
 
@@ -149,6 +187,6 @@ class TestSelectLambda:
         cfg = w.AdmmConfig(max_iter=2)
         with caplog.at_level(logging.WARNING, logger="wccreg.selection"):
             lam, fit, _, path = w.select_lambda(ds, grid, cfg=cfg)
-        assert not any(r.converged for r in path.records)
+        assert not any(r.fit.converged for r in path.records)
         assert lam == grid[1] and not fit.converged and fit.iterations == 2
         assert "no candidate converged" in caplog.text

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -225,10 +226,13 @@ class TestPopulationGenerators:
             w.ScenarioSpec(kind="regression", expected_n=10, H=30)
 
     @pytest.mark.parametrize("kw, message", [({"seed": -1}, "seed must be nonnegative, got -1"),
-                                             ({"m": 0}, "m must be at least 1, got 0")])
-    def test_negative_seed_or_no_location_rejected(self, kw, message):
-        with pytest.raises(w.ValidationError, match=message):
-            w.ScenarioSpec(kind="mean_model", expected_n=6, **kw)
+                                             ({"m": 0}, "m must be at least 1, got 0"),
+                                             ({"kind": "bogus"}, "unknown scenario kind 'bogus'"),
+                                             ({"reps": 0}, "reps must be at least 1")])
+    def test_bad_seed_location_count_kind_or_reps_rejected(self, kw, message):
+        with pytest.raises(w.ValidationError) as err:
+            w.ScenarioSpec(**{"kind": "mean_model", "expected_n": 6, **kw})
+        assert str(err.value) == message
 
 
 class TestPoissonSample:
@@ -317,3 +321,29 @@ class TestFailedReplicates:
         rows = simulation.format_summary_table(summary).splitlines()[2:]
         assert [r.split()[-1] for r in rows] == ["1", "1"]
         assert json.loads(wio.dumps(summary.to_dict()))["methods"]["cc"]["failures"] == 1
+
+    def test_a_fatal_fit_fails_that_method_alone(self, monkeypatch, caplog):
+        # a singular system in the CC selection fails the CC record, which
+        # keeps K_true; the WCC record of the same replicate stands
+        spec = w.ScenarioSpec(kind="mean_model", expected_n=6, seed=3, reps=1, m=10)
+        wcc_only = w.run_monte_carlo(spec, methods=("wcc",))
+        cc_data = []
+        real_copy, real_select = simulation.unweighted_copy, simulation.selection.select_lambda
+
+        def select(data, *a, **k):
+            if any(data is d for d in cc_data):
+                raise w.SingularSystemError("forced")
+            return real_select(data, *a, **k)
+
+        monkeypatch.setattr(simulation, "unweighted_copy", lambda *a: cc_data.append(real_copy(*a)) or cc_data[-1])
+        monkeypatch.setattr(simulation.selection, "select_lambda", select)
+        with caplog.at_level(logging.WARNING, logger="wccreg.simulation"):
+            summary = w.run_monte_carlo(spec)
+        wcc, cc = summary.records
+        assert wcc == wcc_only.records[0] and not wcc.failed
+        K_true = int(np.unique(simulation.generate_population(spec, 0).labels).size)
+        assert (cc.method, cc.failed, cc.K_hat, cc.K_true, cc.converged) == ("cc", True, 0, K_true, False)
+        assert np.isnan([cc.ari, cc.rmse, cc.lambda_star]).all()
+        assert summary.summary("cc") == {"n_reps": 0, "failures": 1}
+        assert summary.summary("wcc")["failures"] == 0
+        assert "rep 0 method cc: fatal fit error (forced)" in caplog.text

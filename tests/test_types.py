@@ -181,6 +181,14 @@ class TestStackedDataset:
         with pytest.raises(w.ValidationError, match="^X must be 2-D, got shape \\(0,\\)"):
             w.Dataset([], [0], [], np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros(0))
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"X": np.ones((3, 0))}, "X must have at least one column"),
+        ({"sigma2": np.ones(2)}, "sigma2 length 2 != 3")])
+    def test_a_design_without_columns_or_a_short_sigma2_is_named(self, edit, message):
+        with pytest.raises(w.ValidationError) as err:
+            w.Dataset(["a"], [0, 3], [9], **{**rows(), **edit})
+        assert str(err.value) == f"location 'a': {message}"
+
     def test_a_one_dimensional_z_is_rejected(self):
         # Z is (n, q) even at q = 1: a 1-D Z is not read as one column
         with pytest.raises(w.ValidationError) as err:
@@ -277,6 +285,13 @@ class TestResultContainers:
         with pytest.raises(w.ValidationError) as err:
             w.FitResult(**arrays, iterations=1, final_residual=0.0, converged=True)
         assert str(err.value) == message
+
+    def test_fit_result_rejects_slacks_that_do_not_match_beta(self):
+        # m = 3 locations have 3 pairs, not 2
+        with pytest.raises(w.ValidationError) as err:
+            w.FitResult(beta=np.zeros((3, 1)), eta=np.zeros(0), zeta=np.zeros((1, 2)), v=np.zeros((1, 2)),
+                        iterations=1, final_residual=0.0, converged=True)
+        assert str(err.value) == "slack/multiplier shape (1, 2) inconsistent with beta (3, 1)"
 
     def test_fit_result_keeps_frozen_owned_arrays_and_copies_the_rest(self):
         zeta, v = np.array([[0.0, 1.0, 2.0]]), np.ones((1, 3))
